@@ -73,7 +73,6 @@ from .theorems import (
     Instance,
     OracleResult,
     VerificationReport,
-    induced_holonomy_image,
     is_induced_trivial,
     oracle_holonomy,
     pullback_voltage,

@@ -11,14 +11,93 @@ group.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .complexes import BaseComplex, Edge, validate_complex
 from .connections import Voltage, check_flatness
 from .covers import ComplexMap, CoveringComplex, is_covering_map
-from .errors import FlatnessError
+from .errors import ComplexError, FlatnessError
 from .groups import GroupTable
+
+
+class LiftedEdges(Sequence):
+    """The edges of a lifted graph, as ``Edge`` objects made on demand."""
+
+    __slots__ = ("_tail", "_head")
+
+    def __init__(self, tail: array, head: array):
+        self._tail = tail
+        self._head = head
+
+    def __len__(self) -> int:
+        return len(self._tail)
+
+    def __getitem__(self, i: int) -> Edge:
+        eid = range(len(self._tail))[i]
+        return Edge(eid, self._tail[eid], self._head[eid])
+
+    def __iter__(self):
+        return map(Edge, count(), self._tail, self._head)
+
+
+class LiftedGraph(BaseComplex):
+    """The derived graph of a voltage, stored as flat integer arrays.
+
+    Lifted edge ``p * |G| + x`` runs from ``tail[p * |G| + x]`` to
+    ``head[p * |G| + x]``, that is from (tail p, x) to (head p, x * w(p));
+    the lifts of one base edge fill one column, read off the product table.
+    The :class:`BaseComplex` queries (edges, edge lookup, stars, paths) are
+    answered from the arrays and the base, without an ``Edge`` per lift.
+    """
+
+    __slots__ = ("tail", "head", "_voltage")
+
+    def __init__(self, v: Voltage):
+        c, n = v.complex, v.group.order
+        columns = tuple(zip(*v.group.product))  # columns[w][x] = x * w
+        tail = array("i")
+        head = array("i")
+        for e in c.edges:
+            tail.extend(range(e.tail * n, e.tail * n + n))
+            offset = e.head * n
+            head.extend([offset + y for y in columns[v.on_edge(e.id)]])
+        self.vertex_count = c.vertex_count * n
+        self.edges = LiftedEdges(tail, head)
+        self.basepoint = c.basepoint * n  # the lift (basepoint, identity)
+        self.relators = ()
+        self.tail = tail
+        self.head = head
+        self._voltage = v
+        self._validated = False
+
+    def edge(self, eid: int) -> Edge:
+        return Edge(self.edge_pos(eid), self.tail[eid], self.head[eid])
+
+    def edge_pos(self, eid: int) -> int:
+        if not 0 <= eid < len(self.tail):
+            raise ComplexError(f"unknown edge id {eid}")
+        return eid
+
+    def star(self, v: int) -> list[tuple[int, int]]:
+        """Edge-ends at (u, x): (p|G| + x, +1) out of it, and for base edges
+        p into u, (p|G| + x w(p)^-1, -1) into it; same order as the base class."""
+        base, group = self._voltage.complex, self._voltage.group
+        n = group.order
+        u, x = divmod(v, n)
+        ends = []
+        for eid, sign in base.star(u):
+            p = base.edge_pos(eid)
+            if sign > 0:
+                ends.append((p * n + x, 1))
+            else:
+                w_inv = group.inverse[self._voltage.on_edge(eid)]
+                ends.append((p * n + group.product[x][w_inv], -1))
+        ends.sort(key=lambda end: (end[0], -end[1]))
+        return ends
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +113,7 @@ class DerivedBundle:
     base: BaseComplex
     group: GroupTable
     voltage: Voltage
-    graph: BaseComplex
+    graph: LiftedGraph
     components: tuple
     component_of: tuple
     base_lift: int
@@ -53,7 +132,7 @@ class DerivedBundle:
         n = self.group.order
         vertex_map = tuple(idx // n for idx in range(self.graph.vertex_count))
         edge_map = {
-            e.id: self.base.edges[e.id // n].id for e in self.graph.edges
+            eid: self.base.edges[eid // n].id for eid in range(len(self.graph.edges))
         }
         return ComplexMap(
             source=self.graph, target=self.base, vertex_map=vertex_map, edge_map=edge_map
@@ -69,7 +148,12 @@ class DerivedBundle:
 
 
 def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
-    """Build the derived graph of a flat voltage and its components."""
+    """Build the derived graph of a flat voltage and its components.
+
+    Components come from a union-find over the lifted edges that keeps the
+    smaller root, so every vertex's parent is at most the vertex and each
+    root is the minimal vertex of its component.
+    """
     validate_complex(c)
     if v.complex is not c:
         raise ValueError("voltage is not defined on the given complex")
@@ -78,58 +162,39 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     violations = check_flatness(v)
     if violations:
         raise FlatnessError(violations)
-    n = g.order
-    V = c.vertex_count
-    mul = g.product
-    edges = []
-    for pos, e in enumerate(c.edges):
-        w = v.on_edge(e.id)
-        for x in range(n):
-            edges.append(
-                Edge(pos * n + x, e.tail * n + x, e.head * n + mul[x][w])
-            )
-    graph = BaseComplex(
-        vertex_count=V * n,
-        edges=edges,
-        basepoint=c.basepoint * n,  # the lift (basepoint, identity)
-        relators=(),
-    )
-    comp = _components(graph)
-    groups: dict[int, list[int]] = {}
-    for idx, cid in enumerate(comp):
-        groups.setdefault(cid, []).append(idx)
-    ordered = sorted(groups.values(), key=lambda verts: verts[0])
-    relabel = {verts[0]: i for i, verts in enumerate(ordered)}
-    component_of = tuple(relabel[groups[comp[idx]][0]] for idx in range(len(comp)))
-    components = tuple(tuple(verts) for verts in ordered)
+    graph = LiftedGraph(v)
+    parent = list(range(graph.vertex_count))
+    for a, b in zip(graph.tail, graph.head):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+    # parent[x] <= x, so the parent is labelled before the vertex.
+    component_of = [0] * graph.vertex_count
+    components: list[list[int]] = []
+    for x, p in enumerate(parent):
+        if p == x:
+            component_of[x] = len(components)
+            components.append([x])
+        else:
+            cid = component_of[p]
+            component_of[x] = cid
+            components[cid].append(x)
     return DerivedBundle(
         base=c,
         group=g,
         voltage=v,
         graph=graph,
-        components=components,
-        component_of=component_of,
-        base_lift=c.basepoint * n,
+        components=tuple(map(tuple, components)),
+        component_of=tuple(component_of),
+        base_lift=graph.basepoint,
     )
-
-
-def _components(graph: BaseComplex) -> list[int]:
-    """Connected components by union-find; roots are minimal vertices."""
-    parent = list(range(graph.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in graph.edges:
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-    return [find(x) for x in range(graph.vertex_count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +213,21 @@ class ComponentComplex:
 
 
 def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int] = None) -> ComponentComplex:
-    """Extract a component as a connected complex with projection to the base."""
+    """Extract a component as a connected complex with projection to the base.
+
+    Only the component's own edges are visited: the lifts leaving (v, x) are
+    p * |G| + x for the base edges p with tail v.  Listing them base edge by
+    base edge, and x ascending, keeps them in ascending global id.
+    """
     verts = d.components[comp_index]
     local = {g: i for i, g in enumerate(verts)}
     n = d.group.order
-    edges = []
-    global_edges = []
-    for e in d.graph.edges:
-        if e.tail in local:
-            edges.append(Edge(len(edges), local[e.tail], local[e.head]))
-            global_edges.append(e.id)
+    fibers: list[list[int]] = [[] for _ in range(d.base.vertex_count)]
+    for g in verts:
+        fibers[g // n].append(g % n)
+    global_edges = [p * n + x for p, e in enumerate(d.base.edges) for x in fibers[e.tail]]
+    tail, head = d.graph.tail, d.graph.head
+    edges = [Edge(i, local[tail[eid]], local[head[eid]]) for i, eid in enumerate(global_edges)]
     if basepoint is None:
         basepoint = verts[0]
     sub = BaseComplex(
@@ -242,11 +312,11 @@ def induced_bundle_map(
         v_hat, g = divmod(idx, n)
         vertex_map.append(cov.vertex_to_base[v_hat] * n + g)
     edge_map = {}
-    for e in upper.graph.edges:
-        pos_hat, g = divmod(e.id, n)
+    for eid in range(len(upper.graph.edges)):
+        pos_hat, g = divmod(eid, n)
         cover_edge = cov.total.edges[pos_hat].id
         base_edge = cov.edge_to_base[cover_edge]
-        edge_map[e.id] = lower.base.edge_pos(base_edge) * n + g
+        edge_map[eid] = lower.base.edge_pos(base_edge) * n + g
     return ComplexMap(
         source=upper.graph,
         target=lower.graph,

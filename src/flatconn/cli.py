@@ -19,7 +19,6 @@ from .corpus import generate_corpus
 from .errors import EnumerationCapError, FlatConnError, IncompleteAutomatonError
 from .groups import subgroup_closure
 from .io import complex_to_json, parse_instance
-from .subgroups import is_normal_subgroup
 from .theorems import (
     FAILS,
     GATE,
@@ -54,8 +53,7 @@ def _cmd_cover(args, out) -> int:
     cov = inst.cover
     out.write(f"degree: {cov.degree}\n")
     out.write(f"rank: {cov.total.free_rank}\n")
-    regular = is_normal_subgroup(inst.subgroup_aut)
-    out.write(f"regular: {'yes' if regular else 'no'}\n")
+    out.write(f"regular: {'yes' if inst.subgroup_normal else 'no'}\n")
     if args.emit_complex:
         with open(args.emit_complex, "w", encoding="utf-8") as fh:
             json.dump({"complex": complex_to_json(cov.total)}, fh, indent=2, sort_keys=True)

@@ -7,6 +7,7 @@ sign, not a second edge.  An edge path is a word of (edge id, sign) steps.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,10 +29,13 @@ class BaseComplex:
 
     Construction checks referential integrity only; connectivity and relator
     closure are enforced by :func:`validate_complex` so that malformed inputs
-    can be built and then rejected with a precise error.
+    can be built and then rejected with a precise error.  The per-vertex
+    incidence behind :meth:`star` is built once here.
     """
 
-    __slots__ = ("vertex_count", "edges", "basepoint", "relators", "_by_id", "_pos", "_validated")
+    __slots__ = (
+        "vertex_count", "edges", "basepoint", "relators", "_by_id", "_pos", "_incidence", "_validated",
+    )
 
     def __init__(
         self,
@@ -66,6 +70,11 @@ class BaseComplex:
         self.relators = tuple(rel)
         self._by_id = by_id
         self._pos = {e.id: i for i, e in enumerate(self.edges)}
+        incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        for e in self.edges:
+            incidence[e.tail].append((e.id, 1))
+            incidence[e.head].append((e.id, -1))
+        self._incidence = incidence
         self._validated = False
 
     @property
@@ -98,14 +107,9 @@ class BaseComplex:
 
     def star(self, v: int) -> list[tuple[int, int]]:
         """Edge-ends at a vertex: (edge id, +1) for outgoing, (edge id, -1)
-        for incoming; a loop contributes both ends."""
-        out = []
-        for e in self.edges:
-            if e.tail == v:
-                out.append((e.id, 1))
-            if e.head == v:
-                out.append((e.id, -1))
-        return out
+        for incoming; a loop contributes both ends.  Ordered by ascending
+        edge id, the outgoing end of a loop first."""
+        return list(self._incidence[v])
 
     def path_vertices(self, w: EdgeWord, start: Optional[int] = None) -> list[int]:
         """Vertex itinerary of an edge word; raises if steps do not chain."""
@@ -230,22 +234,17 @@ def spanning_tree(c: BaseComplex) -> SpanningTreeData:
     visited[base] = True
     order = [base]
     tree = set()
-    queue = [base]
+    queue = deque([base])
     while queue:
-        v = queue.pop(0)
-        for e in c.edges:
-            if e.tail == v and not visited[e.head]:
-                visited[e.head] = True
-                parent[e.head] = (e.id, 1)
-                tree.add(e.id)
-                order.append(e.head)
-                queue.append(e.head)
-            if e.head == v and not visited[e.tail]:
-                visited[e.tail] = True
-                parent[e.tail] = (e.id, -1)
-                tree.add(e.id)
-                order.append(e.tail)
-                queue.append(e.tail)
+        v = queue.popleft()
+        for step in c.star(v):
+            _, u = c.step_endpoints(step)
+            if not visited[u]:
+                visited[u] = True
+                parent[u] = step
+                tree.add(step[0])
+                order.append(u)
+                queue.append(u)
     generators = tuple(e.id for e in c.edges if e.id not in tree)
     return SpanningTreeData(
         complex=c,

@@ -116,7 +116,12 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
             raise InputError("edge needs integer 'id', 'tail', 'head'", loc) from None
     aliases = {}
     for name, eid in (data.get("aliases") or {}).items():
-        aliases[str(name)] = int(eid)
+        try:
+            aliases[str(name)] = int(eid)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}"
+            ) from None
     known = {e.id for e in edges}
     for name, eid in aliases.items():
         if eid not in known:
@@ -127,7 +132,10 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         if not isinstance(text, str):
             raise InputError("relator must be a word string", loc)
         relators.append(parse_word_string(text, aliases, known, loc))
-    basepoint = int(data.get("basepoint", 0))
+    try:
+        basepoint = int(data.get("basepoint", 0))
+    except (TypeError, ValueError):
+        raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint") from None
     try:
         c = BaseComplex(vertices, edges, basepoint=basepoint, relators=relators)
         validate_complex(c)

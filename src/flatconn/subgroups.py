@@ -8,6 +8,7 @@ equality at the basepoint, not conjugacy.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -184,19 +185,35 @@ def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list
 
 
 def is_normal_subgroup(a: CosetAutomaton) -> bool:
-    """True iff every Schreier generator traces a closed loop from every state."""
+    """True iff the subgroup is normal, by the deck-transformation test.
+
+    The automaton is the Schreier graph of the right cosets of H, and a
+    label-preserving automorphism sending state 0 (H) to state s (Hx)
+    exists exactly when x normalises H.  The normaliser is a subgroup, so H
+    is normal iff every generator g normalises it, that is iff the map
+    0 -> 0.g extends along both transition tables without a conflict.  On a
+    complete connected automaton a conflict-free extension is an
+    automorphism: it is a covering of the graph onto itself with as many
+    states as the graph.  Each generator costs one pass over the 2r
+    transitions of every state, O(n r^2) in all for n states and rank r.
+    """
     if not a.complete:
         raise IncompleteAutomatonError("normality check requires a complete automaton")
-    reps = _rep_words(a)
-    n = a.state_count
-    for s in range(n):
-        for g in range(a.rank):
-            t = a.forward[g][s]
-            w = reduce_word(reps[s] + ((g, 1),) + invert_word(reps[t]))
-            if not w:
-                continue
-            for state in range(n):
-                if a.trace(w, state) != state:
+    columns = a.forward + a.backward
+    for start in (col[0] for col in a.forward):
+        if start == 0:
+            continue
+        phi = [None] * a.state_count
+        phi[0] = start
+        queue = [0]
+        for s in queue:
+            image = phi[s]
+            for col in columns:
+                t, u = col[s], col[image]
+                if phi[t] is None:
+                    phi[t] = u
+                    queue.append(t)
+                elif phi[t] != u:
                     return False
     return True
 
@@ -330,7 +347,7 @@ def todd_coxeter(
         table[alpha][c] = beta
         table[beta][inv_col(c)] = alpha
 
-    def merge(x: int, y: int, queue: list[int]) -> None:
+    def merge(x: int, y: int, queue: deque) -> None:
         rx, ry = find(x), find(y)
         if rx == ry:
             return
@@ -339,10 +356,10 @@ def todd_coxeter(
         queue.append(nu)
 
     def coincidence(alpha: int, beta: int) -> None:
-        queue: list[int] = []
+        queue: deque = deque()
         merge(alpha, beta, queue)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             for c in range(width):
                 delta = table[gamma][c]
                 if delta is None:

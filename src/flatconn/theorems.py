@@ -22,6 +22,7 @@ vacuous "holds".
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -201,6 +202,11 @@ class Instance:
         return holonomy_group(self.induced_morphism)
 
     @cached_property
+    def subgroup_normal(self) -> bool:
+        """Is the covering subgroup normal, i.e. is the covering regular?"""
+        return is_normal_subgroup(self.subgroup_aut)
+
+    @cached_property
     def subgroup_schreier(self) -> list:
         return reidemeister_schreier(self.subgroup_aut, self.presentation)
 
@@ -267,11 +273,6 @@ def pullback_voltage(cov: CoveringComplex, v: Voltage) -> Voltage:
         raise ValueError("voltage is not defined on the covering's base")
     assignment = {eid: v.on_edge(base_eid) for eid, base_eid in cov.edge_to_base.items()}
     return Voltage(cov.total, v.group, assignment)
-
-
-def induced_holonomy_image(inst: Instance) -> SubgroupSet:
-    """Holonomy group of the pulled-back voltage on the cover."""
-    return inst.induced_image
 
 
 def _subgroup_witness(name: str, s: SubgroupSet) -> tuple:
@@ -355,13 +356,10 @@ def _product_form(inst: Instance) -> tuple[bool, str]:
     for comp in bundle.components:
         if len(comp) != v_hat:
             return False, f"component with {len(comp)} vertices, expected {v_hat}"
-    edges_per = {}
-    for e in bundle.graph.edges:
-        cid = bundle.component_of[e.tail]
-        edges_per[cid] = edges_per.get(cid, 0) + 1
+    edges_per = Counter(map(bundle.component_of.__getitem__, bundle.graph.tail))
     for cid in range(len(bundle.components)):
-        if edges_per.get(cid, 0) != e_hat:
-            return False, f"component {cid} has {edges_per.get(cid, 0)} edges, expected {e_hat}"
+        if edges_per[cid] != e_hat:
+            return False, f"component {cid} has {edges_per[cid]} edges, expected {e_hat}"
     return True, f"{n} components, each {v_hat} vertices / {e_hat} edges"
 
 
@@ -425,7 +423,7 @@ def _gate_subgroup_is_kernel(inst: Instance) -> HypothesisCheck:
 
 
 def _gate_subgroup_normal(inst: Instance) -> HypothesisCheck:
-    ok = is_normal_subgroup(inst.subgroup_aut)
+    ok = inst.subgroup_normal
     return HypothesisCheck("subgroup-normal", ok, "regular covering" if ok else "covering not regular")
 
 
@@ -474,7 +472,7 @@ def verify_cor_2_2(inst: Instance) -> VerificationReport:
         _gate_kernel_inside_subgroup(inst),
         _gate_full_holonomy(inst),
     )
-    regular = is_normal_subgroup(inst.subgroup_aut) if inst.subgroup_aut.complete else False
+    regular = inst.subgroup_normal if inst.subgroup_aut.complete else False
     notes = (f"covering-regular: {'yes' if regular else 'no'}",)
     if not all(h.passed for h in hyp):
         return VerificationReport("cor_2_2", GATE, hypotheses=hyp, notes=notes)

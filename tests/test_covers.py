@@ -3,6 +3,7 @@ import pytest
 from flatconn.bundles import component_complex, derived_bundle, holonomy_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from flatconn.connections import Voltage, holonomy_morphism, holonomy_group, kernel_automaton
+from flatconn.corpus import generate_corpus
 from flatconn.covers import (
     ComplexMap,
     build_cover,
@@ -12,7 +13,12 @@ from flatconn.covers import (
     lift_path,
     subgroup_of_cover,
 )
-from flatconn.errors import ComplexError, IncidenceError, IncompleteAutomatonError
+from flatconn.errors import (
+    ComplexError,
+    EnumerationCapError,
+    IncidenceError,
+    IncompleteAutomatonError,
+)
 from flatconn.groups import subgroup_closure
 from flatconn.subgroups import (
     CosetAutomaton,
@@ -160,6 +166,71 @@ def test_derived_bundle_circle_z2(circle, z2):
     d = derived_bundle(circle, z2, v)
     assert len(d.components) == 1
     assert sorted((e.tail, e.head) for e in d.graph.edges) == [(0, 1), (1, 0)]
+
+
+def components_by_bfs(vertex_count, edges):
+    """Components over materialised edges, numbered by minimal vertex."""
+    neighbors = [[] for _ in range(vertex_count)]
+    for e in edges:
+        neighbors[e.tail].append(e.head)
+        neighbors[e.head].append(e.tail)
+    component_of = [None] * vertex_count
+    components = []
+    for start in range(vertex_count):
+        if component_of[start] is not None:
+            continue
+        component_of[start] = len(components)
+        members = [start]
+        for v in members:
+            for u in neighbors[v]:
+                if component_of[u] is None:
+                    component_of[u] = len(components)
+                    members.append(u)
+        components.append(tuple(sorted(members)))
+    return tuple(components), tuple(component_of)
+
+
+def corpus_bundles(seed, count):
+    for item in generate_corpus(seed, count):
+        inst = item.instance
+        yield inst.base_bundle
+        try:
+            complete = inst.subgroup_aut.complete
+        except EnumerationCapError:
+            continue
+        if complete:
+            yield inst.cover_bundle
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_bundle_components_match_bfs_over_edges(seed):
+    for d in corpus_bundles(seed, 30):
+        n = d.group.order
+        edges = list(d.graph.edges)
+        assert d.graph.vertex_count == n * d.base.vertex_count
+        assert len(d.graph.edges) == len(edges) == n * len(d.base.edges)
+        assert [e.id for e in edges] == list(range(len(edges)))
+        assert (d.components, d.component_of) == components_by_bfs(d.graph.vertex_count, edges)
+
+
+def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4):
+    cases = [
+        Voltage(wedge, s3, {0: 1, 1: 2}),
+        Voltage(wedge, s3, {0: 0, 1: 1}),
+        Voltage(circle, s3, {0: 2}),
+        Voltage(torus, z4, {0: 1, 1: 3}),
+        Voltage(BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)]), s3,
+                {0: 1, 3: 4, 5: 3}),
+    ]
+    for v in cases:
+        d = derived_bundle(v.complex, v.group, v)
+        flat = BaseComplex(d.graph.vertex_count, list(d.graph.edges))
+        for eid in range(len(d.graph.edges)):
+            assert d.graph.edge(eid) == flat.edge(eid) == d.graph.edges[eid]
+        for idx in range(d.graph.vertex_count):
+            assert d.graph.star(idx) == flat.star(idx)
+        with pytest.raises(ComplexError, match="unknown edge id"):
+            d.graph.edge(len(d.graph.edges))
 
 
 def test_component_count_is_holonomy_index(wedge, s3):

@@ -207,6 +207,25 @@ def test_cli_missing_covering_section(capsys):
     assert code == 2  # flatness error fires first
 
 
+@pytest.mark.parametrize(
+    "field,value,location",
+    [
+        ("basepoint", "x", "/complex/basepoint"),
+        ("aliases", {"a": "zz"}, "/complex/aliases/a"),
+    ],
+)
+def test_cli_non_integer_complex_field_exit_2(tmp_path, capsys, field, value, location):
+    doc = load_doc("wedge_s3_01.json")
+    doc["complex"][field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["verify", str(path), "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {location}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_verify_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["verify", doc_path("wedge_s3_a3.json")])

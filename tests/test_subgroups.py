@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flatconn.complexes import Presentation, pi1_presentation, spanning_tree
+from flatconn.corpus import generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
 from flatconn.groups import catalog_group, subgroup_closure
 from flatconn.subgroups import (
@@ -155,6 +156,59 @@ def test_normality(s3, z2):
     nonnormal = automaton_from_quotient([1, 2], s3, subgroup_closure(s3, [1]))
     assert nonnormal.state_count == 3
     assert not is_normal_subgroup(nonnormal)
+
+
+def normal_by_schreier(a):
+    """Reference normality check: every Schreier generator of the subgroup
+    traces a closed loop from every state, O(n^2 r |w|)."""
+    free = Presentation(generators=tuple(range(a.rank)), relators=())
+    gens = reidemeister_schreier(a, free)
+    return all(a.trace(w, s) == s for w in gens for s in range(a.state_count))
+
+
+def corpus_automata(seed, count):
+    for item in generate_corpus(seed, count):
+        inst = item.instance
+        yield inst.kernel_aut
+        try:
+            aut = inst.subgroup_aut
+        except EnumerationCapError:
+            continue
+        if aut.complete:
+            yield aut
+
+
+def test_normality_matches_schreier_oracle_on_corpus():
+    verdicts = []
+    for seed in (0, 3, 5):
+        for aut in corpus_automata(seed, 45):
+            verdict = is_normal_subgroup(aut)
+            assert verdict == normal_by_schreier(aut), aut
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_normality_matches_schreier_oracle_on_torus_kernels(torus):
+    pres = pi1_presentation(torus, spanning_tree(torus))
+    for m in range(1, 6):
+        for n in range(1, 6):
+            aut = todd_coxeter(pres, [(A,) * m, (B,) * n])
+            assert aut.state_count == m * n
+            assert is_normal_subgroup(aut)
+            assert normal_by_schreier(aut)
+
+
+def test_normality_matches_schreier_oracle_on_non_normal_quotients(s3):
+    s4 = catalog_group("S4")
+    cases = [([1, 2], s3, [1]), ([1, 2], s3, [2])]
+    cases += [(images, s4, [k]) for images in ([1, 2], [3, 5]) for k in range(1, s4.order)]
+    seen = set()
+    for images, group, members in cases:
+        aut = automaton_from_quotient(images, group, subgroup_closure(group, members))
+        verdict = is_normal_subgroup(aut)
+        assert verdict == normal_by_schreier(aut)
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_schreier_index_one():

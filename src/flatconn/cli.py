@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from . import dot as dot_export
 from .corpus import generate_corpus
 from .errors import EnumerationCapError, FlatConnError, IncompleteAutomatonError
-from .groups import subgroup_closure
 from .io import complex_to_json, parse_instance
 from .theorems import (
     FAILS,
@@ -66,10 +65,8 @@ def _cmd_induce(args, out) -> int:
     inst = parse_instance(args.document)
     _require_covering(inst)
     report = verify_theorem_1_1(inst)
-    mapped = [inst.morphism.evaluate(w) for w in inst.subgroup_schreier]
-    restricted = subgroup_closure(inst.group, mapped)
     out.write(f"induced_image: {_labels(inst, inst.induced_image.members)}\n")
-    out.write(f"h_of_H: {_labels(inst, restricted.members)}\n")
+    out.write(f"h_of_H: {_labels(inst, inst.restricted_image.members)}\n")
     out.write(f"equal: {'yes' if report.holds else 'no'}\n")
     return 0 if report.holds else 1
 

@@ -280,27 +280,7 @@ def subgroup_of_cover(
         e = base.edge(eid)
         loops.append(tree.path_from_base(e.tail) + ((eid, 1),) + tree.path_to_base(e.head))
 
-    rank = len(loops)
-    index = {base_lift: 0}
-    order = [base_lift]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for loop in loops:
-            lifted = lift_path(m, loop, x, end_index)
-            y = path_end(m.source, lifted, x)
-            if y not in index:
-                index[y] = len(order)
-                order.append(y)
-    n = len(order)
-    forward = [[None] * n for _ in range(rank)]
-    backward = [[None] * n for _ in range(rank)]
-    for i, x in enumerate(order):
-        for g, loop in enumerate(loops):
-            y = path_end(m.source, lift_path(m, loop, x, end_index), x)
-            forward[g][i] = index[y]
-    for g in range(rank):
-        for i in range(n):
-            backward[g][forward[g][i]] = i
-    return CosetAutomaton(rank, forward, backward)
+    def act(x: int, g: int) -> int:
+        return path_end(m.source, lift_path(m, loops[g], x, end_index), x)
+
+    return CosetAutomaton.from_action(len(loops), base_lift, act)

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapError
@@ -22,7 +21,6 @@ Perm = tuple
 
 DEFAULT_CLOSURE_CAP = 10_000
 SUBGROUP_ENUM_MAX_ORDER = 64
-SUBGROUP_ENUM_MAX_GENERATORS = 3
 
 
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> Perm:
@@ -277,22 +275,34 @@ def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
 
 
 def enumerate_subgroups(g: GroupTable) -> list[SubgroupSet]:
-    """All subgroups obtainable from generating sets of size <= 3.
+    """Every subgroup of ``g``, as the join-closure of its cyclic subgroups.
 
-    Exhaustive for every group in the built-in catalog (order <= 24); the
-    three-generator bound is a documented scope limit, and orders above 64
-    are rejected outright.
+    A subgroup is generated by its elements, so it is a join of cyclic
+    subgroups: starting from <x> for every x, each newly found subgroup is
+    joined with each cyclic subgroup it does not contain until no new one
+    appears.  Orders above 64 are rejected.
     """
     if g.order > SUBGROUP_ENUM_MAX_ORDER:
         raise ValueError(f"subgroup enumeration limited to order {SUBGROUP_ENUM_MAX_ORDER}")
     found: dict[tuple, SubgroupSet] = {}
-    trivial = subgroup_closure(g, ())
-    found[trivial.members] = trivial
-    nonidentity = range(1, g.order)
-    for size in range(1, SUBGROUP_ENUM_MAX_GENERATORS + 1):
-        for combo in combinations(nonidentity, size):
-            sub = subgroup_closure(g, combo)
-            found.setdefault(sub.members, sub)
+    cyclic_generators = []  # one generator per cyclic subgroup
+    for x in range(g.order):
+        sub = subgroup_closure(g, (x,))
+        if sub.members not in found:
+            found[sub.members] = sub
+            cyclic_generators.append(x)
+    frontier = list(found.values())
+    while frontier:
+        new = []
+        for sub in frontier:
+            members = set(sub.members)
+            for x in cyclic_generators:
+                if x not in members:
+                    join = subgroup_closure(g, sub.members + (x,))
+                    if join.members not in found:
+                        found[join.members] = join
+                        new.append(join)
+        frontier = new
     return sorted(found.values(), key=lambda s: (len(s.members), s.members))
 
 

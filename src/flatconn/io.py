@@ -72,6 +72,11 @@ def resolve_element(g: GroupTable, ref: Any, location: str) -> int:
     raise InputError(f"element reference must be an index or label, got {ref!r}", location)
 
 
+def _require_list(value: Any, message: str, location: str) -> None:
+    if not isinstance(value, list):
+        raise InputError(message, location)
+
+
 def parse_group(data: Any, location: str = "/group") -> GroupTable:
     if isinstance(data, str):
         try:
@@ -85,14 +90,20 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
         generators = data["generators"]
     except (KeyError, TypeError, ValueError):
         raise InputError("permutation group needs 'degree' and 'generators'", location) from None
+    _require_list(generators, "'generators' must be a list of permutations", f"{location}/generators")
+    for k, p in enumerate(generators):
+        _require_list(p, "a generator must be a list of images", f"{location}/generators/{k}")
+    labels = data.get("labels")
+    if labels is not None:
+        _require_list(labels, "'labels' must be a list of strings", f"{location}/labels")
     try:
         return group_from_permutations(
             degree,
             [tuple(p) for p in generators],
-            labels=data.get("labels"),
+            labels=labels,
             name=data.get("name"),
         )
-    except (ValueError, FlatConnError) as exc:
+    except (TypeError, ValueError, FlatConnError) as exc:
         raise InputError(str(exc), location) from None
 
 
@@ -106,6 +117,7 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         raise InputError("complex needs a 'vertices' count", location) from None
     edges = []
     raw_edges = data.get("edges", [])
+    _require_list(raw_edges, "'edges' must be a list", f"{location}/edges")
     for k, rec in enumerate(raw_edges):
         loc = f"{location}/edges/{k}"
         if not isinstance(rec, dict):
@@ -115,7 +127,10 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         except (KeyError, TypeError, ValueError):
             raise InputError("edge needs integer 'id', 'tail', 'head'", loc) from None
     aliases = {}
-    for name, eid in (data.get("aliases") or {}).items():
+    raw_aliases = data.get("aliases") or {}
+    if not isinstance(raw_aliases, dict):
+        raise InputError("'aliases' must be an object of name: edge id", f"{location}/aliases")
+    for name, eid in raw_aliases.items():
         try:
             aliases[str(name)] = int(eid)
         except (TypeError, ValueError):
@@ -127,7 +142,9 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         if eid not in known:
             raise InputError(f"alias {name!r} refers to unknown edge {eid}", f"{location}/aliases")
     relators = []
-    for k, text in enumerate(data.get("relators", [])):
+    raw_relators = data.get("relators", [])
+    _require_list(raw_relators, "'relators' must be a list of word strings", f"{location}/relators")
+    for k, text in enumerate(raw_relators):
         loc = f"{location}/relators/{k}"
         if not isinstance(text, str):
             raise InputError("relator must be a word string", loc)
@@ -160,7 +177,10 @@ def parse_voltage(
                 raise InputError(f"unknown edge alias {ref!r}", f"{loc}/edge")
             eid = aliases[ref]
         else:
-            eid = int(ref)
+            try:
+                eid = int(ref)
+            except (TypeError, ValueError):
+                raise InputError("voltage edge must be an edge id or alias", f"{loc}/edge") from None
         if eid in assignment:
             raise InputError(f"duplicate voltage for edge {eid}", f"{loc}/edge")
         assignment[eid] = resolve_element(g, rec["element"], f"{loc}/element")
@@ -184,8 +204,12 @@ def parse_covering(
         tree = spanning_tree(c)
         known = {e.id for e in c.edges}
         words = []
-        for k, text in enumerate(data.get("words", [])):
+        raw_words = data.get("words", [])
+        _require_list(raw_words, "'words' must be a list of word strings", f"{location}/words")
+        for k, text in enumerate(raw_words):
             loc = f"{location}/words/{k}"
+            if not isinstance(text, str):
+                raise InputError("covering word must be a word string", loc)
             ew = parse_word_string(text, aliases, known, loc)
             try:
                 words.append(loop_to_generator_word(c, tree, ew))

@@ -50,27 +50,44 @@ class CosetAutomaton:
                     raise ValueError(f"transitions for generator {g} are not mutually inverse")
         order = self._bfs_order(rank, fwd, bwd, state_count)
         remap = {old: new for new, old in enumerate(order)}
-        n = len(order)
+
+        def renumber(cols) -> tuple:
+            # the states reached from reachable states are all reachable
+            return tuple(
+                tuple(None if col[old] is None else remap[col[old]] for old in order)
+                for col in cols
+            )
+
         self.rank = rank
-        self.forward = tuple(
-            tuple(
-                remap[fwd[g][old]] if fwd[g][old] is not None and fwd[g][old] in remap else None
-                for old in order
-            )
-            for g in range(rank)
-        )
-        self.backward = tuple(
-            tuple(
-                remap[bwd[g][old]] if bwd[g][old] is not None and bwd[g][old] in remap else None
-                for old in order
-            )
-            for g in range(rank)
-        )
-        self.complete = all(
-            self.forward[g][s] is not None and self.backward[g][s] is not None
-            for g in range(rank)
-            for s in range(n)
-        )
+        self.forward = renumber(fwd)
+        self.backward = renumber(bwd)
+        self.complete = all(t is not None for col in self.forward + self.backward for t in col)
+
+    @classmethod
+    def from_action(cls, rank: int, start, act) -> "CosetAutomaton":
+        """The automaton of a finite permutation action on the orbit of start.
+
+        ``act(x, g)`` is the image of point x under generator g.  One
+        breadth-first walk over the forward generators finds the whole
+        orbit, since the inverse of a permutation of a finite set is one of
+        its powers; the backward columns are read off by inversion.
+        """
+        index = {start: 0}
+        points = [start]
+        forward: list[list[int]] = [[] for _ in range(rank)]
+        for x in points:
+            for g in range(rank):
+                y = act(x, g)
+                k = index.get(y)
+                if k is None:
+                    k = index[y] = len(points)
+                    points.append(y)
+                forward[g].append(k)
+        backward: list[list[Optional[int]]] = [[None] * len(points) for _ in range(rank)]
+        for g in range(rank):
+            for s, t in enumerate(forward[g]):
+                backward[g][t] = s
+        return cls(rank, forward, backward)
 
     @staticmethod
     def _bfs_order(rank, fwd, bwd, state_count):
@@ -146,20 +163,19 @@ def automata_equal(x: CosetAutomaton, y: CosetAutomaton) -> bool:
 
 
 def _rep_words(a: CosetAutomaton) -> list[Word]:
-    """Breadth-first coset representative words (state 0 gets the empty word)."""
+    """Breadth-first coset representative words (state 0 gets the empty word).
+
+    States are numbered in breadth-first order, so visiting them in number
+    order is the breadth-first walk.
+    """
     reps: list[Optional[Word]] = [None] * a.state_count
     reps[0] = ()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
+    for s in range(a.state_count):
         for g in range(a.rank):
             for col, sign in ((a.forward, 1), (a.backward, -1)):
                 t = col[g][s]
                 if t is not None and reps[t] is None:
                     reps[t] = reps[s] + ((g, sign),)
-                    queue.append(t)
     return reps  # type: ignore[return-value]
 
 
@@ -218,86 +234,133 @@ def is_normal_subgroup(a: CosetAutomaton) -> bool:
     return True
 
 
+class _CosetTable:
+    """A coset table with the HLT scan-and-fill and coincidence routines.
+
+    Column 2g holds generator g and column 2g+1 its inverse, so ``c ^ 1`` is
+    the inverse column; entries are kept symmetric.  ``parent`` is the one
+    union-find over cosets: a coset is live while it is its own root, and
+    a coincidence keeps the lower-numbered coset.  Stallings folding is the
+    scan of the subgroup words at coset 0 in a table without relators (each
+    fold is a coincidence); Todd-Coxeter runs the relator/gap loop on top.
+    ``cap`` bounds the number of coset definitions (None: no bound).
+    """
+
+    __slots__ = ("rank", "table", "parent", "cap")
+
+    def __init__(self, rank: int, cap: Optional[int] = None):
+        self.rank = rank
+        self.table: list[list[Optional[int]]] = [[None] * (2 * rank)]
+        self.parent = [0]
+        self.cap = cap
+
+    @staticmethod
+    def columns(w: Word) -> list[int]:
+        return [2 * sym + (sign < 0) for sym, sign in w]
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def define(self, alpha: int, c: int) -> None:
+        table = self.table
+        if self.cap is not None and len(table) >= self.cap:
+            raise EnumerationCapError(
+                f"enumeration did not complete within cap ({self.cap} cosets)"
+            )
+        beta = len(table)
+        row = [None] * (2 * self.rank)
+        row[c ^ 1] = alpha
+        table.append(row)
+        self.parent.append(beta)
+        table[alpha][c] = beta
+
+    def _merge(self, x: int, y: int, queue: deque) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            mu, nu = (rx, ry) if rx < ry else (ry, rx)
+            self.parent[nu] = mu
+            queue.append(nu)
+
+    def coincidence(self, alpha: int, beta: int) -> None:
+        table, find = self.table, self.find
+        queue: deque = deque()
+        self._merge(alpha, beta, queue)
+        while queue:
+            gamma = queue.popleft()
+            for c, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][c ^ 1] = None
+                mu, nu = find(gamma), find(delta)
+                if table[mu][c] is not None:
+                    self._merge(nu, table[mu][c], queue)
+                elif table[nu][c ^ 1] is not None:
+                    self._merge(mu, table[nu][c ^ 1], queue)
+                else:
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+
+    def scan_and_fill(self, alpha: int, cols: Sequence[int]) -> None:
+        """Trace a word (as columns) both ways from alpha and close it up."""
+        table = self.table
+        f, b = alpha, alpha
+        i, j = 0, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            self.define(f, cols[i])
+
+    def scan_words(self, words: Iterable[Word]) -> None:
+        for w in words:
+            w = reduce_word(tuple(w))
+            if w:
+                self.scan_and_fill(0, self.columns(w))
+
+    def automaton(self) -> CosetAutomaton:
+        live = [x for x, px in enumerate(self.parent) if px == x]
+        remap = {x: i for i, x in enumerate(live)}
+        find = self.find
+        columns = [
+            [None if self.table[x][c] is None else remap[find(self.table[x][c])] for x in live]
+            for c in range(2 * self.rank)
+        ]
+        return CosetAutomaton(self.rank, columns[0::2], columns[1::2])
+
+
 def stallings_core(generators: Sequence[Word], rank: int) -> CosetAutomaton:
     """Folded core graph of the subgroup generated by free words.
 
-    Builds a wedge of loops at the base state and folds to a fixpoint,
-    always keeping the lowest-numbered state of a coincident pair.  The
-    result is complete exactly when the subgroup has finite index.
+    Folding the wedge of the word loops is coincidence processing in a coset
+    table without relators: each reduced word is scanned and filled at the
+    base coset, defining at most one coset per letter.  The result is
+    complete exactly when the subgroup has finite index.
     """
     for w in generators:
         for sym, sign in w:
             if not 0 <= sym < rank:
                 raise ValueError(f"word letter {sym} outside generator range 0..{rank - 1}")
-    triples = []  # (src, gen, dst) meaning src . g = dst
-    n = 1
-    for w in generators:
-        w = reduce_word(tuple(w))
-        if not w:
-            continue
-        cur = 0
-        for i, (sym, sign) in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else n
-            if nxt == n:
-                n += 1
-            if sign > 0:
-                triples.append((cur, sym, nxt))
-            else:
-                triples.append((nxt, sym, cur))
-            cur = nxt
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-
-    # Fold to a fixpoint: rebuild transition dicts from the triples, collect
-    # every coincidence seen in one scan, merge, repeat until a clean pass.
-    while True:
-        fwd = [dict() for _ in range(rank)]
-        bwd = [dict() for _ in range(rank)]
-        merges = []
-        for src, g, dst in triples:
-            s, t = find(src), find(dst)
-            u = fwd[g].get(s)
-            if u is None:
-                fwd[g][s] = t
-            elif u != t:
-                merges.append((u, t))
-            v = bwd[g].get(t)
-            if v is None:
-                bwd[g][t] = s
-            elif v != s:
-                merges.append((v, s))
-        if not merges:
-            break
-        for x, y in merges:
-            union(x, y)
-
-    states = sorted({find(x) for x in range(n) if find(x) == x} | {find(0)})
-    # Only states connected to the base matter; the construction keeps
-    # everything reachable, so renumber representatives directly.
-    remap = {rep: i for i, rep in enumerate(sorted(states, key=lambda r: (r != find(0), r)))}
-    m = len(remap)
-    forward = [[None] * m for _ in range(rank)]
-    backward = [[None] * m for _ in range(rank)]
-    for g in range(rank):
-        for s, t in fwd[g].items():
-            forward[g][remap[find(s)]] = remap[find(t)]
-        for t, s in bwd[g].items():
-            backward[g][remap[find(t)]] = remap[find(s)]
-    return CosetAutomaton(rank, forward, backward)
+    table = _CosetTable(rank)
+    table.scan_words(generators)
+    return table.automaton()
 
 
 def todd_coxeter(
@@ -319,118 +382,24 @@ def todd_coxeter(
         cap = max(1, DEFAULT_TABLE_CELL_CAP // max(1, 2 * rank))
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    width = 2 * rank
-
-    def col(sym: int, sign: int) -> int:
-        return 2 * sym + (0 if sign > 0 else 1)
-
-    def inv_col(c: int) -> int:
-        return c ^ 1
-
-    table: list[list[Optional[int]]] = [[None] * width]
-    p = [0]
-
-    def find(x: int) -> int:
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def define(alpha: int, c: int) -> None:
-        if len(table) >= cap:
-            raise EnumerationCapError(
-                f"enumeration did not complete within cap ({cap} cosets)"
-            )
-        beta = len(table)
-        table.append([None] * width)
-        p.append(beta)
-        table[alpha][c] = beta
-        table[beta][inv_col(c)] = alpha
-
-    def merge(x: int, y: int, queue: deque) -> None:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        mu, nu = (rx, ry) if rx < ry else (ry, rx)
-        p[nu] = mu
-        queue.append(nu)
-
-    def coincidence(alpha: int, beta: int) -> None:
-        queue: deque = deque()
-        merge(alpha, beta, queue)
-        while queue:
-            gamma = queue.popleft()
-            for c in range(width):
-                delta = table[gamma][c]
-                if delta is None:
-                    continue
-                table[delta][inv_col(c)] = None
-                mu, nu = find(gamma), find(delta)
-                if table[mu][c] is not None:
-                    merge(nu, table[mu][c], queue)
-                elif table[nu][inv_col(c)] is not None:
-                    merge(mu, table[nu][inv_col(c)], queue)
-                else:
-                    table[mu][c] = nu
-                    table[nu][inv_col(c)] = mu
-
-    def scan_and_fill(alpha: int, letters: tuple) -> None:
-        cols = [col(sym, sign) for sym, sign in letters]
-        f, b = alpha, alpha
-        i, j = 0, len(cols) - 1
-        while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][inv_col(cols[j])] is not None:
-                b = table[b][inv_col(cols[j])]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][cols[i]] = b
-                table[b][inv_col(cols[i])] = f
-                return
-            define(f, cols[i])
-
-    for w in subgroup_words:
-        w = reduce_word(tuple(w))
-        if w:
-            scan_and_fill(0, w)
+    ct = _CosetTable(rank, cap)
+    ct.scan_words(subgroup_words)
+    relators = [ct.columns(rel) for rel in presentation.relators if rel]
+    table, parent = ct.table, ct.parent
     alpha = 0
     while alpha < len(table):
-        if find(alpha) == alpha:
-            for rel in presentation.relators:
-                if not rel:
-                    continue
-                scan_and_fill(alpha, rel)
-                if find(alpha) != alpha:
+        if parent[alpha] == alpha:
+            for rel in relators:
+                ct.scan_and_fill(alpha, rel)
+                if parent[alpha] != alpha:
                     break
-            if find(alpha) == alpha:
-                for c in range(width):
-                    if table[alpha][c] is None:
-                        define(alpha, c)
+            else:
+                row = table[alpha]
+                for c in range(2 * rank):
+                    if row[c] is None:
+                        ct.define(alpha, c)
         alpha += 1
-
-    live = [x for x in range(len(table)) if find(x) == x]
-    remap = {x: i for i, x in enumerate(live)}
-    m = len(live)
-    forward = [[None] * m for _ in range(rank)]
-    backward = [[None] * m for _ in range(rank)]
-    for x in live:
-        for g in range(rank):
-            t = table[x][col(g, 1)]
-            if t is not None:
-                forward[g][remap[x]] = remap[find(t)]
-            u = table[x][col(g, -1)]
-            if u is not None:
-                backward[g][remap[x]] = remap[find(u)]
-    aut = CosetAutomaton(rank, forward, backward)
+    aut = ct.automaton()
     if not aut.complete:
         raise EnumerationCapError("enumeration finished with an incomplete table")
     return aut
@@ -460,33 +429,15 @@ def automaton_from_quotient(
                 "the quotient morphism is not well defined"
             )
     image = subgroup_closure(group, images)
-    t_members = tuple(sorted(set(subgroup.members) & set(image.members)))
+    t_members = sorted(set(subgroup.members) & set(image.members))
+    product = group.product
 
-    def coset_of(x: int) -> tuple:
-        return tuple(sorted(group.product[t][x] for t in t_members))
+    def act(rep: int, g: int) -> int:
+        # A coset T x is named by its smallest element.
+        x = product[rep][images[g]]
+        return min(product[t][x] for t in t_members)
 
-    base = coset_of(0)
-    index = {base: 0}
-    order = [base]
-    head = 0
-    while head < len(order):
-        rep = order[head][0]
-        head += 1
-        for g in range(rank):
-            for elt in (images[g], group.inverse[images[g]]):
-                nxt = coset_of(group.product[rep][elt])
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-    n = len(order)
-    forward = [[None] * n for _ in range(rank)]
-    backward = [[None] * n for _ in range(rank)]
-    for i, cos in enumerate(order):
-        rep = cos[0]
-        for g in range(rank):
-            forward[g][i] = index[coset_of(group.product[rep][images[g]])]
-            backward[g][i] = index[coset_of(group.product[rep][group.inverse[images[g]]])]
-    return CosetAutomaton(rank, forward, backward)
+    return CosetAutomaton.from_action(rank, 0, act)
 
 
 def automaton_from_spec(

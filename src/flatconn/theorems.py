@@ -211,6 +211,13 @@ class Instance:
         return reidemeister_schreier(self.subgroup_aut, self.presentation)
 
     @cached_property
+    def restricted_image(self) -> SubgroupSet:
+        """h(H): the base holonomy image of the covering subgroup, generated
+        by the images of its Schreier generators."""
+        mapped = [self.morphism.evaluate(w) for w in self.subgroup_schreier]
+        return subgroup_closure(self.group, mapped)
+
+    @cached_property
     def base_bundle(self) -> DerivedBundle:
         return derived_bundle(self.complex, self.group, self.voltage)
 
@@ -284,8 +291,7 @@ def verify_theorem_1_1(inst: Instance) -> VerificationReport:
     covering subgroup (computed through its Schreier generators)."""
     aut = inst.subgroup_aut
     hyp = [HypothesisCheck("automaton-complete", aut.complete, f"index {aut.state_count}")]
-    mapped = [inst.morphism.evaluate(w) for w in inst.subgroup_schreier]
-    restricted = subgroup_closure(inst.group, mapped)
+    restricted = inst.restricted_image
     induced = inst.induced_image
     if restricted.members == induced.members:
         return VerificationReport("theorem_1_1", HOLDS, hypotheses=tuple(hyp))

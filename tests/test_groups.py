@@ -130,6 +130,20 @@ def test_enumerate_subgroups_z4(z4):
     assert [s.members for s in subs] == [(0,), (0, 2), (0, 1, 2, 3)]
 
 
+def test_enumerate_subgroups_needs_four_generators():
+    # Z2^4 as four disjoint transpositions: the whole group needs four
+    # generators; subgroup counts by order are the Gaussian binomials
+    # 1, 15, 35, 15, 1
+    gens = [tuple(i ^ 1 if i // 2 == k else i for i in range(8)) for k in range(4)]
+    g = group_from_permutations(8, gens)
+    assert g.order == 16
+    subs = enumerate_subgroups(g)
+    assert len(subs) == 67
+    sizes = [len(s) for s in subs]
+    assert [sizes.count(2**k) for k in range(5)] == [1, 15, 35, 15, 1]
+    assert subs[-1].members == tuple(range(16))
+
+
 def test_enumerate_subgroups_trivial():
     g = group_from_permutations(1, [])
     assert len(enumerate_subgroups(g)) == 1

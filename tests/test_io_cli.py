@@ -217,6 +217,11 @@ def test_cli_missing_covering_section(capsys):
 def test_cli_non_integer_complex_field_exit_2(tmp_path, capsys, field, value, location):
     doc = load_doc("wedge_s3_01.json")
     doc["complex"][field] = value
+    assert_input_error(doc, location, tmp_path, capsys)
+
+
+def assert_input_error(doc, location, tmp_path, capsys):
+    """verify on the document exits 2 with the location and no stdout."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(["verify", str(path), "--seed", "1"], capsys)
@@ -224,6 +229,32 @@ def test_cli_non_integer_complex_field_exit_2(tmp_path, capsys, field, value, lo
     assert out == ""
     assert err.startswith(f"error: {location}: ")
     assert "Traceback" not in err
+
+
+S3_BY_PERMUTATIONS = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "keys,value,location",
+    [
+        (("group",), {"degree": 3, "generators": 5}, "/group/generators"),
+        (("group",), {"degree": 3, "generators": [5]}, "/group/generators/0"),
+        (("group",), dict(S3_BY_PERMUTATIONS, labels=5), "/group/labels"),
+        (("complex", "aliases"), ["a"], "/complex/aliases"),
+        (("complex", "edges"), 5, "/complex/edges"),
+        (("complex", "relators"), 5, "/complex/relators"),
+        (("voltage", 0, "edge"), [1], "/voltage/0/edge"),
+        (("covering",), {"kind": "words", "words": 5}, "/covering/words"),
+        (("covering",), {"kind": "words", "words": [5]}, "/covering/words/0"),
+    ],
+)
+def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, keys, value, location):
+    doc = load_doc("wedge_s3_01.json")
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    assert_input_error(doc, location, tmp_path, capsys)
 
 
 def test_cli_verify_requires_seed(capsys):

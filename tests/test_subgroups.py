@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -48,6 +49,38 @@ def test_stallings_empty():
     assert aut.state_count == 1
     assert aut.forward == ((None,), (None,))
     assert not aut.complete
+
+
+# Tables of partial (infinite-index) cores, pinned from the fixpoint-folding
+# implementation that the coset-table scan replaced: the canonical numbering
+# must make them identical, hairs and undefined transitions included.
+PINNED_PARTIAL_CORES = [
+    ([(A,)], ((0,), (None,)), ((0,), (None,))),
+    ([(A, B, A_)], ((1, None), (None, 1)), ((None, 0), (None, 1))),
+    (
+        [(A, A), (B, A, B_)],
+        ((1, 0, 2), (2, None, None)),
+        ((1, 0, 2), (None, None, 0)),
+    ),
+    (
+        [(A, B, A_, B_)],
+        ((1, None, 3, None), (2, 3, None, None)),
+        ((None, 0, None, 2), (None, None, 0, 1)),
+    ),
+    (
+        [(A, A, B), (B_, A, B, B)],
+        ((1, 2, 3, None), (None, None, 0, 2)),
+        ((None, 0, 1, 2), (2, None, 3, None)),
+    ),
+]
+
+
+@pytest.mark.parametrize("words,forward,backward", PINNED_PARTIAL_CORES)
+def test_stallings_partial_tables_pinned(words, forward, backward):
+    aut = stallings_core(words, 2)
+    assert not aut.complete
+    assert aut.forward == forward
+    assert aut.backward == backward
 
 
 def test_membership_examples():
@@ -142,11 +175,31 @@ def test_todd_coxeter_cap_exceeded(torus):
         todd_coxeter(pres, [(A,)], cap=1000)
 
 
+@functools.lru_cache(maxsize=None)
+def corpus_quotient_automata():
+    """(presentation, automaton) for every kernel and quotient automaton of
+    corpus seeds 0-3; all are complete."""
+    out = []
+    for seed in range(4):
+        for item in generate_corpus(seed, 45):
+            inst = item.instance
+            out.append((inst.presentation, inst.kernel_aut))
+            if item.spec_kind == "quotient":
+                out.append((inst.presentation, inst.subgroup_aut))
+    return out
+
+
 def test_todd_coxeter_agrees_with_quotient(torus, z2):
     pres = pi1_presentation(torus, spanning_tree(torus))
     tc = todd_coxeter(pres, [(B,), (A, A)])
     quot = automaton_from_quotient([1, 0], z2, subgroup_closure(z2, ()), relators=pres.relators)
     assert automata_equal(tc, quot)
+    # Schreier generators of every presented corpus quotient enumerate back
+    # to the same table
+    presented = [(p, aut) for p, aut in corpus_quotient_automata() if p.relators]
+    assert len(presented) >= 20
+    for p, aut in presented:
+        assert automata_equal(aut, todd_coxeter(p, reidemeister_schreier(aut, p)))
 
 
 def test_normality(s3, z2):
@@ -243,11 +296,18 @@ def test_schreier_index_consistency(s3):
 
 
 def test_stallings_round_trip(s3):
-    for sub_seed in ((), (1,), (2,)):
-        aut = automaton_from_quotient([1, 2], s3, subgroup_closure(s3, sub_seed))
-        gens = reidemeister_schreier(aut, FREE2)
-        rebuilt = stallings_core(gens, 2)
+    cases = [
+        (FREE2, automaton_from_quotient([1, 2], s3, subgroup_closure(s3, sub_seed)))
+        for sub_seed in ((), (1,), (2,))
+    ]
+    free = [(p, aut) for p, aut in corpus_quotient_automata() if not p.relators]
+    assert len(free) >= 20
+    for p, aut in cases + free:
+        gens = reidemeister_schreier(aut, p)
+        rebuilt = stallings_core(gens, aut.rank)
         assert automata_equal(aut, rebuilt)
+        # enumeration without relators folds to the same core
+        assert automata_equal(rebuilt, todd_coxeter(p, gens))
 
 
 def test_spec_routing(torus, s3):

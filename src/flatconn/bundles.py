@@ -12,6 +12,7 @@ group.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -118,12 +119,6 @@ class DerivedBundle:
     component_of: tuple
     base_lift: int
 
-    def vertex_index(self, v: int, g: int) -> int:
-        return v * self.group.order + g
-
-    def vertex_pair(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.group.order)
-
     def edge_pair(self, eid: int) -> tuple[int, int]:
         """(base edge position, group element) of a lifted edge id."""
         return divmod(eid, self.group.order)
@@ -198,21 +193,37 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
 
 
 @dataclass(frozen=True, eq=False)
-class ComponentComplex:
-    """One component of a derived bundle, renumbered as its own complex."""
+class HolonomyBundle:
+    """One component of a derived bundle as its own based complex.
+
+    Local vertex and edge i are ``global_vertices[i]`` and ``global_edges[i]``
+    (both ascending); the basepoint-lift component is the holonomy bundle."""
 
     bundle: DerivedBundle
     complex: BaseComplex
     projection: ComplexMap
+    base_lift: int
     global_vertices: tuple
     global_edges: tuple
-    vertex_local: dict
+
+    @property
+    def fiber_elements(self) -> tuple:
+        """The elements g with (basepoint, g) in the component, ascending."""
+        n, b = self.bundle.group.order, self.bundle.base.basepoint
+        return tuple(x % n for x in self.global_vertices if x // n == b)
+
+    @property
+    def degree(self) -> int:
+        return len(self.fiber_elements)
 
     def to_local_vertex(self, global_idx: int) -> int:
-        return self.vertex_local[global_idx]
+        i = bisect_left(self.global_vertices, global_idx)
+        if i == len(self.global_vertices) or self.global_vertices[i] != global_idx:
+            raise KeyError(global_idx)
+        return i
 
 
-def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int] = None) -> ComponentComplex:
+def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int] = None) -> HolonomyBundle:
     """Extract a component as a connected complex with projection to the base.
 
     Only the component's own edges are visited: the lifts leaving (v, x) are
@@ -225,72 +236,35 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
     fibers: list[list[int]] = [[] for _ in range(d.base.vertex_count)]
     for g in verts:
         fibers[g // n].append(g % n)
-    global_edges = [p * n + x for p, e in enumerate(d.base.edges) for x in fibers[e.tail]]
+    global_edges = tuple(p * n + x for p, e in enumerate(d.base.edges) for x in fibers[e.tail])
     tail, head = d.graph.tail, d.graph.head
     edges = [Edge(i, local[tail[eid]], local[head[eid]]) for i, eid in enumerate(global_edges)]
-    if basepoint is None:
-        basepoint = verts[0]
-    sub = BaseComplex(
-        vertex_count=len(verts),
-        edges=edges,
-        basepoint=local[basepoint],
-        relators=(),
-    )
+    base_lift = local[verts[0] if basepoint is None else basepoint]
+    sub = BaseComplex(vertex_count=len(verts), edges=edges, basepoint=base_lift, relators=())
     validate_complex(sub)
     vertex_map = tuple(g // n for g in verts)
-    edge_map = {
-        i: d.base.edges[global_edges[i] // n].id for i in range(len(global_edges))
-    }
+    edge_map = {i: d.base.edges[eid // n].id for i, eid in enumerate(global_edges)}
     proj = ComplexMap(source=sub, target=d.base, vertex_map=vertex_map, edge_map=edge_map)
-    return ComponentComplex(
+    return HolonomyBundle(
         bundle=d,
         complex=sub,
         projection=proj,
-        global_vertices=tuple(verts),
-        global_edges=tuple(global_edges),
-        vertex_local=local,
+        base_lift=base_lift,
+        global_vertices=verts,
+        global_edges=global_edges,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class HolonomyBundle:
-    """The component of the basepoint lift, as a based cover of the base."""
-
-    bundle: DerivedBundle
-    complex: BaseComplex
-    projection: ComplexMap
-    base_lift: int
-    fiber_elements: tuple
-    component: ComponentComplex
-
-    @property
-    def degree(self) -> int:
-        return len(self.fiber_elements)
 
 
 def holonomy_bundle(d: DerivedBundle) -> HolonomyBundle:
     """Extract the holonomy bundle: the basepoint-lift component.
 
-    The fiber elements over the basepoint are returned in ascending order;
-    they form the holonomy group of the voltage.  The restricted projection
-    is verified to be a covering map.
+    Its fiber elements over the basepoint form the holonomy group of the
+    voltage.  The restricted projection is verified to be a covering map.
     """
-    comp_index = d.component_of[d.base_lift]
-    part = component_complex(d, comp_index, basepoint=d.base_lift)
-    if not is_covering_map(part.projection):
+    hb = component_complex(d, d.component_of[d.base_lift], basepoint=d.base_lift)
+    if not is_covering_map(hb.projection):
         raise AssertionError("holonomy bundle projection failed the covering check")
-    n = d.group.order
-    fiber = tuple(
-        g for g in range(n) if d.component_of[d.base.basepoint * n + g] == comp_index
-    )
-    return HolonomyBundle(
-        bundle=d,
-        complex=part.complex,
-        projection=part.projection,
-        base_lift=part.to_local_vertex(d.base_lift),
-        fiber_elements=fiber,
-        component=part,
-    )
+    return hb
 
 
 def induced_bundle_map(

@@ -78,10 +78,6 @@ class BaseComplex:
         self._validated = False
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
     def free_rank(self) -> int:
         """E - V + 1: the rank of the fundamental group before relators."""
         return len(self.edges) - self.vertex_count + 1
@@ -129,10 +125,6 @@ class BaseComplex:
             cur = to
             verts.append(cur)
         return verts
-
-    def is_closed_at(self, w: EdgeWord, v: int) -> bool:
-        verts = self.path_vertices(w, start=None)
-        return verts[0] == v and verts[-1] == v
 
     def __repr__(self) -> str:
         return (
@@ -205,9 +197,6 @@ class SpanningTreeData:
     parent: tuple
     order: tuple
     generators: tuple
-
-    def generator_index(self, eid: int) -> int:
-        return self.generators.index(eid)
 
     def path_from_base(self, v: int) -> EdgeWord:
         """The unique reduced tree path basepoint -> v."""

@@ -52,9 +52,6 @@ class ComplexMap:
             self.target.edge(tid)
         object.__setattr__(self, "edge_map", dict(self.edge_map))
 
-    def map_vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
     def map_step(self, step: tuple[int, int]) -> tuple[int, int]:
         eid, sign = step
         return (self.edge_map[eid], sign)
@@ -137,10 +134,6 @@ def lift_path(m: ComplexMap, w: EdgeWord, start: int, end_index: Optional[list] 
     return tuple(lifted)
 
 
-def path_end(c: BaseComplex, w: EdgeWord, start: int) -> int:
-    return c.path_vertices(w, start=start)[-1]
-
-
 @dataclass(frozen=True, eq=False)
 class CoveringComplex:
     """A covering of a base complex built from a coset automaton."""
@@ -164,15 +157,6 @@ class CoveringComplex:
             vertex_map=self.vertex_to_base,
             edge_map=dict(self.edge_to_base),
         )
-
-    def vertex_index(self, state: int, v: int) -> int:
-        return state * self.base.vertex_count + v
-
-    def vertex_pair(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.base.vertex_count)
-
-    def subgroup_automaton(self) -> CosetAutomaton:
-        return subgroup_of_cover(self.projection(), self.base_lift, self.tree)
 
 
 def build_cover(
@@ -281,6 +265,6 @@ def subgroup_of_cover(
         loops.append(tree.path_from_base(e.tail) + ((eid, 1),) + tree.path_to_base(e.head))
 
     def act(x: int, g: int) -> int:
-        return path_end(m.source, lift_path(m, loops[g], x, end_index), x)
+        return m.source.step_endpoints(lift_path(m, loops[g], x, end_index)[-1])[1]
 
     return CosetAutomaton.from_action(len(loops), base_lift, act)

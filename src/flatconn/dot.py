@@ -50,30 +50,24 @@ def cover_dot(cov: CoveringComplex, name: str = "cover") -> str:
     return _digraph(name, nodes, edges)
 
 
+def _lift_label(d: DerivedBundle, eid: int) -> str:
+    base_edge = d.base.edges[d.edge_pair(eid)[0]]
+    return f"e{base_edge.id} {d.group.label(d.voltage.on_edge(base_edge.id))}"
+
+
 def bundle_dot(d: DerivedBundle, name: str = "bundle") -> str:
     n = d.group.order
     nodes = [f"p{idx // n}_{idx % n}" for idx in range(d.graph.vertex_count)]
-    edges = []
-    for e in d.graph.edges:
-        pos, _ = d.edge_pair(e.id)
-        base_edge = d.base.edges[pos]
-        label = f"e{base_edge.id} {d.group.label(d.voltage.on_edge(base_edge.id))}"
-        edges.append((nodes[e.tail], nodes[e.head], label))
+    edges = [(nodes[e.tail], nodes[e.head], _lift_label(d, e.id)) for e in d.graph.edges]
     return _digraph(name, nodes, edges)
 
 
 def holonomy_bundle_dot(hb: HolonomyBundle, name: str = "holonomy_bundle") -> str:
     d = hb.bundle
     n = d.group.order
-    names = {}
-    for local, global_idx in enumerate(hb.component.global_vertices):
-        names[local] = f"p{global_idx // n}_{global_idx % n}"
-    nodes = [names[i] for i in range(hb.complex.vertex_count)]
-    edges = []
-    for e in hb.complex.edges:
-        global_eid = hb.component.global_edges[e.id]
-        pos, _ = d.edge_pair(global_eid)
-        base_edge = d.base.edges[pos]
-        label = f"e{base_edge.id} {d.group.label(d.voltage.on_edge(base_edge.id))}"
-        edges.append((names[e.tail], names[e.head], label))
+    nodes = [f"p{idx // n}_{idx % n}" for idx in hb.global_vertices]
+    edges = [
+        (nodes[e.tail], nodes[e.head], _lift_label(d, eid))
+        for e, eid in zip(hb.complex.edges, hb.global_edges)
+    ]
     return _digraph(name, nodes, edges)

@@ -140,12 +140,6 @@ class GroupTable:
             acc = self.product[acc][g if sign > 0 else self.inverse[g]]
         return acc
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.product[i][j] == self.product[j][i] for i in range(n) for j in range(i + 1, n)
-        )
-
     def check_associativity(self) -> None:
         """Exhaustive associativity check; refuses orders above 64."""
         if self.order > SUBGROUP_ENUM_MAX_ORDER:
@@ -241,31 +235,27 @@ def group_from_permutations(
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
-    """Smallest subgroup of ``g`` containing ``seed``."""
-    members = {0}
-    queue = []
+    """Smallest subgroup of ``g`` containing ``seed``.
+
+    This is the orbit of the identity under right multiplication by the
+    distinct seed elements: in a finite group every inverse is a power, so
+    the orbit is closed under inverses too.
+    """
+    gens = set()
     for s in seed:
         s = int(s)
         if not 0 <= s < g.order:
             raise ValueError(f"seed element {s} out of range")
-        if s not in members:
-            members.add(s)
-            queue.append(s)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (g.product[a][b], g.product[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-            inv = g.inverse[a]
-            if inv not in members:
-                members.add(inv)
-                nxt.append(inv)
-        frontier = nxt
-    return SubgroupSet(g, tuple(members))
+        gens.add(s)
+    members = {0}
+    orbit = [0]
+    for a in orbit:  # the list grows while it is walked
+        row = g.product[a]
+        for s in gens:
+            if row[s] not in members:
+                members.add(row[s])
+                orbit.append(row[s])
+    return SubgroupSet(g, tuple(orbit))
 
 
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:

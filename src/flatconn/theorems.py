@@ -49,12 +49,13 @@ from .connections import (
     holonomy_group,
     holonomy_morphism,
     kernel_automaton,
-    word_holonomy,
 )
 from .covers import (
     ComplexMap,
     CoveringComplex,
     build_cover,
+    check_incidence,
+    compose_complex_maps,
     subgroup_of_cover,
 )
 from .errors import FlatnessError
@@ -245,22 +246,7 @@ class Instance:
     @cached_property
     def composite_map(self) -> ComplexMap:
         """The covering N(basepoint lift upstairs) -> base, through the cover."""
-        n = self.group.order
-        part = self.cover_nx.component
-        vertex_map = tuple(
-            self.cover.vertex_to_base[g // n] for g in part.global_vertices
-        )
-        edge_map = {}
-        for i, geid in enumerate(part.global_edges):
-            pos_hat = geid // n
-            cover_eid = self.cover.total.edges[pos_hat].id
-            edge_map[i] = self.cover.edge_to_base[cover_eid]
-        return ComplexMap(
-            source=self.cover_nx.complex,
-            target=self.complex,
-            vertex_map=vertex_map,
-            edge_map=edge_map,
-        )
+        return compose_complex_maps(self.cover_nx.projection, self.cover.projection())
 
     @cached_property
     def composite_subgroup(self) -> CosetAutomaton:
@@ -316,25 +302,25 @@ def verify_functoriality(
     """
     rng = random.Random(seed)
     cov = inst.cover
-    total = cov.total
     proj = cov.projection()
-    stars = [total.star(v) for v in range(total.vertex_count)]
+    check_incidence(proj)  # so the projection of every sampled path is a path
+    stars = [cov.total.star(v) for v in range(cov.total.vertex_count)]
     mismatches = []
-    for k in range(sample_count):
-        length = rng.randint(0, 12)
+    for _ in range(sample_count):
         cur = cov.base_lift
         steps = []
-        for _ in range(length):
+        for _ in range(rng.randint(0, 12)):
             if not stars[cur]:
                 break
-            end = rng.choice(stars[cur])
-            steps.append(end)
-            _, cur = total.step_endpoints(end)
+            steps.append(rng.choice(stars[cur]))
+            _, cur = cov.total.step_endpoints(steps[-1])
         w = tuple(steps) + inst.cover_tree.path_to_base(cur)
-        upstairs = word_holonomy(inst.pullback, w, start=cov.base_lift)
-        downstairs = word_holonomy(inst.voltage, proj.map_word(w), start=inst.complex.basepoint)
-        if upstairs != downstairs:
-            mismatches.append((w, upstairs, downstairs))
+        up = down = 0
+        for step in w:
+            up = inst.group.mul(up, inst.pullback.on_step(step))
+            down = inst.group.mul(down, inst.voltage.on_step(proj.map_step(step)))
+        if up != down:
+            mismatches.append((w, up, down))
     hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
     if not mismatches:
         return VerificationReport("functoriality", HOLDS, hypotheses=hyp)

@@ -37,7 +37,3 @@ def reduce_word(w: Word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def is_reduced(w: Word) -> bool:
-    return reduce_word(w) == tuple(w)

@@ -121,7 +121,7 @@ def test_subgroup_of_cover_round_trip(wedge, torus, s3, z4):
     cases.append((torus, automaton_from_quotient([1, 2], z4, subgroup_closure(z4, (2,)))))
     for base, aut in cases:
         cov = build_cover(base, aut)
-        assert automata_equal(cov.subgroup_automaton(), aut)
+        assert automata_equal(subgroup_of_cover(cov.projection(), cov.base_lift, cov.tree), aut)
 
 
 def test_lift_path_unique(wedge, s3):
@@ -290,6 +290,22 @@ def test_holonomy_bundle_proper_subgroup(wedge, s3):
     hb = holonomy_bundle(derived_bundle(wedge, s3, v))
     assert hb.degree == 2
     assert hb.fiber_elements == (0, 1)  # e and (01)
+    # (vertex 0, e), (vertex 0, (01)) and the a- and b-lifts through them
+    assert hb.global_vertices == (0, 1)
+    assert hb.global_edges == (0, 1, 6, 7)
+    assert [(e.tail, e.head) for e in hb.complex.edges] == [(0, 1), (1, 0), (0, 0), (1, 1)]
+    assert hb.base_lift == 0
+    assert [hb.to_local_vertex(x) for x in hb.global_vertices] == [0, 1]
+    with pytest.raises(KeyError):
+        hb.to_local_vertex(2)
+    # another component of the same bundle, with a gap in its vertex ids
+    other = component_complex(hb.bundle, 1)
+    assert other.global_vertices == (2, 4)
+    assert other.global_edges == (2, 4, 8, 10)
+    assert other.base_lift == 0
+    assert other.to_local_vertex(4) == 1
+    with pytest.raises(KeyError):
+        other.to_local_vertex(3)
 
 
 def test_holonomy_bundle_fiber_is_holonomy_group(wedge, s3):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -102,6 +103,33 @@ def test_subgroup_closure_trivial(s3):
 
 def test_subgroup_closure_whole_group(s3):
     assert len(subgroup_closure(s3, [1, 2])) == 6
+
+
+def brute_force_subgroup(g, seed):
+    """Independent oracle: close {e} and the seed under products until stable."""
+    members = {0} | set(seed)
+    while True:
+        new = {g.product[a][b] for a in members for b in members} - members
+        if not new:
+            return tuple(sorted(members))
+        members |= new
+
+
+def test_subgroup_closure_random_seeds():
+    groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
+    groups.append(group_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))  # S5
+    for g in groups:
+        rng = random.Random(g.order)
+        for _ in range(40):
+            seed = [rng.randrange(g.order) for _ in range(rng.randint(0, 4))]
+            seed += seed[: rng.randint(0, len(seed))]  # repeated seed elements
+            assert subgroup_closure(g, seed).members == brute_force_subgroup(g, seed)
+
+
+def test_subgroup_closure_rejects_out_of_range_seed(s3):
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            subgroup_closure(s3, [1, bad])
 
 
 def test_subgroup_closure_idempotent():

@@ -167,6 +167,10 @@ def test_complex_json_round_trip(torus):
         (["bundle", doc_path("wedge_s3_kernel.json")], "bundle_wedge_s3.txt"),
         (["verify", doc_path("wedge_s3_a3.json"), "--seed", "5"], "verify_wedge_s3_a3.txt"),
         (["export-dot", doc_path("circle_z2.json"), "--what", "bundle"], "dot_circle_z2_bundle.txt"),
+        (
+            ["export-dot", doc_path("wedge_s3_kernel.json"), "--what", "holonomy-bundle"],
+            "dot_wedge_s3_kernel_holonomy_bundle.txt",
+        ),
     ],
 )
 def test_cli_golden(argv, golden_name, capsys):

@@ -109,6 +109,23 @@ def test_functoriality_sampled(inst_a3, inst_kernel):
     assert verify_functoriality(inst_kernel, sample_count=100, seed=4).verdict == HOLDS
 
 
+def test_functoriality_fails_on_tampered_pullback(inst_a3, s3):
+    # the b-loop on the base sheet carries e instead of its image's (012)
+    assignment = dict(inst_a3.pullback.assignment)
+    assignment[1] = 0
+    inst_a3.__dict__["pullback"] = Voltage(inst_a3.cover.total, s3, assignment)
+    report = verify_functoriality(inst_a3, sample_count=100, seed=3)
+    assert report.verdict == FAILS
+    assert report.to_lines() == [
+        "claim: functoriality",
+        "hypothesis automaton-complete: ok (samples 100, seed 3)",
+        "verdict: fails",
+        "witness word: ((0, 1), (0, -1), (2, -1), (3, 1), (2, 1), (1, 1), (2, -1), (3, -1), (3, -1), (2, 1))",
+        "witness holonomy-upstairs: (012)",
+        "witness holonomy-downstairs: (021)",
+    ]
+
+
 def test_trivial_kernel_cover(inst_kernel, s3):
     report = is_induced_trivial(inst_kernel)
     assert report.verdict == HOLDS

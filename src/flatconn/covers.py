@@ -56,9 +56,6 @@ class ComplexMap:
         eid, sign = step
         return (self.edge_map[eid], sign)
 
-    def map_word(self, w: EdgeWord) -> EdgeWord:
-        return tuple(self.map_step(s) for s in w)
-
 
 def check_incidence(m: ComplexMap) -> None:
     """Raise IncidenceError unless the map respects tails and heads."""

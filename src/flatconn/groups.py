@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapError
@@ -78,29 +79,27 @@ class GroupTable:
         name: Optional[str] = None,
         perms: Optional[Sequence[Perm]] = None,
     ):
-        table = tuple(tuple(int(x) for x in row) for row in product)
+        table = tuple(tuple(map(int, row)) for row in product)
         order = len(table)
         if order == 0:
             raise ValueError("group order must be positive")
         for i, row in enumerate(table):
             if len(row) != order:
                 raise ValueError(f"product row {i} has length {len(row)}, expected {order}")
-            for x in row:
-                if not 0 <= x < order:
-                    raise ValueError(f"product entry {x} out of range 0..{order - 1}")
-        for i in range(order):
-            if table[0][i] != i or table[i][0] != i:
-                raise ValueError("element 0 must act as the identity")
-        inverse = [None] * order
-        for i in range(order):
-            for j in range(order):
-                if table[i][j] == 0:
-                    if table[j][i] != 0:
-                        raise ValueError(f"one-sided inverse at element {i}")
-                    inverse[i] = j
-                    break
-            if inverse[i] is None:
-                raise ValueError(f"element {i} has no inverse")
+            if min(row) < 0 or max(row) >= order:
+                bad = next(x for x in row if not 0 <= x < order)
+                raise ValueError(f"product entry {bad} out of range 0..{order - 1}")
+        if table[0] != tuple(range(order)) or any(table[i][0] != i for i in range(order)):
+            raise ValueError("element 0 must act as the identity")
+        inverse = []
+        for i, row in enumerate(table):
+            try:
+                j = row.index(0)
+            except ValueError:
+                raise ValueError(f"element {i} has no inverse") from None
+            if table[j][i] != 0:
+                raise ValueError(f"one-sided inverse at element {i}")
+            inverse.append(j)
         self.order = order
         self.product = table
         self.inverse = tuple(inverse)
@@ -213,22 +212,26 @@ def group_from_permutations(
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    head = 0
-    while head < len(elements):
-        cur = elements[head]
-        head += 1
-        for g in gens:
+    parent = [0]  # elements[i] == elements[parent[i]] * gens[via[i]] for i > 0
+    via = [0]
+    for i, cur in enumerate(elements):  # the list grows while it is walked
+        for k, g in enumerate(gens):
             nxt = compose_perms(cur, g)
             if nxt not in index:
                 if len(elements) >= cap:
                     raise ClosureCapError(f"closure exceeded cap of {cap} elements")
                 index[nxt] = len(elements)
                 elements.append(nxt)
-    n = len(elements)
-    product = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            product[i][j] = index[compose_perms(elements[i], elements[j])]
+                parent.append(i)
+                via.append(k)
+    # i * j = parent(i) * (g * j), so row i is row parent(i) read through
+    # left multiplication by g: |G| * |gens| products, then one C-level
+    # permutation per row instead of |G| products (an itemgetter returns a
+    # tuple once |G| >= 2, the only case in which the loop runs)
+    left = [itemgetter(*(index[compose_perms(g, p)] for p in elements)) for g in gens]
+    product = [tuple(range(len(elements)))]
+    for i in range(1, len(elements)):
+        product.append(left[via[i]](product[parent[i]]))
     if labels is None:
         labels = [cycle_label(p) for p in elements]
     return GroupTable(product, labels=labels, name=name, perms=elements)

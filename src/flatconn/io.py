@@ -72,6 +72,11 @@ def resolve_element(g: GroupTable, ref: Any, location: str) -> int:
     raise InputError(f"element reference must be an index or label, got {ref!r}", location)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_list(value: Any, message: str, location: str) -> None:
     if not isinstance(value, list):
         raise InputError(message, location)
@@ -85,17 +90,23 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
             raise InputError(str(exc), location) from None
     if not isinstance(data, dict):
         raise InputError("group must be a catalog name or an object", location)
-    try:
-        degree = int(data["degree"])
-        generators = data["generators"]
-    except (KeyError, TypeError, ValueError):
-        raise InputError("permutation group needs 'degree' and 'generators'", location) from None
+    if "degree" not in data or "generators" not in data:
+        raise InputError("permutation group needs 'degree' and 'generators'", location)
+    degree, generators = data["degree"], data["generators"]
+    if not _is_int(degree):
+        raise InputError("'degree' must be an integer", f"{location}/degree")
     _require_list(generators, "'generators' must be a list of permutations", f"{location}/generators")
     for k, p in enumerate(generators):
         _require_list(p, "a generator must be a list of images", f"{location}/generators/{k}")
+        for i, x in enumerate(p):
+            if not _is_int(x):
+                raise InputError("a generator image must be an integer", f"{location}/generators/{k}/{i}")
     labels = data.get("labels")
     if labels is not None:
         _require_list(labels, "'labels' must be a list of strings", f"{location}/labels")
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise InputError("'labels' must be a list of strings", f"{location}/labels/{i}")
     try:
         return group_from_permutations(
             degree,

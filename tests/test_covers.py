@@ -128,7 +128,7 @@ def test_lift_path_unique(wedge, s3):
     cov = build_cover(wedge, a3_automaton(s3))
     proj = cov.projection()
     lifted = lift_path(proj, ((0, 1), (0, 1)), cov.base_lift)
-    assert proj.map_word(lifted) == ((0, 1), (0, 1))
+    assert tuple(proj.map_step(step) for step in lifted) == ((0, 1), (0, 1))
     end = cov.total.path_vertices(lifted, start=cov.base_lift)[-1]
     assert end == cov.base_lift  # a^2 lies in the index-2 subgroup
 

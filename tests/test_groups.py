@@ -5,6 +5,7 @@ import pytest
 
 from flatconn.errors import ClosureCapError
 from flatconn.groups import (
+    GroupTable,
     SubgroupSet,
     catalog_group,
     compose_perms,
@@ -16,6 +17,8 @@ from flatconn.groups import (
     subgroup_closure,
     CATALOG_GROUP_NAMES,
 )
+
+S5_GENERATORS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
 
 
 def brute_force_closure(degree, gens):
@@ -68,6 +71,47 @@ def test_closure_cap():
         group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)], cap=10)
 
 
+@pytest.mark.parametrize(
+    "product,message",
+    [
+        ([], "group order must be positive"),
+        ([[0, 1], [1]], "product row 1 has length 1, expected 2"),
+        ([[0, 1], [-1, 7]], "product entry -1 out of range 0..1"),
+        ([[0, 1, 2], [1, 2, 0], [2, 9, -3]], "product entry 9 out of range 0..2"),
+        # a bad entry in row 1 is found before the short row 2
+        ([[0, 1, 2], [1, 5, 0], [2]], "product entry 5 out of range 0..2"),
+        ([[0, 0], [1, 0]], "element 0 must act as the identity"),  # row 0
+        ([[0, 1], [0, 0]], "element 0 must act as the identity"),  # column 0
+        ([[0, 1], [1, 1]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 2]], "one-sided inverse at element 1"),
+    ],
+)
+def test_group_table_constructor_errors(product, message):
+    with pytest.raises(ValueError) as err:
+        GroupTable(product)
+    assert str(err.value) == message
+
+
+def test_table_matches_composition_oracle():
+    groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
+    groups.append(group_from_permutations(5, S5_GENERATORS))
+    for g in groups:
+        index = {p: i for i, p in enumerate(g.perms)}
+        assert len(index) == g.order
+        for i in range(g.order):
+            for j in range(g.order):
+                assert g.product[i][j] == index[compose_perms(g.perms[i], g.perms[j])]
+            assert g.product[i][g.inverse[i]] == 0 == g.product[g.inverse[i]][i]
+
+
+@pytest.mark.parametrize("degree,gens,order", [(4, [(1, 0, 2, 3), (1, 2, 3, 0)], 24), (5, S5_GENERATORS, 120)])
+def test_closure_cap_boundary(degree, gens, order):
+    assert group_from_permutations(degree, gens, cap=order).order == order
+    with pytest.raises(ClosureCapError) as err:
+        group_from_permutations(degree, gens, cap=order - 1)
+    assert str(err.value) == f"closure exceeded cap of {order - 1} elements"
+
+
 def test_permutation_action_matches_table():
     for name in ("S3", "D4", "A4", "S4"):
         g = catalog_group(name)
@@ -117,7 +161,7 @@ def brute_force_subgroup(g, seed):
 
 def test_subgroup_closure_random_seeds():
     groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
-    groups.append(group_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))  # S5
+    groups.append(group_from_permutations(5, S5_GENERATORS))
     for g in groups:
         rng = random.Random(g.order)
         for _ in range(40):

@@ -171,6 +171,7 @@ def test_complex_json_round_trip(torus):
             ["export-dot", doc_path("wedge_s3_kernel.json"), "--what", "holonomy-bundle"],
             "dot_wedge_s3_kernel_holonomy_bundle.txt",
         ),
+        (["verify", "--all-random", "200", "--seed", "7"], "verify_all_random_200_seed7.txt"),
     ],
 )
 def test_cli_golden(argv, golden_name, capsys):
@@ -250,6 +251,17 @@ S3_BY_PERMUTATIONS = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
         (("voltage", 0, "edge"), [1], "/voltage/0/edge"),
         (("covering",), {"kind": "words", "words": 5}, "/covering/words"),
         (("covering",), {"kind": "words", "words": [5]}, "/covering/words/0"),
+        (("group",), dict(S3_BY_PERMUTATIONS, degree=3.5), "/group/degree"),
+        (("group",), dict(S3_BY_PERMUTATIONS, degree="3"), "/group/degree"),
+        (("group",), dict(S3_BY_PERMUTATIONS, degree=True), "/group/degree"),
+        (("group",), {"degree": 3, "generators": [[1, 0, 2], [1.5, 2, 0]]}, "/group/generators/1/0"),
+        (("group",), {"degree": 3, "generators": [[1, "0", 2], [1, 2, 0]]}, "/group/generators/0/1"),
+        (("group",), {"degree": 3, "generators": [[True, False, 2], [1, 2, 0]]}, "/group/generators/0/0"),
+        (
+            ("group",),
+            dict(S3_BY_PERMUTATIONS, labels=["e", "(01)", "(012)", "(02)", "(12)", 5]),
+            "/group/labels/5",
+        ),
     ],
 )
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, keys, value, location):

@@ -11,94 +11,118 @@ group.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Optional
 
-from .complexes import BaseComplex, Edge, validate_complex
+from .complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from .connections import Voltage, check_flatness
 from .covers import ComplexMap, CoveringComplex, is_covering_map
 from .errors import ComplexError, FlatnessError
 from .groups import GroupTable
 
 
+def _gather(row: tuple, indices: tuple) -> tuple:
+    """``row[i]`` for each i in ``indices``, in one C-level call."""
+    if len(indices) == 1:  # itemgetter with one index returns a scalar
+        return (row[indices[0]],)
+    return itemgetter(*indices)(row)
+
+
 class LiftedEdges(Sequence):
     """The edges of a lifted graph, as ``Edge`` objects made on demand."""
 
-    __slots__ = ("_tail", "_head")
+    __slots__ = ("_graph",)
 
-    def __init__(self, tail: array, head: array):
-        self._tail = tail
-        self._head = head
+    def __init__(self, graph: LiftedGraph):
+        self._graph = graph
 
     def __len__(self) -> int:
-        return len(self._tail)
+        v = self._graph._voltage
+        return len(v.complex.edges) * v.group.order
 
     def __getitem__(self, i: int) -> Edge:
-        eid = range(len(self._tail))[i]
-        return Edge(eid, self._tail[eid], self._head[eid])
-
-    def __iter__(self):
-        return map(Edge, count(), self._tail, self._head)
+        return self._graph.edge(range(len(self))[i])
 
 
 class LiftedGraph(BaseComplex):
-    """The derived graph of a voltage, stored as flat integer arrays.
+    """The derived graph of a voltage, with its edges computed, not stored.
 
-    Lifted edge ``p * |G| + x`` runs from ``tail[p * |G| + x]`` to
-    ``head[p * |G| + x]``, that is from (tail p, x) to (head p, x * w(p));
-    the lifts of one base edge fill one column, read off the product table.
-    The :class:`BaseComplex` queries (edges, edge lookup, stars, paths) are
-    answered from the arrays and the base, without an ``Edge`` per lift.
+    Lifted edge ``p * |G| + x`` runs from (tail p, x) to (head p, x * w(p)):
+    vertex ``tail(p) * |G| + x`` to vertex ``head(p) * |G| + x * w(p)``.  The
+    map x -> x * w(p) is the fiber map of p, a column of the product table;
+    the :class:`BaseComplex` queries (edges, edge lookup, stars, paths) are
+    answered from the fiber maps and the base, without an ``Edge`` per lift.
     """
 
-    __slots__ = ("tail", "head", "_voltage")
+    __slots__ = ("_voltage", "_values", "_columns")
 
     def __init__(self, v: Voltage):
-        c, n = v.complex, v.group.order
-        columns = tuple(zip(*v.group.product))  # columns[w][x] = x * w
-        tail = array("i")
-        head = array("i")
-        for e in c.edges:
-            tail.extend(range(e.tail * n, e.tail * n + n))
-            offset = e.head * n
-            head.extend([offset + y for y in columns[v.on_edge(e.id)]])
-        self.vertex_count = c.vertex_count * n
-        self.edges = LiftedEdges(tail, head)
-        self.basepoint = c.basepoint * n  # the lift (basepoint, identity)
+        n = v.group.order
+        self.vertex_count = v.complex.vertex_count * n
+        self.edges = LiftedEdges(self)
+        self.basepoint = v.complex.basepoint * n  # the lift (basepoint, identity)
         self.relators = ()
-        self.tail = tail
-        self.head = head
         self._voltage = v
+        self._values = v.as_tuple()
+        self._columns: dict[int, tuple] = {}
         self._validated = False
 
+    def _fiber_map(self, p: int, sign: int = 1) -> tuple:
+        """x -> x * w(p)^sign for the base edge at position p: with sign +1,
+        the lift of p at x ends at element x * w(p); with sign -1, the lift
+        ending at x starts at element x * w(p)^-1."""
+        group = self._voltage.group
+        w = self._values[p] if sign > 0 else group.inverse[self._values[p]]
+        column = self._columns.get(w)
+        if column is None:
+            column = self._columns[w] = tuple(map(itemgetter(w), group.product))
+        return column
+
     def edge(self, eid: int) -> Edge:
-        return Edge(self.edge_pos(eid), self.tail[eid], self.head[eid])
+        base, n = self._voltage.complex, self._voltage.group.order
+        p, x = divmod(self.edge_pos(eid), n)
+        e = base.edges[p]
+        return Edge(eid, e.tail * n + x, e.head * n + self._fiber_map(p)[x])
 
     def edge_pos(self, eid: int) -> int:
-        if not 0 <= eid < len(self.tail):
+        if not 0 <= eid < len(self.edges):
             raise ComplexError(f"unknown edge id {eid}")
         return eid
 
     def star(self, v: int) -> list[tuple[int, int]]:
         """Edge-ends at (u, x): (p|G| + x, +1) out of it, and for base edges
         p into u, (p|G| + x w(p)^-1, -1) into it; same order as the base class."""
-        base, group = self._voltage.complex, self._voltage.group
-        n = group.order
+        base = self._voltage.complex
+        n = self._voltage.group.order
         u, x = divmod(v, n)
         ends = []
         for eid, sign in base.star(u):
             p = base.edge_pos(eid)
-            if sign > 0:
-                ends.append((p * n + x, 1))
-            else:
-                w_inv = group.inverse[self._voltage.on_edge(eid)]
-                ends.append((p * n + group.product[x][w_inv], -1))
+            ends.append((p * n + (x if sign > 0 else self._fiber_map(p, -1)[x]), sign))
         ends.sort(key=lambda end: (end[0], -end[1]))
         return ends
+
+
+class BundleComponents(Sequence):
+    """The vertex ids of each component, ascending, gathered from
+    ``component_of`` only when a component is asked for."""
+
+    __slots__ = ("_component_of", "_count")
+
+    def __init__(self, component_of: tuple, count: int):
+        self._component_of = component_of
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> tuple:
+        i = range(self._count)[i]
+        return tuple(compress(range(len(self._component_of)), map(i.__eq__, self._component_of)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +132,23 @@ class DerivedBundle:
     Vertex (v, g) has index v * |G| + g and the lift of base edge position p
     at element g has id p * |G| + g, so components, numbered by minimal
     vertex, follow (vertex, element) lexicographic order.  The graph is not
-    necessarily connected: there are [|G| : |Hol|] components.
+    necessarily connected: there are [|G| : |Hol|] components, and component
+    i is the union of ``sheet_counts[i]`` sheets (lifts of a spanning tree),
+    each with one vertex over every base vertex and one edge over every
+    base edge.
     """
 
     base: BaseComplex
     group: GroupTable
     voltage: Voltage
     graph: LiftedGraph
-    components: tuple
     component_of: tuple
+    sheet_counts: tuple
     base_lift: int
+
+    @property
+    def components(self) -> BundleComponents:
+        return BundleComponents(self.component_of, len(self.sheet_counts))
 
     def edge_pair(self, eid: int) -> tuple[int, int]:
         """(base edge position, group element) of a lifted edge id."""
@@ -145,9 +176,13 @@ class DerivedBundle:
 def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     """Build the derived graph of a flat voltage and its components.
 
-    Components come from a union-find over the lifted edges that keeps the
-    smaller root, so every vertex's parent is at most the vertex and each
-    root is the minimal vertex of its component.
+    The lifts of a spanning tree split the graph into |G| sheets; sheet s is
+    the one through (basepoint, s), and ``sheets[u][x]`` is the sheet through
+    (u, x), carried out along the tree by the tree edges' fiber maps.  The
+    lifts of a non-tree edge join the sheets pairwise, and a union-find over
+    the |G| sheet labels (keeping the smaller root) merges them into
+    components.  Only the lifted-edge rule is read, never the holonomy
+    morphism, so the claim checks compare two independent computations.
     """
     validate_complex(c)
     if v.complex is not c:
@@ -158,36 +193,58 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     if violations:
         raise FlatnessError(violations)
     graph = LiftedGraph(v)
-    parent = list(range(graph.vertex_count))
-    for a, b in zip(graph.tail, graph.head):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-    # parent[x] <= x, so the parent is labelled before the vertex.
-    component_of = [0] * graph.vertex_count
-    components: list[list[int]] = []
-    for x, p in enumerate(parent):
-        if p == x:
-            component_of[x] = len(components)
-            components.append([x])
-        else:
-            cid = component_of[p]
-            component_of[x] = cid
-            components[cid].append(x)
+    n = g.order
+    tree = spanning_tree(c)
+    sheets: list[tuple] = [()] * c.vertex_count
+    sheets[c.basepoint] = tuple(range(n))
+    for u in tree.order[1:]:
+        step = tree.parent[u]
+        # (parent, y) is joined to (u, y * w^sign), so (u, x) lies on the
+        # sheet of (parent, x * w^-sign).
+        parent_row = sheets[c.step_endpoints(step)[0]]
+        sheets[u] = _gather(parent_row, graph._fiber_map(c.edge_pos(step[0]), -step[1]))
+    root = list(range(n))
+    seen = set()
+    for p, e in enumerate(c.edges):
+        if e.id in tree.tree_edges:
+            continue
+        # the lift at x joins sheet starts[x] to sheet ends[x]
+        starts, ends = sheets[e.tail], _gather(sheets[e.head], graph._fiber_map(p))
+        if starts == ends:
+            continue
+        joined = frozenset(zip(starts, ends))
+        if joined in seen:
+            continue
+        seen.add(joined)
+        for a, b in joined:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                root[b] = a
+    for s in range(n):
+        root[s] = root[root[s]]  # root[s] <= s, so root[s]'s root is final
+    # Every component meets fiber 0, so numbering components in order of
+    # first appearance along it numbers them by minimal vertex.
+    number: dict[int, int] = {}
+    for s in sheets[0]:
+        number.setdefault(root[s], len(number))
+    component_of_sheet = tuple(number[r] for r in root)
+    sheet_counts = [0] * len(number)
+    for cid in component_of_sheet:
+        sheet_counts[cid] += 1
     return DerivedBundle(
         base=c,
         group=g,
         voltage=v,
         graph=graph,
-        components=tuple(map(tuple, components)),
-        component_of=tuple(component_of),
+        component_of=tuple(chain.from_iterable(_gather(component_of_sheet, row) for row in sheets)),
+        sheet_counts=tuple(sheet_counts),
         base_lift=graph.basepoint,
     )
 
@@ -236,9 +293,13 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
     fibers: list[list[int]] = [[] for _ in range(d.base.vertex_count)]
     for g in verts:
         fibers[g // n].append(g % n)
-    global_edges = tuple(p * n + x for p, e in enumerate(d.base.edges) for x in fibers[e.tail])
-    tail, head = d.graph.tail, d.graph.head
-    edges = [Edge(i, local[tail[eid]], local[head[eid]]) for i, eid in enumerate(global_edges)]
+    global_edges: list[int] = []
+    edges = []
+    for p, e in enumerate(d.base.edges):
+        ends = d.graph._fiber_map(p)
+        for x in fibers[e.tail]:
+            global_edges.append(p * n + x)
+            edges.append(Edge(len(edges), local[e.tail * n + x], local[e.head * n + ends[x]]))
     base_lift = local[verts[0] if basepoint is None else basepoint]
     sub = BaseComplex(vertex_count=len(verts), edges=edges, basepoint=base_lift, relators=())
     validate_complex(sub)
@@ -251,7 +312,7 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
         projection=proj,
         base_lift=base_lift,
         global_vertices=verts,
-        global_edges=global_edges,
+        global_edges=tuple(global_edges),
     )
 
 

@@ -173,9 +173,13 @@ class SubgroupSet:
         if 0 not in self.members:
             raise ValueError("subgroup must contain the identity")
         memberset = set(self.members)
+        products_of = itemgetter(*self.members)
         for a in self.members:
             if g.inverse[a] not in memberset:
                 raise ValueError(f"subgroup not closed under inverse at {g.label(a)}")
+            row = products_of(g.product[a])
+            if memberset.issuperset(row if len(self.members) > 1 else (row,)):
+                continue
             for b in self.members:
                 if g.product[a][b] not in memberset:
                     raise ValueError(f"subgroup not closed under product at ({g.label(a)}, {g.label(b)})")

@@ -122,10 +122,11 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
     """Returns (validated complex, alias table)."""
     if not isinstance(data, dict):
         raise InputError("complex must be an object", location)
-    try:
-        vertices = int(data["vertices"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("complex needs a 'vertices' count", location) from None
+    if "vertices" not in data:
+        raise InputError("complex needs a 'vertices' count", location)
+    vertices = data["vertices"]
+    if not _is_int(vertices):
+        raise InputError("'vertices' must be an integer", f"{location}/vertices")
     edges = []
     raw_edges = data.get("edges", [])
     _require_list(raw_edges, "'edges' must be a list", f"{location}/edges")
@@ -160,10 +161,9 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         if not isinstance(text, str):
             raise InputError("relator must be a word string", loc)
         relators.append(parse_word_string(text, aliases, known, loc))
-    try:
-        basepoint = int(data.get("basepoint", 0))
-    except (TypeError, ValueError):
-        raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint") from None
+    basepoint = data.get("basepoint", 0)
+    if not _is_int(basepoint):
+        raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint")
     try:
         c = BaseComplex(vertices, edges, basepoint=basepoint, relators=relators)
         validate_complex(c)
@@ -274,10 +274,9 @@ def parse_instance_data(data: Any, name: str = "document") -> Instance:
         spec = parse_covering(data["covering"], c, g, aliases)
         raw_cap = data["covering"].get("cap")
         if raw_cap is not None:
-            try:
-                cap = int(raw_cap)
-            except (TypeError, ValueError):
-                raise InputError("'cap' must be an integer", "/covering/cap") from None
+            if not _is_int(raw_cap):
+                raise InputError("'cap' must be an integer", "/covering/cap")
+            cap = raw_cap
             if cap < 1:
                 raise InputError("'cap' must be positive", "/covering/cap")
     return Instance(c, g, v, spec, name=name, tc_cap=cap)

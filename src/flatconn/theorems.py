@@ -22,7 +22,6 @@ vacuous "holds".
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -345,13 +344,13 @@ def _product_form(inst: Instance) -> tuple[bool, str]:
     e_hat = len(inst.cover.total.edges)
     if len(bundle.components) != n:
         return False, f"{len(bundle.components)} components, expected {n}"
-    for comp in bundle.components:
-        if len(comp) != v_hat:
-            return False, f"component with {len(comp)} vertices, expected {v_hat}"
-    edges_per = Counter(map(bundle.component_of.__getitem__, bundle.graph.tail))
-    for cid in range(len(bundle.components)):
-        if edges_per[cid] != e_hat:
-            return False, f"component {cid} has {edges_per[cid]} edges, expected {e_hat}"
+    # a sheet of the bundle has one vertex over each cover vertex, one edge over each cover edge
+    for sheets in bundle.sheet_counts:
+        if sheets * v_hat != v_hat:
+            return False, f"component with {sheets * v_hat} vertices, expected {v_hat}"
+    for cid, sheets in enumerate(bundle.sheet_counts):
+        if sheets * e_hat != e_hat:
+            return False, f"component {cid} has {sheets * e_hat} edges, expected {e_hat}"
     return True, f"{n} components, each {v_hat} vertices / {e_hat} edges"
 
 

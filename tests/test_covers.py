@@ -1,3 +1,7 @@
+import glob
+import os
+from collections import Counter
+
 import pytest
 
 from flatconn.bundles import component_complex, derived_bundle, holonomy_bundle
@@ -18,14 +22,20 @@ from flatconn.errors import (
     EnumerationCapError,
     IncidenceError,
     IncompleteAutomatonError,
+    InputError,
 )
-from flatconn.groups import subgroup_closure
+from flatconn.groups import catalog_group, group_from_permutations, subgroup_closure
+from flatconn.io import parse_instance
 from flatconn.subgroups import (
     CosetAutomaton,
     automata_equal,
     automaton_from_quotient,
+    SubgroupSpec,
     stallings_core,
 )
+from flatconn.theorems import Instance, _product_form
+
+INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
 
 def a3_automaton(s3):
@@ -190,30 +200,101 @@ def components_by_bfs(vertex_count, edges):
     return tuple(components), tuple(component_of)
 
 
-def corpus_bundles(seed, count):
-    for item in generate_corpus(seed, count):
-        inst = item.instance
-        yield inst.base_bundle
+def has_finite_cover(inst):
+    try:
+        return inst.subgroup_aut.complete
+    except EnumerationCapError:
+        return False
+
+
+def document_instances():
+    for path in sorted(glob.glob(os.path.join(INSTANCES, "*.json"))):
         try:
-            complete = inst.subgroup_aut.complete
-        except EnumerationCapError:
+            yield parse_instance(path)
+        except InputError:  # the document with a non-flat voltage
             continue
-        if complete:
-            yield inst.cover_bundle
 
 
-@pytest.mark.parametrize("seed", [0, 4])
+def wedge_s4_instances():
+    """S4 over the wedge of two circles: the kernel cover (index 24) and the
+    preimage of <(01)> (index 12, not normal)."""
+    s4 = catalog_group("S4")
+    wedge = BaseComplex(1, [Edge(0, 0, 0), Edge(1, 0, 0)])
+    a, b = s4.perms.index((1, 0, 2, 3)), s4.perms.index((1, 2, 3, 0))
+    v = Voltage(wedge, s4, {0: a, 1: b})
+    for sub in ((0,), (0, a)):
+        yield Instance(wedge, s4, v, SubgroupSpec(kind="quotient", subgroup=sub))
+
+
+def source_instances(source):
+    """Corpus seed ``source`` (30 instances), the instance documents, or the
+    S4 covers over the wedge."""
+    if source == "documents":
+        return document_instances()
+    if source == "wedge_s4":
+        return wedge_s4_instances()
+    return (item.instance for item in generate_corpus(source, 30))
+
+
+BUNDLE_SOURCES = [*range(8), "documents", "wedge_s4"]
+
+
+@pytest.mark.parametrize("seed", BUNDLE_SOURCES)
 def test_bundle_components_match_bfs_over_edges(seed):
-    for d in corpus_bundles(seed, 30):
-        n = d.group.order
-        edges = list(d.graph.edges)
-        assert d.graph.vertex_count == n * d.base.vertex_count
-        assert len(d.graph.edges) == len(edges) == n * len(d.base.edges)
-        assert [e.id for e in edges] == list(range(len(edges)))
-        assert (d.components, d.component_of) == components_by_bfs(d.graph.vertex_count, edges)
+    for inst in source_instances(seed):
+        bundles = [inst.base_bundle] + ([inst.cover_bundle] if has_finite_cover(inst) else [])
+        for d in bundles:
+            n = d.group.order
+            edges = list(d.graph.edges)
+            assert d.graph.vertex_count == n * d.base.vertex_count
+            assert len(d.graph.edges) == len(edges) == n * len(d.base.edges)
+            assert [e.id for e in edges] == list(range(len(edges)))
+            expected = components_by_bfs(d.graph.vertex_count, edges)
+            assert (tuple(d.components), d.component_of) == expected
+            assert d.sheet_counts == tuple(len(comp) // d.base.vertex_count for comp in expected[0])
+
+
+def product_form_by_counter(inst):
+    """The product-form check over materialised components and edges."""
+    bundle = inst.cover_bundle
+    n = inst.group.order
+    v_hat = inst.cover.total.vertex_count
+    e_hat = len(inst.cover.total.edges)
+    components, component_of = components_by_bfs(bundle.graph.vertex_count, bundle.graph.edges)
+    if len(components) != n:
+        return False, f"{len(components)} components, expected {n}"
+    for comp in components:
+        if len(comp) != v_hat:
+            return False, f"component with {len(comp)} vertices, expected {v_hat}"
+    edges_per = Counter(component_of[e.tail] for e in bundle.graph.edges)
+    for cid in range(len(components)):
+        if edges_per[cid] != e_hat:
+            return False, f"component {cid} has {edges_per[cid]} edges, expected {e_hat}"
+    return True, f"{n} components, each {v_hat} vertices / {e_hat} edges"
+
+
+@pytest.mark.parametrize("source", BUNDLE_SOURCES)
+def test_product_form_matches_counter_over_edges(source):
+    for inst in source_instances(source):
+        if has_finite_cover(inst):
+            assert _product_form(inst) == product_form_by_counter(inst)
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("wedge_s3_kernel.json", (True, "6 components, each 6 vertices / 12 edges")),
+        ("wedge_s3_01.json", (False, "3 components, expected 6")),
+        ("wedge_s3_a3.json", (False, "2 components, expected 6")),
+        ("circle_z2.json", (True, "2 components, each 2 vertices / 2 edges")),
+    ],
+)
+def test_product_form_detail(name, expected):
+    assert _product_form(parse_instance(os.path.join(INSTANCES, name))) == expected
 
 
 def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4):
+    trivial = group_from_permutations(1, [])
     cases = [
         Voltage(wedge, s3, {0: 1, 1: 2}),
         Voltage(wedge, s3, {0: 0, 1: 1}),
@@ -221,6 +302,12 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
         Voltage(torus, z4, {0: 1, 1: 3}),
         Voltage(BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)]), s3,
                 {0: 1, 3: 4, 5: 3}),
+        # the trivial group: one sheet, each fiber map a single element
+        Voltage(BaseComplex(2, [Edge(0, 0, 1), Edge(1, 1, 0), Edge(2, 1, 1)]), trivial,
+                {0: 0, 1: 0, 2: 0}),
+        # tree edges 0 and 1 point toward the basepoint 2, edge 4 away from it
+        Voltage(BaseComplex(4, [Edge(0, 0, 2), Edge(1, 1, 0), Edge(4, 2, 3), Edge(6, 3, 1)], basepoint=2),
+                s3, {0: 2, 1: 3, 4: 1, 6: 5}),
     ]
     for v in cases:
         d = derived_bundle(v.complex, v.group, v)
@@ -231,6 +318,7 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
             assert d.graph.star(idx) == flat.star(idx)
         with pytest.raises(ComplexError, match="unknown edge id"):
             d.graph.edge(len(d.graph.edges))
+        assert (tuple(d.components), d.component_of) == components_by_bfs(d.graph.vertex_count, flat.edges)
 
 
 def test_component_count_is_holonomy_index(wedge, s3):
@@ -306,6 +394,27 @@ def test_holonomy_bundle_proper_subgroup(wedge, s3):
     assert other.to_local_vertex(4) == 1
     with pytest.raises(KeyError):
         other.to_local_vertex(3)
+
+
+def test_component_complex_off_the_basepoint_lift(s3):
+    # Hol = <(12)>: three components; the basepoint lift (1, e) = 6 lies in component 2
+    base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)], basepoint=1)
+    d = derived_bundle(base, s3, Voltage(base, s3, {0: 2, 3: 3, 5: 0}))
+    assert d.component_of == (0, 0, 1, 2, 1, 2, 2, 1, 0, 0, 2, 1)
+    assert d.sheet_counts == (2, 2, 2)
+    part = component_complex(d, 1)
+    assert part.global_vertices == (2, 4, 7, 11)
+    assert part.global_edges == (2, 4, 7, 11, 13, 17)
+    assert [(e.tail, e.head) for e in part.complex.edges] == [(0, 3), (1, 2), (2, 0), (3, 1), (2, 2), (3, 3)]
+    assert part.base_lift == 0
+    assert part.fiber_elements == (1, 5)
+    assert part.projection.vertex_map == (0, 0, 1, 1)
+    assert part.projection.edge_map == {0: 0, 1: 0, 2: 3, 3: 3, 4: 5, 5: 5}
+    assert is_covering_map(part.projection)
+    hb = holonomy_bundle(d)
+    assert hb.global_vertices == (3, 5, 6, 10)
+    assert hb.base_lift == 2
+    assert hb.fiber_elements == (0, 4)
 
 
 def test_holonomy_bundle_fiber_is_holonomy_group(wedge, s3):

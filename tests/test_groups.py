@@ -92,6 +92,29 @@ def test_group_table_constructor_errors(product, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "members,message",
+    [
+        ((0, 6), "subgroup member 6 out of range"),
+        ((-1, 0), "subgroup member -1 out of range"),
+        ((7, 1), "subgroup member 7 out of range"),  # range is checked before the identity
+        ((1, 2), "subgroup must contain the identity"),
+        ((0, 2), "subgroup not closed under inverse at (012)"),
+        ((0, 1, 3), "subgroup not closed under product at ((01), (02))"),
+        # the product check at (01) runs before the inverse check at (012)
+        ((0, 1, 2), "subgroup not closed under product at ((01), (012))"),
+        ((0, 2, 3), "subgroup not closed under inverse at (012)"),
+        ((0, 3, 4), "subgroup not closed under product at ((02), (12))"),
+    ],
+)
+def test_subgroup_set_constructor_errors(members, message):
+    s3 = catalog_group("S3")
+    with pytest.raises(ValueError) as err:
+        SubgroupSet(s3, members)
+    assert str(err.value) == message
+    assert SubgroupSet(s3, (3, 0, 3)).members == (0, 3)
+
+
 def test_table_matches_composition_oracle():
     groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
     groups.append(group_from_permutations(5, S5_GENERATORS))

@@ -262,6 +262,14 @@ S3_BY_PERMUTATIONS = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
             dict(S3_BY_PERMUTATIONS, labels=["e", "(01)", "(012)", "(02)", "(12)", 5]),
             "/group/labels/5",
         ),
+        (("covering", "cap"), True, "/covering/cap"),
+        (("covering", "cap"), 2.7, "/covering/cap"),
+        (("covering", "cap"), "3", "/covering/cap"),
+        (("complex", "vertices"), 1.5, "/complex/vertices"),
+        (("complex", "vertices"), True, "/complex/vertices"),
+        (("complex", "vertices"), "1", "/complex/vertices"),
+        (("complex", "basepoint"), 0.0, "/complex/basepoint"),
+        (("complex", "basepoint"), True, "/complex/basepoint"),
     ],
 )
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, keys, value, location):

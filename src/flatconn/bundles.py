@@ -70,6 +70,7 @@ class LiftedGraph(BaseComplex):
         self._values = v.as_tuple()
         self._columns: dict[int, tuple] = {}
         self._validated = False
+        self._tree = None
 
     def _fiber_map(self, p: int, sign: int = 1) -> tuple:
         """x -> x * w(p)^sign for the base edge at position p: with sign +1,

@@ -30,11 +30,13 @@ class BaseComplex:
     Construction checks referential integrity only; connectivity and relator
     closure are enforced by :func:`validate_complex` so that malformed inputs
     can be built and then rejected with a precise error.  The per-vertex
-    incidence behind :meth:`star` is built once here.
+    incidence behind :meth:`star` is built once here; the spanning tree is
+    built once, on first request, and kept like the validation flag.
     """
 
     __slots__ = (
         "vertex_count", "edges", "basepoint", "relators", "_by_id", "_pos", "_incidence", "_validated",
+        "_tree",
     )
 
     def __init__(
@@ -76,6 +78,7 @@ class BaseComplex:
             incidence[e.head].append((e.id, -1))
         self._incidence = incidence
         self._validated = False
+        self._tree = None
 
     @property
     def free_rank(self) -> int:
@@ -215,7 +218,9 @@ class SpanningTreeData:
 
 def spanning_tree(c: BaseComplex) -> SpanningTreeData:
     """Deterministic BFS tree: edges explored in ascending id, forward
-    orientation before reverse."""
+    orientation before reverse.  Built once per complex and kept on it."""
+    if c._tree is not None:
+        return c._tree
     validate_complex(c)
     base = c.basepoint
     parent: list = [None] * c.vertex_count
@@ -235,27 +240,29 @@ def spanning_tree(c: BaseComplex) -> SpanningTreeData:
                 order.append(u)
                 queue.append(u)
     generators = tuple(e.id for e in c.edges if e.id not in tree)
-    return SpanningTreeData(
+    c._tree = SpanningTreeData(
         complex=c,
         tree_edges=frozenset(tree),
         parent=tuple(parent),
         order=tuple(order),
         generators=generators,
     )
+    return c._tree
+
+
+def _generator_word(gen_index: dict, w: EdgeWord) -> Word:
+    """The non-tree letters of an edge word as generator letters, freely
+    reduced; tree edges contribute nothing."""
+    return reduce_word(tuple((gen_index[eid], sign) for eid, sign in w if eid in gen_index))
 
 
 def loop_to_generator_word(c: BaseComplex, t: SpanningTreeData, w: EdgeWord) -> Word:
     """Rewrite a loop at the basepoint as a reduced word in the non-tree
-    edge generators; tree edges contribute nothing."""
+    edge generators."""
     verts = c.path_vertices(w)
     if verts[0] != c.basepoint or verts[-1] != c.basepoint:
         raise ComplexError("word is not a closed path at the basepoint")
-    letters = []
-    gen_index = {eid: i for i, eid in enumerate(t.generators)}
-    for eid, sign in w:
-        if eid in gen_index:
-            letters.append((gen_index[eid], sign))
-    return reduce_word(tuple(letters))
+    return _generator_word({eid: i for i, eid in enumerate(t.generators)}, w)
 
 
 @dataclass(frozen=True)
@@ -274,17 +281,11 @@ class Presentation:
 def pi1_presentation(c: BaseComplex, t: SpanningTreeData) -> Presentation:
     """Present the fundamental group at the basepoint.
 
-    Each relator is conjugated to the basepoint along tree paths before
-    rewriting; tree letters vanish, so the rewriting is the non-tree letter
-    sequence, freely reduced.
+    Each relator, conjugated to the basepoint along tree paths, rewrites to
+    its own non-tree letters freely reduced: the conjugating tree paths add
+    only tree letters, which vanish.
     """
     validate_complex(c)
-    rel_words = []
-    for w in c.relators:
-        if not w:
-            continue
-        start = c.path_vertices(w)[0]
-        conjugated = t.path_from_base(start) + tuple(w) + t.path_to_base(start)
-        rw = loop_to_generator_word(c, t, conjugated)
-        rel_words.append(rw)
-    return Presentation(generators=t.generators, relators=tuple(rel_words))
+    gen_index = {eid: i for i, eid in enumerate(t.generators)}
+    relators = tuple(_generator_word(gen_index, w) for w in c.relators if w)
+    return Presentation(generators=t.generators, relators=relators)

@@ -70,7 +70,7 @@ def check_flatness(v: Voltage) -> tuple[FlatnessViolation, ...]:
     """
     out = []
     for k, rel in enumerate(v.complex.relators):
-        prod = word_holonomy(v, rel)
+        prod = v.group.evaluate_word(v.assignment, rel)
         if prod != 0:
             out.append(FlatnessViolation(k, prod, v.group.label(prod)))
     return tuple(out)
@@ -79,11 +79,7 @@ def check_flatness(v: Voltage) -> tuple[FlatnessViolation, ...]:
 def word_holonomy(v: Voltage, w: EdgeWord, start: Optional[int] = None) -> int:
     """Left-to-right product of edge voltages along a path."""
     v.complex.path_vertices(w, start=start)  # validates that w is a path
-    acc = 0
-    mul = v.group.product
-    for step in w:
-        acc = mul[acc][v.on_step(step)]
-    return acc
+    return v.group.evaluate_word(v.assignment, w)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,6 @@ class HolonomyMorphism:
     """
 
     group: GroupTable
-    tree: SpanningTreeData
     images: tuple
 
     def evaluate(self, w: Word) -> int:
@@ -108,17 +103,24 @@ class HolonomyMorphism:
 
 
 def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
-    """Generator images of the holonomy map; requires a flat voltage."""
+    """Generator images of the holonomy map; requires a flat voltage.
+
+    One pass down the tree gives the potential pot(u), the product along the
+    tree path to u; the image of e is pot(tail e) * w(e) * pot(head e)^-1.
+    """
     violations = check_flatness(v)
     if violations:
         raise FlatnessError(violations)
-    c = v.complex
-    images = []
-    for eid in t.generators:
-        e = c.edge(eid)
-        loop = t.path_from_base(e.tail) + ((eid, 1),) + t.path_to_base(e.head)
-        images.append(word_holonomy(v, loop, start=c.basepoint))
-    return HolonomyMorphism(group=v.group, tree=t, images=tuple(images))
+    c, mul, inv = v.complex, v.group.product, v.group.inverse
+    pot = [0] * c.vertex_count
+    for u in t.order[1:]:
+        step = t.parent[u]
+        pot[u] = mul[pot[c.step_endpoints(step)[0]]][v.on_step(step)]
+    images = tuple(
+        mul[mul[pot[c.edge(eid).tail]][v.on_edge(eid)]][inv[pot[c.edge(eid).head]]]
+        for eid in t.generators
+    )
+    return HolonomyMorphism(group=v.group, images=images)
 
 
 def holonomy_group(h: HolonomyMorphism) -> SubgroupSet:

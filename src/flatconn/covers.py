@@ -10,13 +10,12 @@ basepointed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .complexes import (
     BaseComplex,
     Edge,
     EdgeWord,
-    SpanningTreeData,
     spanning_tree,
     validate_complex,
 )
@@ -111,10 +110,9 @@ def _end_index(m: ComplexMap) -> list[dict]:
     return idx
 
 
-def lift_path(m: ComplexMap, w: EdgeWord, start: int, end_index: Optional[list] = None) -> EdgeWord:
+def lift_path(m: ComplexMap, w: EdgeWord, start: int) -> EdgeWord:
     """The unique lift of a target path starting at a given source vertex."""
-    if end_index is None:
-        end_index = _end_index(m)
+    end_index = _end_index(m)
     cur = start
     lifted = []
     for eid, sign in w:
@@ -137,7 +135,6 @@ class CoveringComplex:
 
     base: BaseComplex
     automaton: CosetAutomaton
-    tree: SpanningTreeData
     total: BaseComplex
     vertex_to_base: tuple
     edge_to_base: Mapping[int, int]
@@ -156,11 +153,7 @@ class CoveringComplex:
         )
 
 
-def build_cover(
-    c: BaseComplex,
-    a: CosetAutomaton,
-    tree: Optional[SpanningTreeData] = None,
-) -> CoveringComplex:
+def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     """Assemble the covering complex of a complete coset automaton.
 
     Relators are traced from every state and must close up (automatic for
@@ -169,9 +162,7 @@ def build_cover(
     """
     if not a.complete:
         raise IncompleteAutomatonError("covering construction requires a complete automaton")
-    validate_complex(c)
-    if tree is None:
-        tree = spanning_tree(c)
+    tree = spanning_tree(c)
     if len(tree.generators) != a.rank:
         raise ValueError("automaton alphabet does not match the non-tree generators")
     gen_index = {eid: i for i, eid in enumerate(tree.generators)}
@@ -200,7 +191,6 @@ def build_cover(
     for k, rel in enumerate(c.relators):
         if not rel:
             continue
-        start_vertex = c.path_vertices(rel)[0]
         for s in range(n_states):
             cur = s
             steps = []
@@ -231,7 +221,6 @@ def build_cover(
     return CoveringComplex(
         base=c,
         automaton=a,
-        tree=tree,
         total=total,
         vertex_to_base=vertex_to_base,
         edge_to_base=edge_to_base,
@@ -239,29 +228,36 @@ def build_cover(
     )
 
 
-def subgroup_of_cover(
-    m: ComplexMap,
-    base_lift: int,
-    tree: SpanningTreeData,
-) -> CosetAutomaton:
+def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
     """The subgroup of base loops whose lift at the base lift is closed.
 
-    States are the fiber vertices reachable from the base lift by lifting
-    generator loops; the transition for generator g is the endpoint of the
-    lift of its loop.  For a connected total space this is the whole fiber.
+    The lifts of the base's spanning tree at the fiber points are the sheets,
+    labelled in one pass down the tree; generator i moves sheet(tail) to
+    sheet(head) along each lift of its edge.  States are the sheets reached
+    from the base lift's: for a connected source, every sheet.
     """
     if not is_covering_map(m):
         raise IncidenceError("subgroup extraction requires a covering map")
-    base = m.target
+    base, source = m.target, m.source
     if m.vertex_map[base_lift] != base.basepoint:
         raise ValueError("base lift does not sit over the basepoint")
     end_index = _end_index(m)
-    loops = []
-    for eid in tree.generators:
-        e = base.edge(eid)
-        loops.append(tree.path_from_base(e.tail) + ((eid, 1),) + tree.path_to_base(e.head))
+    tree = spanning_tree(base)
+    lifts = [()] * base.vertex_count  # lifts[u][k]: the vertex over u on sheet k
+    lifts[base.basepoint] = [x for x, u in enumerate(m.vertex_map) if u == base.basepoint]
+    for u in tree.order[1:]:
+        step = tree.parent[u]
+        lifts[u] = [
+            source.step_endpoints((end_index[x][step], step[1]))[1]
+            for x in lifts[base.step_endpoints(step)[0]]
+        ]
+    sheet = [0] * source.vertex_count
+    for row in lifts:
+        for k, x in enumerate(row):
+            sheet[x] = k
 
-    def act(x: int, g: int) -> int:
-        return m.source.step_endpoints(lift_path(m, loops[g], x, end_index)[-1])[1]
+    def act(k: int, i: int) -> int:
+        e = base.edge(tree.generators[i])
+        return sheet[source.edge(end_index[lifts[e.tail][k]][(e.id, 1)]).head]
 
-    return CosetAutomaton.from_action(len(loops), base_lift, act)
+    return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)

@@ -134,21 +134,17 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         loc = f"{location}/edges/{k}"
         if not isinstance(rec, dict):
             raise InputError("edge must be an object with id/tail/head", loc)
-        try:
-            edges.append(Edge(int(rec["id"]), int(rec["tail"]), int(rec["head"])))
-        except (KeyError, TypeError, ValueError):
-            raise InputError("edge needs integer 'id', 'tail', 'head'", loc) from None
+        if not all(_is_int(rec.get(key)) for key in ("id", "tail", "head")):
+            raise InputError("edge needs integer 'id', 'tail', 'head'", loc)
+        edges.append(Edge(rec["id"], rec["tail"], rec["head"]))
     aliases = {}
     raw_aliases = data.get("aliases") or {}
     if not isinstance(raw_aliases, dict):
         raise InputError("'aliases' must be an object of name: edge id", f"{location}/aliases")
     for name, eid in raw_aliases.items():
-        try:
-            aliases[str(name)] = int(eid)
-        except (TypeError, ValueError):
-            raise InputError(
-                f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}"
-            ) from None
+        if not _is_int(eid):
+            raise InputError(f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}")
+        aliases[str(name)] = eid
     known = {e.id for e in edges}
     for name, eid in aliases.items():
         if eid not in known:
@@ -187,11 +183,10 @@ def parse_voltage(
             if ref not in aliases:
                 raise InputError(f"unknown edge alias {ref!r}", f"{loc}/edge")
             eid = aliases[ref]
+        elif _is_int(ref):
+            eid = ref
         else:
-            try:
-                eid = int(ref)
-            except (TypeError, ValueError):
-                raise InputError("voltage edge must be an edge id or alias", f"{loc}/edge") from None
+            raise InputError("voltage edge must be an edge id or alias", f"{loc}/edge")
         if eid in assignment:
             raise InputError(f"duplicate voltage for edge {eid}", f"{loc}/edge")
         assignment[eid] = resolve_element(g, rec["element"], f"{loc}/element")

@@ -183,7 +183,7 @@ class Instance:
 
     @cached_property
     def cover(self) -> CoveringComplex:
-        return build_cover(self.complex, self.subgroup_aut, self.tree)
+        return build_cover(self.complex, self.subgroup_aut)
 
     @cached_property
     def pullback(self) -> Voltage:
@@ -227,7 +227,7 @@ class Instance:
 
     @cached_property
     def base_nx_subgroup(self) -> CosetAutomaton:
-        return subgroup_of_cover(self.base_nx.projection, self.base_nx.base_lift, self.tree)
+        return subgroup_of_cover(self.base_nx.projection, self.base_nx.base_lift)
 
     @cached_property
     def cover_bundle(self) -> DerivedBundle:
@@ -249,7 +249,7 @@ class Instance:
 
     @cached_property
     def composite_subgroup(self) -> CosetAutomaton:
-        return subgroup_of_cover(self.composite_map, self.cover_nx.base_lift, self.tree)
+        return subgroup_of_cover(self.composite_map, self.cover_nx.base_lift)
 
     def holonomy_spans_group(self) -> bool:
         return len(self.image) == self.group.order

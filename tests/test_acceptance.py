@@ -170,7 +170,7 @@ def test_criterion_7_structural_identities(corpus):
         bundle = derived_bundle(inst.complex, inst.group, inst.voltage)
         assert len(bundle.components) == inst.group.order // len(inst.image), item.name
         hb = holonomy_bundle(bundle)
-        sub = subgroup_of_cover(hb.projection, hb.base_lift, inst.tree)
+        sub = subgroup_of_cover(hb.projection, hb.base_lift)
         assert automata_equal(sub, inst.kernel_aut), item.name
     for item in complete:
         inst = item.instance

@@ -131,7 +131,7 @@ def test_subgroup_of_cover_round_trip(wedge, torus, s3, z4):
     cases.append((torus, automaton_from_quotient([1, 2], z4, subgroup_closure(z4, (2,)))))
     for base, aut in cases:
         cov = build_cover(base, aut)
-        assert automata_equal(subgroup_of_cover(cov.projection(), cov.base_lift, cov.tree), aut)
+        assert automata_equal(subgroup_of_cover(cov.projection(), cov.base_lift), aut)
 
 
 def test_lift_path_unique(wedge, s3):
@@ -436,14 +436,14 @@ def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
         v = Voltage(base, group, assignment)
         tree = spanning_tree(base)
         hb = holonomy_bundle(derived_bundle(base, group, v))
-        sub = subgroup_of_cover(hb.projection, hb.base_lift, tree)
+        sub = subgroup_of_cover(hb.projection, hb.base_lift)
         assert automata_equal(sub, kernel_automaton(holonomy_morphism(v, tree)))
 
 
 def test_full_bundle_subgroup_equals_kernel_when_connected(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge, s3, wedge_s3_voltage)
     tree = spanning_tree(wedge)
-    sub = subgroup_of_cover(d.projection(), d.base_lift, tree)
+    sub = subgroup_of_cover(d.projection(), d.base_lift)
     h = holonomy_morphism(wedge_s3_voltage, tree)
     assert automata_equal(sub, kernel_automaton(h))
 

@@ -270,6 +270,9 @@ S3_BY_PERMUTATIONS = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
         (("complex", "vertices"), "1", "/complex/vertices"),
         (("complex", "basepoint"), 0.0, "/complex/basepoint"),
         (("complex", "basepoint"), True, "/complex/basepoint"),
+        (("complex", "edges", 1, "id"), 1.5, "/complex/edges/1"),
+        (("complex", "aliases", "a"), 1.0, "/complex/aliases/a"),
+        (("voltage", 0, "edge"), True, "/voltage/0/edge"),
     ],
 )
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, keys, value, location):
@@ -279,6 +282,52 @@ def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, keys, value, location)
         target = target[key]
     target[keys[-1]] = value
     assert_input_error(doc, location, tmp_path, capsys)
+
+
+def integer_leaves(node, pointer=()):
+    """(pointer parts, value) of every JSON integer in a document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, int) and not isinstance(node, bool):
+            yield pointer, node
+        return
+    for key, child in items:
+        yield from integer_leaves(child, pointer + (key,))
+
+
+def is_element_reference(parts):
+    """Element references accept labels, so a digit string may be valid."""
+    return parts[-1] == "element" or (len(parts) >= 2 and parts[-2] in ("subgroup", "images"))
+
+
+def test_retyped_integer_leaves_are_rejected_at_their_location():
+    swept = 0
+    for name in sorted(os.listdir(INSTANCES)):
+        doc = load_doc(name)
+        try:
+            parse_instance_data(doc)
+        except InputError:
+            continue
+        for parts, value in integer_leaves(doc):
+            leaf = "/" + "/".join(map(str, parts))
+            parent = "/" + "/".join(map(str, parts[:-1]))
+            replacements = [1.5, float(value), True, False]
+            if not is_element_reference(parts):
+                replacements.append(str(value))
+            for replacement in replacements:
+                mutated = json.loads(json.dumps(doc))
+                target = mutated
+                for key in parts[:-1]:
+                    target = target[key]
+                target[parts[-1]] = replacement
+                with pytest.raises(InputError) as err:
+                    parse_instance_data(mutated)
+                assert err.value.location in (leaf, parent), (name, leaf, replacement)
+                swept += 1
+    assert swept > 100
 
 
 def test_cli_verify_requires_seed(capsys):

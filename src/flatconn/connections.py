@@ -10,7 +10,7 @@ the holonomy of a loop depends only on its homotopy class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .complexes import BaseComplex, EdgeWord, SpanningTreeData, validate_complex
 from .errors import FlatnessError
@@ -102,24 +102,30 @@ class HolonomyMorphism:
         return len(self.images)
 
 
+def _tree_potentials(t: SpanningTreeData, g: GroupTable, value: Callable[[tuple], int]) -> list:
+    """pot[u]: the product of value(step) along the tree path to u, read in
+    one pass down the tree (Gross-Tucker's T-reduced voltage)."""
+    c, mul = t.complex, g.product
+    pot = [0] * c.vertex_count
+    for u in t.order[1:]:
+        eid, sign = step = t.parent[u]
+        e = c.edge(eid)
+        pot[u] = mul[pot[e.tail if sign > 0 else e.head]][value(step)]
+    return pot
+
+
 def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
     """Generator images of the holonomy map; requires a flat voltage.
 
-    One pass down the tree gives the potential pot(u), the product along the
-    tree path to u; the image of e is pot(tail e) * w(e) * pot(head e)^-1.
+    The image of e is pot(tail e) * w(e) * pot(head e)^-1, where the
+    potential pot(u) is the product along the tree path to u.
     """
     violations = check_flatness(v)
     if violations:
         raise FlatnessError(violations)
-    c, mul, inv = v.complex, v.group.product, v.group.inverse
-    pot = [0] * c.vertex_count
-    for u in t.order[1:]:
-        step = t.parent[u]
-        pot[u] = mul[pot[c.step_endpoints(step)[0]]][v.on_step(step)]
-    images = tuple(
-        mul[mul[pot[c.edge(eid).tail]][v.on_edge(eid)]][inv[pot[c.edge(eid).head]]]
-        for eid in t.generators
-    )
+    c, w, mul, inv = v.complex, v.assignment, v.group.product, v.group.inverse
+    pot = _tree_potentials(t, v.group, v.on_step)
+    images = tuple([mul[mul[pot[e.tail]][w[e.id]]][inv[pot[e.head]]] for e in map(c.edge, t.generators)])
     return HolonomyMorphism(group=v.group, images=images)
 
 

@@ -127,7 +127,10 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
     vertices = data["vertices"]
     if not _is_int(vertices):
         raise InputError("'vertices' must be an integer", f"{location}/vertices")
+    if vertices < 1:
+        raise InputError("'vertices' must be positive", f"{location}/vertices")
     edges = []
+    known = set()
     raw_edges = data.get("edges", [])
     _require_list(raw_edges, "'edges' must be a list", f"{location}/edges")
     for k, rec in enumerate(raw_edges):
@@ -136,6 +139,12 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
             raise InputError("edge must be an object with id/tail/head", loc)
         if not all(_is_int(rec.get(key)) for key in ("id", "tail", "head")):
             raise InputError("edge needs integer 'id', 'tail', 'head'", loc)
+        if rec["id"] in known:
+            raise InputError(f"duplicate edge id {rec['id']}", f"{loc}/id")
+        for key in ("tail", "head"):
+            if not 0 <= rec[key] < vertices:
+                raise InputError(f"{key} vertex {rec[key]} out of range 0..{vertices - 1}", f"{loc}/{key}")
+        known.add(rec["id"])
         edges.append(Edge(rec["id"], rec["tail"], rec["head"]))
     aliases = {}
     raw_aliases = data.get("aliases") or {}
@@ -144,11 +153,9 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
     for name, eid in raw_aliases.items():
         if not _is_int(eid):
             raise InputError(f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}")
-        aliases[str(name)] = eid
-    known = {e.id for e in edges}
-    for name, eid in aliases.items():
         if eid not in known:
-            raise InputError(f"alias {name!r} refers to unknown edge {eid}", f"{location}/aliases")
+            raise InputError(f"alias {name!r} refers to unknown edge {eid}", f"{location}/aliases/{name}")
+        aliases[str(name)] = eid
     relators = []
     raw_relators = data.get("relators", [])
     _require_list(raw_relators, "'relators' must be a list of word strings", f"{location}/relators")
@@ -160,6 +167,8 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
     basepoint = data.get("basepoint", 0)
     if not _is_int(basepoint):
         raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint")
+    if not 0 <= basepoint < vertices:
+        raise InputError(f"basepoint {basepoint} out of range 0..{vertices - 1}", f"{location}/basepoint")
     try:
         c = BaseComplex(vertices, edges, basepoint=basepoint, relators=relators)
         validate_complex(c)
@@ -173,6 +182,7 @@ def parse_voltage(
 ) -> Voltage:
     if not isinstance(data, list):
         raise InputError("voltage must be a list of {edge, element} entries", location)
+    known = {e.id for e in c.edges}
     assignment = {}
     for k, rec in enumerate(data):
         loc = f"{location}/{k}"
@@ -187,6 +197,8 @@ def parse_voltage(
             eid = ref
         else:
             raise InputError("voltage edge must be an edge id or alias", f"{loc}/edge")
+        if eid not in known:
+            raise InputError(f"voltage on unknown edge {eid}", f"{loc}/edge")
         if eid in assignment:
             raise InputError(f"duplicate voltage for edge {eid}", f"{loc}/edge")
         assignment[eid] = resolve_element(g, rec["element"], f"{loc}/element")

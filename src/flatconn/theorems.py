@@ -44,6 +44,7 @@ from .complexes import (
 from .connections import (
     HolonomyMorphism,
     Voltage,
+    _tree_potentials,
     check_flatness,
     holonomy_group,
     holonomy_morphism,
@@ -297,33 +298,49 @@ def verify_functoriality(
     """Check h-induced(w) == h(projection of w) on sampled closed words.
 
     Words are random walks of length <= 12 on the cover, closed by the tree
-    path back to the base lift; sampling is seeded and reproducible.
+    path back to the base lift; sampling is seeded and reproducible.  Each
+    vertex's row of moves (next vertex, pulled-back value, base value of the
+    projected step, step) is built on its first visit, and the closing path
+    multiplies to the inverse of the vertex's tree potential.  Downstairs
+    values, on the walk and on the closing, come from the base voltage
+    through the projection only, never from the pullback.
     """
     rng = random.Random(seed)
-    cov = inst.cover
+    cov, tree = inst.cover, inst.cover_tree
     proj = cov.projection()
     check_incidence(proj)  # so the projection of every sampled path is a path
-    stars = [cov.total.star(v) for v in range(cov.total.vertex_count)]
-    mismatches = []
+    total, mul, inv = cov.total, inst.group.product, inst.group.inverse
+    up_value = inst.pullback.on_step
+
+    def down_value(step: tuple[int, int]) -> int:
+        return inst.voltage.on_step(proj.map_step(step))
+
+    close_up = [inv[p] for p in _tree_potentials(tree, inst.group, up_value)]
+    close_down = [inv[p] for p in _tree_potentials(tree, inst.group, down_value)]
+    moves: list = [None] * total.vertex_count
+    mismatch = None
     for _ in range(sample_count):
         cur = cov.base_lift
         steps = []
-        for _ in range(rng.randint(0, 12)):
-            if not stars[cur]:
-                break
-            steps.append(rng.choice(stars[cur]))
-            _, cur = cov.total.step_endpoints(steps[-1])
-        w = tuple(steps) + inst.cover_tree.path_to_base(cur)
         up = down = 0
-        for step in w:
-            up = inst.group.mul(up, inst.pullback.on_step(step))
-            down = inst.group.mul(down, inst.voltage.on_step(proj.map_step(step)))
-        if up != down:
-            mismatches.append((w, up, down))
+        for _ in range(rng.randint(0, 12)):
+            row = moves[cur]
+            if row is None:
+                row = moves[cur] = tuple(
+                    (total.step_endpoints(s)[1], up_value(s), down_value(s), s) for s in total.star(cur)
+                )
+            if not row:
+                break
+            cur, u, d, step = rng.choice(row)
+            up, down = mul[up][u], mul[down][d]
+            steps.append(step)
+        up, down = mul[up][close_up[cur]], mul[down][close_down[cur]]
+        if up != down and mismatch is None:
+            mismatch = (tuple(steps) + tree.path_to_base(cur), up, down)
     hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
-    if not mismatches:
+    if mismatch is None:
         return VerificationReport("functoriality", HOLDS, hypotheses=hyp)
-    w, up, down = mismatches[0]
+    w, up, down = mismatch
     return VerificationReport(
         "functoriality",
         FAILS,

@@ -234,6 +234,7 @@ def assert_input_error(doc, location, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {location}: ")
     assert "Traceback" not in err
+    return err
 
 
 S3_BY_PERMUTATIONS = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
@@ -328,6 +329,66 @@ def test_retyped_integer_leaves_are_rejected_at_their_location():
                 assert err.value.location in (leaf, parent), (name, leaf, replacement)
                 swept += 1
     assert swept > 100
+
+
+def out_of_range_references(doc):
+    """(pointer parts, integer) for every vertex and edge reference of a
+    document, each paired with values just outside the valid range."""
+    cx = doc["complex"]
+    bad_vertices = (-1, cx["vertices"])
+    bad_edges = (-1, max(e["id"] for e in cx["edges"]) + 1)
+    for k in range(len(cx["edges"])):
+        for key in ("tail", "head"):
+            yield from ((("complex", "edges", k, key), bad) for bad in bad_vertices)
+    for name in cx.get("aliases", {}):
+        yield from ((("complex", "aliases", name), bad) for bad in bad_edges)
+    for k in range(len(doc["voltage"])):
+        yield from ((("voltage", k, "edge"), bad) for bad in bad_edges)
+    yield from ((("complex", "basepoint"), bad) for bad in bad_vertices)
+
+
+def with_leaf(doc, parts, value):
+    """A copy of the document with the leaf at ``parts`` set to ``value``."""
+    mutated = json.loads(json.dumps(doc))
+    target = mutated
+    for key in parts[:-1]:
+        target = target[key]
+    target[parts[-1]] = value
+    return mutated
+
+
+def test_out_of_range_references_are_rejected_at_their_location():
+    swept = 0
+    for name in sorted(os.listdir(INSTANCES)):
+        doc = load_doc(name)
+        try:
+            parse_instance_data(doc)
+        except InputError:
+            continue
+        for parts, bad in out_of_range_references(doc):
+            with pytest.raises(InputError) as err:
+                parse_instance_data(with_leaf(doc, parts, bad))
+            leaf = "/" + "/".join(map(str, parts))
+            assert err.value.location == leaf, (name, leaf, bad, err.value.location)
+            swept += 1
+    assert swept > 50
+
+
+@pytest.mark.parametrize(
+    "keys,value,location,message",
+    [
+        (("complex", "edges", 1, "tail"), 1, "/complex/edges/1/tail", "vertex 1 out of range"),
+        (("complex", "edges", 0, "head"), -1, "/complex/edges/0/head", "vertex -1 out of range"),
+        (("complex", "edges", 1, "id"), 0, "/complex/edges/1/id", "duplicate edge id 0"),
+        (("complex", "aliases", "b"), 7, "/complex/aliases/b", "unknown edge 7"),
+        (("complex", "basepoint"), 3, "/complex/basepoint", "basepoint 3 out of range"),
+        (("voltage", 0, "edge"), 9, "/voltage/0/edge", "unknown edge 9"),
+        (("complex", "vertices"), 0, "/complex/vertices", "must be positive"),
+    ],
+)
+def test_cli_out_of_range_reference_exit_2(tmp_path, capsys, keys, value, location, message):
+    doc = with_leaf(load_doc("wedge_s3_01.json"), keys, value)
+    assert message in assert_input_error(doc, location, tmp_path, capsys)
 
 
 def test_cli_verify_requires_seed(capsys):

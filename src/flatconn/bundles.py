@@ -18,10 +18,10 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Optional
 
-from .complexes import BaseComplex, Edge, spanning_tree, validate_complex
-from .connections import Voltage, check_flatness
+from .complexes import BaseComplex, Edge, spanning_tree
+from .connections import Voltage, _require_flat
 from .covers import ComplexMap, CoveringComplex, is_covering_map
-from .errors import ComplexError, FlatnessError
+from .errors import ComplexError
 from .groups import GroupTable
 
 
@@ -185,14 +185,11 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     components.  Only the lifted-edge rule is read, never the holonomy
     morphism, so the claim checks compare two independent computations.
     """
-    validate_complex(c)
-    if v.complex is not c:
+    if v.complex is not c:  # the voltage validated its complex
         raise ValueError("voltage is not defined on the given complex")
     if v.group is not g:
         raise ValueError("voltage takes values in a different group")
-    violations = check_flatness(v)
-    if violations:
-        raise FlatnessError(violations)
+    _require_flat(v)
     graph = LiftedGraph(v)
     n = g.order
     tree = spanning_tree(c)
@@ -303,7 +300,7 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
             edges.append(Edge(len(edges), local[e.tail * n + x], local[e.head * n + ends[x]]))
     base_lift = local[verts[0] if basepoint is None else basepoint]
     sub = BaseComplex(vertex_count=len(verts), edges=edges, basepoint=base_lift, relators=())
-    validate_complex(sub)
+    sub._validated = True  # a component is connected and has no relators
     vertex_map = tuple(g // n for g in verts)
     edge_map = {i: d.base.edges[eid // n].id for i, eid in enumerate(global_edges)}
     proj = ComplexMap(source=sub, target=d.base, vertex_map=vertex_map, edge_map=edge_map)

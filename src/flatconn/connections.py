@@ -10,6 +10,7 @@ the holonomy of a loop depends only on its homotopy class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from .complexes import BaseComplex, EdgeWord, SpanningTreeData, validate_complex
@@ -21,7 +22,8 @@ from .words import Word
 
 @dataclass(frozen=True, eq=False)
 class Voltage:
-    """An edge -> group element assignment on a validated complex."""
+    """An edge -> group element assignment on a validated complex; it owns
+    its copy of the assignment, so flatness is evaluated once."""
 
     complex: BaseComplex
     group: GroupTable
@@ -39,6 +41,15 @@ class Voltage:
         if seen:
             raise ValueError(f"voltage assigned to unknown edges {sorted(seen)}")
         object.__setattr__(self, "assignment", dict(self.assignment))
+
+    @cached_property
+    def _violations(self) -> tuple:
+        g, out = self.group, []
+        for k, rel in enumerate(self.complex.relators):
+            prod = g.evaluate_word(self.assignment, rel)
+            if prod != 0:
+                out.append(FlatnessViolation(k, prod, g.label(prod)))
+        return tuple(out)
 
     def on_edge(self, eid: int) -> int:
         return self.assignment[eid]
@@ -68,12 +79,12 @@ def check_flatness(v: Voltage) -> tuple[FlatnessViolation, ...]:
 
     Violations are reported exhaustively; an empty result means flat.
     """
-    out = []
-    for k, rel in enumerate(v.complex.relators):
-        prod = v.group.evaluate_word(v.assignment, rel)
-        if prod != 0:
-            out.append(FlatnessViolation(k, prod, v.group.label(prod)))
-    return tuple(out)
+    return v._violations
+
+
+def _require_flat(v: Voltage) -> None:
+    if v._violations:
+        raise FlatnessError(v._violations)
 
 
 def word_holonomy(v: Voltage, w: EdgeWord, start: Optional[int] = None) -> int:
@@ -120,9 +131,7 @@ def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
     The image of e is pot(tail e) * w(e) * pot(head e)^-1, where the
     potential pot(u) is the product along the tree path to u.
     """
-    violations = check_flatness(v)
-    if violations:
-        raise FlatnessError(violations)
+    _require_flat(v)
     c, w, mul, inv = v.complex, v.assignment, v.group.product, v.group.inverse
     pot = _tree_potentials(t, v.group, v.on_step)
     images = tuple([mul[mul[pot[e.tail]][w[e.id]]][inv[pot[e.head]]] for e in map(c.edge, t.generators)])

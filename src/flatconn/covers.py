@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .complexes import (
-    BaseComplex,
-    Edge,
-    EdgeWord,
-    spanning_tree,
-    validate_complex,
-)
+from .complexes import BaseComplex, Edge, EdgeWord, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
 from .subgroups import CosetAutomaton
 
@@ -157,7 +151,7 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     """Assemble the covering complex of a complete coset automaton.
 
     Relators are traced from every state and must close up (automatic for
-    enumeration output, validated for everything else); they are installed
+    enumeration output, checked for everything else); they are installed
     on the total space as lifted relators.
     """
     if not a.complete:
@@ -216,7 +210,9 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         basepoint=c.basepoint,  # vertex (state 0, basepoint) has index basepoint
         relators=lifted_relators,
     )
-    validate_complex(total)
+    # valid as built: each lifted relator closed above, and each sheet is joined to
+    # state 0's (an automaton keeps only the states reachable from state 0)
+    total._validated = True
     vertex_to_base = tuple(idx % V for idx in range(n_states * V))
     return CoveringComplex(
         base=c,

@@ -24,6 +24,11 @@ DEFAULT_CLOSURE_CAP = 10_000
 SUBGROUP_ENUM_MAX_ORDER = 64
 
 
+def _is_int(value) -> bool:
+    """An ``int`` but not a ``bool``, the one type an element index has."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Left-to-right composition: apply ``p`` first, then ``q``."""
     return tuple(q[p[i]] for i in range(len(p)))
@@ -79,30 +84,39 @@ class GroupTable:
         name: Optional[str] = None,
         perms: Optional[Sequence[Perm]] = None,
     ):
-        table = tuple(tuple(map(int, row)) for row in product)
+        table = tuple(tuple(row) for row in product)
         order = len(table)
         if order == 0:
             raise ValueError("group order must be positive")
         for i, row in enumerate(table):
             if len(row) != order:
                 raise ValueError(f"product row {i} has length {len(row)}, expected {order}")
-            if min(row) < 0 or max(row) >= order:
-                bad = next(x for x in row if not 0 <= x < order)
-                raise ValueError(f"product entry {bad} out of range 0..{order - 1}")
+            for x in row:
+                if not _is_int(x):
+                    raise ValueError(f"product entry {x!r} is not an integer")
+                if not 0 <= x < order:
+                    raise ValueError(f"product entry {x} out of range 0..{order - 1}")
         if table[0] != tuple(range(order)) or any(table[i][0] != i for i in range(order)):
             raise ValueError("element 0 must act as the identity")
-        inverse = []
         for i, row in enumerate(table):
-            try:
-                j = row.index(0)
-            except ValueError:
-                raise ValueError(f"element {i} has no inverse") from None
-            if table[j][i] != 0:
+            if 0 not in row:
+                raise ValueError(f"element {i} has no inverse")
+            if table[row.index(0)][i] != 0:
                 raise ValueError(f"one-sided inverse at element {i}")
-            inverse.append(j)
-        self.order = order
-        self.product = table
-        self.inverse = tuple(inverse)
+        self._store(table, labels, name, perms)
+
+    @classmethod
+    def _from_closure(cls, product: tuple, labels, name, perms: tuple) -> GroupTable:
+        """A closure's table, stored unchecked: its rows are permutations."""
+        g = cls.__new__(cls)
+        g._store(product, labels, name, perms)
+        return g
+
+    def _store(self, product: tuple, labels, name, perms) -> None:
+        """Keep a valid table (i's inverse is where row i holds 0); check the caller's labels."""
+        self.order = order = len(product)
+        self.product = product
+        self.inverse = tuple(row.index(0) for row in product)
         if labels is not None:
             if len(labels) != order:
                 raise ValueError("labels length does not match group order")
@@ -165,7 +179,10 @@ class SubgroupSet:
     members: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(int(m) for m in self.members))))
+        for m in self.members:
+            if not _is_int(m):
+                raise ValueError(f"subgroup member {m!r} is not an integer")
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         g = self.parent
         for m in self.members:
             if not 0 <= m < g.order:
@@ -173,16 +190,20 @@ class SubgroupSet:
         if 0 not in self.members:
             raise ValueError("subgroup must contain the identity")
         memberset = set(self.members)
-        products_of = itemgetter(*self.members)
         for a in self.members:
             if g.inverse[a] not in memberset:
                 raise ValueError(f"subgroup not closed under inverse at {g.label(a)}")
-            row = products_of(g.product[a])
-            if memberset.issuperset(row if len(self.members) > 1 else (row,)):
-                continue
             for b in self.members:
                 if g.product[a][b] not in memberset:
                     raise ValueError(f"subgroup not closed under product at ({g.label(a)}, {g.label(b)})")
+
+    @classmethod
+    def _from_closure(cls, parent: GroupTable, orbit: list) -> SubgroupSet:
+        """A subgroup closed by construction, stored without the checks."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "parent", parent)
+        object.__setattr__(s, "members", tuple(sorted(orbit)))
+        return s
 
     def __contains__(self, a: int) -> bool:
         return a in set(self.members)
@@ -207,10 +228,15 @@ def group_from_permutations(
     then products ``current * generator`` with generators taken in input
     order.  Raises :class:`ClosureCapError` once the closure passes ``cap``.
     """
+    if not _is_int(degree):
+        raise ValueError(f"degree {degree!r} is not an integer")
     if degree < 1:
         raise ValueError("degree must be positive")
-    gens = [tuple(int(x) for x in p) for p in generators]
+    gens = [tuple(p) for p in generators]
     for k, p in enumerate(gens):
+        for x in p:
+            if not _is_int(x):
+                raise ValueError(f"generator {k} image {x!r} is not an integer")
         if not is_permutation(p, degree):
             raise ValueError(f"generator {k} is not a permutation of 0..{degree - 1}: {p}")
     identity = tuple(range(degree))
@@ -238,7 +264,7 @@ def group_from_permutations(
         product.append(left[via[i]](product[parent[i]]))
     if labels is None:
         labels = [cycle_label(p) for p in elements]
-    return GroupTable(product, labels=labels, name=name, perms=elements)
+    return GroupTable._from_closure(tuple(product), labels, name, tuple(elements))
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
@@ -250,7 +276,8 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """
     gens = set()
     for s in seed:
-        s = int(s)
+        if not _is_int(s):
+            raise ValueError(f"seed element {s!r} is not an integer")
         if not 0 <= s < g.order:
             raise ValueError(f"seed element {s} out of range")
         gens.add(s)
@@ -262,7 +289,7 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
             if row[s] not in members:
                 members.add(row[s])
                 orbit.append(row[s])
-    return SubgroupSet(g, tuple(orbit))
+    return SubgroupSet._from_closure(g, orbit)
 
 
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:

@@ -22,7 +22,7 @@ from .complexes import (
 )
 from .connections import Voltage, check_flatness
 from .errors import ComplexError, FlatConnError, InputError
-from .groups import GroupTable, catalog_group, group_from_permutations
+from .groups import GroupTable, _is_int, catalog_group, group_from_permutations
 from .subgroups import SubgroupSpec
 from .theorems import Instance
 
@@ -70,11 +70,6 @@ def resolve_element(g: GroupTable, ref: Any, location: str) -> int:
         except ValueError:
             raise InputError(f"no element labelled {ref!r}", location) from None
     raise InputError(f"element reference must be an index or label, got {ref!r}", location)
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer: ``int`` but not ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_list(value: Any, message: str, location: str) -> None:

@@ -44,8 +44,8 @@ from .complexes import (
 from .connections import (
     HolonomyMorphism,
     Voltage,
+    _require_flat,
     _tree_potentials,
-    check_flatness,
     holonomy_group,
     holonomy_morphism,
     kernel_automaton,
@@ -58,7 +58,6 @@ from .covers import (
     compose_complex_maps,
     subgroup_of_cover,
 )
-from .errors import FlatnessError
 from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
@@ -137,12 +136,9 @@ class Instance:
         name: str = "instance",
         tc_cap: Optional[int] = None,
     ):
-        validate_complex(complex)
-        if voltage.complex is not complex or voltage.group is not group:
+        if voltage.complex is not complex or voltage.group is not group:  # the voltage validated complex
             raise ValueError("voltage does not match the instance complex/group")
-        violations = check_flatness(voltage)
-        if violations:
-            raise FlatnessError(violations)
+        _require_flat(voltage)
         self.complex = complex
         self.group = group
         self.voltage = voltage

@@ -66,6 +66,13 @@ def test_non_bijective_generator_rejected():
         group_from_permutations(3, [(0, 0, 2)])
 
 
+def test_non_integer_generator_image_rejected():
+    # not truncated into the transposition (01)
+    with pytest.raises(ValueError) as err:
+        group_from_permutations(3, [(1.5, 0, 2)])
+    assert str(err.value) == "generator 0 image 1.5 is not an integer"
+
+
 def test_closure_cap():
     with pytest.raises(ClosureCapError):
         group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)], cap=10)
@@ -84,6 +91,10 @@ def test_closure_cap():
         ([[0, 1], [0, 0]], "element 0 must act as the identity"),  # column 0
         ([[0, 1], [1, 1]], "element 1 has no inverse"),
         ([[0, 1, 2], [1, 2, 0], [2, 1, 2]], "one-sided inverse at element 1"),
+        # entries are not truncated: 0.5 is not element 0
+        ([[0, 1], [1, 0.5]], "product entry 0.5 is not an integer"),
+        ([[0, 1], [True, 0]], "product entry True is not an integer"),
+        ([[0, 1], ["1", 0]], "product entry '1' is not an integer"),
     ],
 )
 def test_group_table_constructor_errors(product, message):
@@ -105,6 +116,9 @@ def test_group_table_constructor_errors(product, message):
         ((0, 1, 2), "subgroup not closed under product at ((01), (012))"),
         ((0, 2, 3), "subgroup not closed under inverse at (012)"),
         ((0, 3, 4), "subgroup not closed under product at ((02), (12))"),
+        # members are not truncated: 1.7 is not (01)
+        ((0, 1.7), "subgroup member 1.7 is not an integer"),
+        ((0, True), "subgroup member True is not an integer"),
     ],
 )
 def test_subgroup_set_constructor_errors(members, message):
@@ -197,6 +211,13 @@ def test_subgroup_closure_rejects_out_of_range_seed(s3):
     for bad in (-1, 6):
         with pytest.raises(ValueError, match="out of range"):
             subgroup_closure(s3, [1, bad])
+
+
+def test_subgroup_closure_rejects_non_integer_seed(s3):
+    # not truncated into <(01)>
+    with pytest.raises(ValueError) as err:
+        subgroup_closure(s3, (1.9,))
+    assert str(err.value) == "seed element 1.9 is not an integer"
 
 
 def test_subgroup_closure_idempotent():

@@ -5,7 +5,7 @@ import pytest
 
 from flatconn.cli import main
 from flatconn.complexes import validate_complex
-from flatconn.errors import InputError
+from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.io import (
     complex_to_json,
     parse_complex,
@@ -14,6 +14,7 @@ from flatconn.io import (
     parse_word_string,
     word_to_string,
 )
+from flatconn.theorems import FAILS, standard_reports
 
 HERE = os.path.dirname(__file__)
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
@@ -389,6 +390,95 @@ def test_out_of_range_references_are_rejected_at_their_location():
 def test_cli_out_of_range_reference_exit_2(tmp_path, capsys, keys, value, location, message):
     doc = with_leaf(load_doc("wedge_s3_01.json"), keys, value)
     assert message in assert_input_error(doc, location, tmp_path, capsys)
+
+
+REPLACEMENTS = (None, {}, [], "x", [[]], -1, 0)
+
+
+def field_pointers(node, pointer=()):
+    """Pointer parts of every field of a document: each object member and
+    each list element, at every depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield pointer + (key,)
+        yield from field_pointers(child, pointer + (key,))
+
+
+def without_field(doc, parts):
+    """A copy of the document with the field at ``parts`` deleted."""
+    mutated = json.loads(json.dumps(doc))
+    target = mutated
+    for key in parts[:-1]:
+        target = target[key]
+    del target[parts[-1]]
+    return mutated
+
+
+def test_dropped_and_replaced_fields_fail_cleanly_or_verify():
+    """Every field of every parsable document, deleted or replaced by each
+    of ``REPLACEMENTS``: the mutant raises InputError at a JSON pointer, or
+    it parses and then verifies with seven reports and no failing verdict,
+    or it ends as the CLI ends it (no covering section, or a subgroup of
+    infinite index)."""
+    outcomes = {"input-error": 0, "verified": 0, "no-covering": 0, "infinite-index": 0}
+    for name in sorted(os.listdir(INSTANCES)):
+        doc = load_doc(name)
+        try:
+            parse_instance_data(doc)
+        except InputError:
+            continue
+        for parts in field_pointers(doc):
+            mutants = [without_field(doc, parts)] + [with_leaf(doc, parts, r) for r in REPLACEMENTS]
+            for mutated in mutants:
+                try:
+                    inst = parse_instance_data(mutated)
+                except InputError as exc:
+                    assert exc.location.startswith("/"), (name, parts, exc.location)
+                    outcomes["input-error"] += 1
+                    continue
+                if inst.covering_spec is None:
+                    outcomes["no-covering"] += 1
+                    continue
+                try:
+                    if not inst.subgroup_aut.complete:
+                        raise IncompleteAutomatonError("subgroup has infinite index (core incomplete)")
+                    reports = standard_reports(inst, seed=1)
+                except (EnumerationCapError, IncompleteAutomatonError):
+                    outcomes["infinite-index"] += 1
+                    continue
+                assert len(reports) == 7, (name, parts)
+                assert all(r.verdict != FAILS for r in reports), (name, parts)
+                outcomes["verified"] += 1
+    assert sum(outcomes.values()) == 1304
+    assert min(outcomes.values()) > 0 and outcomes["input-error"] > 1000, outcomes
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "keys,value,location",
+    [
+        (("group",), DROP, "/group"),
+        (("group",), {}, "/group"),
+        (("complex", "vertices"), DROP, "/complex"),
+        (("complex", "edges"), "x", "/complex/edges"),
+        (("voltage", 0), DROP, "/voltage"),
+        (("voltage", 0, "element"), [[]], "/voltage/0/element"),
+        (("covering", "kind"), DROP, "/covering"),
+        (("covering",), "x", "/covering"),
+    ],
+)
+def test_cli_dropped_or_replaced_field_exit_2(tmp_path, capsys, keys, value, location):
+    """One dropped and one replaced field per section."""
+    doc = load_doc("wedge_s3_01.json")
+    doc = without_field(doc, keys) if value is DROP else with_leaf(doc, keys, value)
+    assert_input_error(doc, location, tmp_path, capsys)
 
 
 def test_cli_verify_requires_seed(capsys):

@@ -1,0 +1,124 @@
+"""The library's builders hand over what they build without re-checking it.
+
+Group tables from ``group_from_permutations``, subgroups from
+``subgroup_closure``, the total space of ``build_cover``, the components of
+``component_complex`` and the pulled-back voltage are valid by construction,
+so the library does not run the public validators on them.  These oracles
+run the public validators on fresh copies of those outputs instead: every
+table passes ``GroupTable``, every closure passes ``SubgroupSet``, every
+complex passes ``validate_complex`` and every pullback is flat.
+"""
+
+import os
+import random
+
+import pytest
+
+from flatconn.complexes import BaseComplex, validate_complex
+from flatconn.connections import Voltage, check_flatness
+from flatconn.corpus import generate_corpus
+from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
+from flatconn.groups import (
+    CATALOG_GROUP_NAMES,
+    GroupTable,
+    SubgroupSet,
+    catalog_group,
+    enumerate_subgroups,
+    group_from_permutations,
+    subgroup_closure,
+)
+from flatconn.io import parse_instance
+
+INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
+CORPUS_SEEDS = range(8)
+CORPUS_COUNT = 250
+S5_GENERATORS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+S6_GENERATORS = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+
+
+def _random_groups(count, seed=0):
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(count):
+        degree = rng.randint(1, 5)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(0, 3))]
+        groups.append(group_from_permutations(degree, gens))
+    return groups
+
+
+def test_built_tables_pass_the_public_constructor():
+    groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
+    groups.append(group_from_permutations(5, S5_GENERATORS))
+    groups.append(group_from_permutations(6, S6_GENERATORS))
+    groups.extend(_random_groups(100))
+    assert max(g.order for g in groups) == 720
+    for g in groups:
+        checked = GroupTable(g.product, labels=g.labels, name=g.name, perms=g.perms)
+        assert checked.order == g.order
+        assert checked.product == g.product
+        assert checked.inverse == g.inverse
+        assert checked.labels == g.labels
+        assert checked.perms == g.perms
+
+
+def test_closures_pass_the_public_constructor():
+    rng = random.Random(5)
+    checked = 0
+    for name in CATALOG_GROUP_NAMES:
+        g = catalog_group(name)
+        closures = list(enumerate_subgroups(g))
+        for _ in range(40):
+            seed = [rng.randrange(g.order) for _ in range(rng.randint(0, 4))]
+            closures.append(subgroup_closure(g, seed))
+        for s in closures:
+            assert SubgroupSet(g, s.members).members == s.members
+            checked += 1
+    assert checked > 8 * 40
+
+
+def _fresh_copy(c):
+    """The same complex, built again by the public constructor: unflagged."""
+    return BaseComplex(c.vertex_count, list(c.edges), basepoint=c.basepoint, relators=c.relators)
+
+
+def _instances():
+    out = []
+    for seed in CORPUS_SEEDS:
+        out.extend(item.instance for item in generate_corpus(seed, CORPUS_COUNT))
+    for name in sorted(os.listdir(INSTANCES)):
+        try:
+            out.append(parse_instance(os.path.join(INSTANCES, name)))
+        except InputError:
+            continue
+    return out
+
+
+def _covered(inst):
+    """Whether the instance's covering automaton completes."""
+    try:
+        return inst.subgroup_aut.complete
+    except (EnumerationCapError, IncompleteAutomatonError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def covered_instances():
+    found = _instances()
+    covered = [inst for inst in found if _covered(inst)]
+    assert len(found) > 8 * CORPUS_COUNT and len(covered) > len(found) // 2
+    return covered
+
+
+def test_built_complexes_pass_validate_complex(covered_instances):
+    for inst in covered_instances:
+        for c in (inst.cover.total, inst.base_nx.complex, inst.cover_nx.complex):
+            fresh = _fresh_copy(c)
+            assert not fresh._validated
+            assert validate_complex(fresh) is fresh, inst.name
+
+
+def test_pullbacks_are_flat(covered_instances):
+    for inst in covered_instances:
+        pullback = inst.pullback
+        fresh = Voltage(_fresh_copy(pullback.complex), pullback.group, dict(pullback.assignment))
+        assert check_flatness(fresh) == (), inst.name

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 
 from .complexes import BaseComplex, EdgeWord, SpanningTreeData, validate_complex
 from .errors import FlatnessError
-from .groups import GroupTable, SubgroupSet, subgroup_closure
+from .groups import GroupTable, SubgroupSet, _is_int, subgroup_closure
 from .subgroups import CosetAutomaton, automaton_from_quotient
 from .words import Word
 
@@ -36,6 +36,8 @@ class Voltage:
             if e.id not in seen:
                 raise ValueError(f"voltage missing for edge {e.id}")
             val = seen.pop(e.id)
+            if not _is_int(val):
+                raise ValueError(f"voltage on edge {e.id} is not an integer: {val!r}")
             if not 0 <= val < self.group.order:
                 raise ValueError(f"voltage on edge {e.id} out of range: {val}")
         if seen:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Presentation
@@ -18,6 +19,7 @@ from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .words import Word, invert_word, reduce_word
 
 DEFAULT_TABLE_CELL_CAP = 1_000_000
+_CAP_MESSAGE = "enumeration did not complete within cap ({} cosets)"
 
 
 class CosetAutomaton:
@@ -268,9 +270,7 @@ class _CosetTable:
     def define(self, alpha: int, c: int) -> None:
         table = self.table
         if self.cap is not None and len(table) >= self.cap:
-            raise EnumerationCapError(
-                f"enumeration did not complete within cap ({self.cap} cosets)"
-            )
+            raise EnumerationCapError(_CAP_MESSAGE.format(self.cap))
         beta = len(table)
         row = [None] * (2 * self.rank)
         row[c ^ 1] = alpha
@@ -363,6 +363,78 @@ def stallings_core(generators: Sequence[Word], rank: int) -> CosetAutomaton:
     return table.automaton()
 
 
+def _proves_infinite_index(presentation: Presentation, words: Sequence[Word]) -> bool:
+    """True only if H = <words> has infinite index in the presented group G.
+
+    For finite-index H and K, the image of H ∩ K spans K^ab ⊗ Q.  K runs
+    over G and the kernels of maps G -> Z2 (all of them while a GF(2) basis
+    has at most three, else the basis), read as bit masks.  Reidemeister-
+    Schreier gives K^ab: column (u, x) counts letter x read forward at coset
+    u, the Schreier-tree column is a unit pivot, and each relator read from
+    each coset is a row.  H ∩ K adds one row per loop at coset 0 of H's
+    words acting on K's cosets, read between tree potentials.  The index is
+    infinite if the rank, exact by fraction-free elimination, stays short.
+    """
+    rank = presentation.rank
+    relators = [rel for rel in presentation.relators if rel]
+    pivots: dict = {}  # reduced GF(2) exponent-sum rows, by top bit
+    for rel in relators:
+        m = 0
+        for x, _ in rel:
+            m ^= 1 << x
+        for c, p in pivots.items():
+            if m >> c & 1:
+                m ^= p
+        if m:
+            top = m.bit_length() - 1
+            for c in pivots:
+                if pivots[c] >> top & 1:
+                    pivots[c] ^= m
+            pivots[top] = m
+    free = [f for f in range(rank) if f not in pivots]
+    basis = [1 << f | sum(1 << c for c, p in pivots.items() if p >> f & 1) for f in free]
+    maps = [0]
+    for b in basis:
+        maps += [m ^ b for m in maps] if len(basis) <= 3 else [b]
+    for phi in maps:
+        cols = rank * (2 if phi else 1)
+
+        def read(w: Word, u: int) -> tuple[list, int]:
+            v = [0] * cols
+            for x, sign in w:
+                if sign < 0:
+                    u ^= phi >> x & 1
+                v[u * rank + x] += sign
+                if sign > 0:
+                    u ^= phi >> x & 1
+            return v, u
+
+        rows = [read(rel, u)[0] for rel in relators for u in ((0, 1) if phi else (0,))]
+        pot, order = {0: [0] * cols}, [0]
+        for u in order:
+            for w in words:
+                v, t = read(w, u)
+                if t in pot:
+                    rows.append([p + a - q for p, a, q in zip(pot[u], v, pot[t])])
+                else:
+                    pot[t] = [p + a for p, a in zip(pot[u], v)]
+                    order.append(t)
+        tree = (phi & -phi).bit_length() - 1  # generator from coset 0 to 1
+        echelon = {tree: [int(c == tree) for c in range(cols)]} if phi else {}
+        for row in rows:
+            while any(row) and len(echelon) < cols:
+                lead = next(c for c, a in enumerate(row) if a)
+                if lead not in echelon:
+                    g = gcd(*row)
+                    echelon[lead] = [a // g for a in row]
+                    break
+                p = echelon[lead]
+                row = [p[lead] * a - row[lead] * b for a, b in zip(row, p)]
+        if len(echelon) < cols:
+            return True
+    return False
+
+
 def todd_coxeter(
     presentation: Presentation,
     subgroup_words: Sequence[Word],
@@ -374,14 +446,18 @@ def todd_coxeter(
     every relator is scanned and filled at each live coset in input order,
     and remaining gaps are filled by definitions in scan order.  Coincidences
     collapse onto the smallest state.  ``cap`` bounds the total number of
-    coset definitions; running past it raises :class:`EnumerationCapError`
-    (finite index cannot be distinguished from an insufficient cap).
+    coset definitions; running past it raises :class:`EnumerationCapError`,
+    at once if :func:`_proves_infinite_index` shows that H has infinite index
+    (the enumeration would then pass any cap); otherwise a finite index
+    cannot be told from an insufficient cap.
     """
     rank = presentation.rank
     if cap is None:
         cap = max(1, DEFAULT_TABLE_CELL_CAP // max(1, 2 * rank))
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if _proves_infinite_index(presentation, subgroup_words):
+        raise EnumerationCapError(_CAP_MESSAGE.format(cap))
     ct = _CosetTable(rank, cap)
     ct.scan_words(subgroup_words)
     relators = [ct.columns(rel) for rel in presentation.relators if rel]

@@ -25,6 +25,15 @@ def test_voltage_requires_every_edge(wedge, s3):
         Voltage(wedge, s3, {0: 1, 1: 2, 9: 0})
 
 
+def test_voltage_rejects_values_that_are_not_ints(wedge, s3):
+    # a float used to fail later inside holonomy_morphism, and a bool was
+    # read as element 0 or 1
+    with pytest.raises(ValueError, match=r"voltage on edge 0 is not an integer: 1\.0"):
+        Voltage(wedge, s3, {0: 1.0, 1: 2})
+    with pytest.raises(ValueError, match="voltage on edge 0 is not an integer: True"):
+        Voltage(wedge, s3, {0: True, 1: 2})
+
+
 def test_flatness_relator_free(wedge_s3_voltage):
     assert check_flatness(wedge_s3_voltage) == ()
 

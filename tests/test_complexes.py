@@ -35,6 +35,14 @@ def test_open_relator_rejected():
         validate_complex(c)
 
 
+def test_disconnected_reported_before_open_relator():
+    # vertex 2 is unreachable and relator 0 is open: connectivity is checked first
+    c = BaseComplex(3, [Edge(0, 0, 1)], relators=[((0, 1),)])
+    with pytest.raises(ComplexError) as err:
+        validate_complex(c)
+    assert str(err.value) == "graph is disconnected; unreachable vertices [2]"
+
+
 def test_dangling_references_rejected():
     with pytest.raises(ComplexError):
         BaseComplex(1, [Edge(0, 0, 2)])

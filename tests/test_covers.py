@@ -110,6 +110,16 @@ def test_is_covering_map_rejects_folded_parallel_edges():
     assert not is_covering_map(m)
 
 
+def test_path_onto_loop_is_not_a_covering():
+    # one-to-one at each vertex but not onto: the loop's incoming end has no preimage at 0
+    src = BaseComplex(2, [Edge(0, 0, 1)])
+    dst = BaseComplex(1, [Edge(0, 0, 0)])
+    m = ComplexMap(src, dst, (0, 0), {0: 0})
+    assert not is_covering_map(m)
+    with pytest.raises(IncidenceError, match="requires a covering map"):
+        subgroup_of_cover(m, 0)
+
+
 def test_is_covering_map_incidence_error():
     src = BaseComplex(2, [Edge(0, 0, 1)])
     dst = BaseComplex(2, [Edge(0, 0, 1)])

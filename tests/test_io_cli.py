@@ -173,6 +173,8 @@ def test_complex_json_round_trip(torus):
             "dot_wedge_s3_kernel_holonomy_bundle.txt",
         ),
         (["verify", "--all-random", "200", "--seed", "7"], "verify_all_random_200_seed7.txt"),
+        (["export-dot", doc_path("wedge_s3_a3.json"), "--what", "cover"], "dot_wedge_s3_a3_cover.txt"),
+        (["export-dot", doc_path("torus_z4.json"), "--what", "cover"], "dot_torus_z4_cover.txt"),
     ],
 )
 def test_cli_golden(argv, golden_name, capsys):
@@ -545,3 +547,15 @@ def test_cover_emit_complex_round_trip(tmp_path, capsys):
     validate_complex(rebuilt)
     assert rebuilt.vertex_count == 2 * 1
     assert len(rebuilt.edges) == 2 * 2
+
+
+def test_cover_emit_complex_pins_lifted_relators(tmp_path, capsys):
+    # the emitted document fixes the numbering of lifted edges and the order of lifted relators
+    out_path = tmp_path / "cover.json"
+    code, out, err = run_cli(
+        ["cover", doc_path("torus_z4.json"), "--emit-complex", str(out_path)], capsys
+    )
+    assert code == 0
+    assert out == f"degree: 4\nrank: 5\nregular: yes\nemitted: {out_path}\n"
+    with open(out_path, "r", encoding="utf-8") as fh:
+        assert fh.read() == golden("cover_torus_z4_complex.json")

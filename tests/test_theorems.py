@@ -4,7 +4,7 @@ from flatconn.complexes import BaseComplex, Edge
 from flatconn.connections import Voltage, word_holonomy
 from flatconn.covers import is_covering_map, lift_path
 from flatconn.errors import FlatnessError
-from flatconn.groups import group_from_permutations
+from flatconn.groups import group_from_permutations, subgroup_closure
 from flatconn.subgroups import SubgroupSpec, membership
 from flatconn.theorems import (
     FAILS,
@@ -323,3 +323,85 @@ def test_standard_reports_order(inst_kernel):
         "prop_2_4",
     ]
     assert all(r.verdict == HOLDS for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# FAILS reports, each forced by overriding one cached artifact
+
+
+def test_theorem_1_1_fails_report(inst_a3, s3):
+    inst_a3.__dict__["induced_image"] = subgroup_closure(s3, ())
+    assert verify_theorem_1_1(inst_a3).to_lines() == [
+        "claim: theorem_1_1",
+        "hypothesis automaton-complete: ok (index 2)",
+        "verdict: fails",
+        "witness h(H): {e, (012), (021)}",
+        "witness Im(h-induced): {e}",
+    ]
+
+
+def test_prop_2_1_fails_report(inst_kernel, inst_a3):
+    inst_kernel.__dict__["composite_subgroup"] = inst_a3.subgroup_aut
+    assert verify_prop_2_1(inst_kernel).to_lines() == [
+        "claim: prop_2_1",
+        "hypothesis subgroup-equals-kernel: ok (index 6 vs kernel index 6)",
+        "hypothesis subgroup-normal: ok (regular covering)",
+        "hypothesis holonomy-spans-group: ok (|Hol| = 6, |G| = 6)",
+        "verdict: fails",
+        "witness base-holonomy-bundle-index: 6",
+        "witness composite-index: 2",
+    ]
+
+
+def test_cor_2_2_fails_report(inst_a3):
+    inst_a3.__dict__["base_nx_subgroup"] = inst_a3.subgroup_aut
+    assert verify_cor_2_2(inst_a3).to_lines() == [
+        "claim: cor_2_2",
+        "hypothesis kernel-inside-subgroup: ok",
+        "hypothesis holonomy-spans-group: ok (|Hol| = 6, |G| = 6)",
+        "verdict: fails",
+        "witness base-equals-kernel: False",
+        "witness composite-equals-kernel: True",
+        "note: covering-regular: yes",
+    ]
+
+
+def test_prop_2_3_fails_report(inst_kernel, inst_a3):
+    inst_kernel.__dict__["composite_subgroup"] = inst_a3.subgroup_aut
+    assert verify_prop_2_3(inst_kernel).to_lines() == [
+        "claim: prop_2_3",
+        "hypothesis subgroup-equals-kernel: ok (index 6 vs kernel index 6)",
+        "hypothesis subgroup-normal: ok (regular covering)",
+        "hypothesis holonomy-spans-group: ok (|Hol| = 6, |G| = 6)",
+        "verdict: fails",
+        "witness product-form: True",
+        "witness base-equals-kernel: True",
+        "witness composite-equals-kernel: False",
+        "note: product-form: 6 components, each 6 vertices / 12 edges",
+    ]
+
+
+def test_prop_2_4_fails_report(inst_kernel, inst_a3):
+    inst_kernel.__dict__["base_nx_subgroup"] = inst_a3.subgroup_aut
+    assert verify_prop_2_4(inst_kernel).to_lines() == [
+        "claim: prop_2_4",
+        "hypothesis holonomy-spans-group: ok (|Hol| = 6, |G| = 6)",
+        "verdict: fails",
+        "witness bundle-subgroup-equals-kernel: False",
+        "witness rank-formula: True",
+        "note: fiber-orbit loop group is trivial here; the quotient is degenerate",
+        "note: rank pi1(holonomy bundle) = 7, expected 7",
+    ]
+
+
+def test_gate_misses_compute_no_gated_artifact(inst_a3, wedge, s3):
+    # the a3 cover is not the kernel cover: prop_2_1 and prop_2_3 stop at their gates
+    assert verify_prop_2_1(inst_a3).verdict == GATE
+    assert verify_prop_2_3(inst_a3).verdict == GATE
+    # holonomy {e, (01)} does not span S3: prop_2_4 and cor_2_2 stop at their gates
+    partial = Instance(wedge, s3, Voltage(wedge, s3, {0: 1, 1: 0}), A3_SPEC)
+    assert verify_prop_2_4(partial).verdict == GATE
+    assert verify_cor_2_2(partial).verdict == GATE
+    for inst in (inst_a3, partial):
+        for artifact in ("base_nx", "base_nx_subgroup", "cover_bundle", "composite_subgroup"):
+            assert artifact not in inst.__dict__

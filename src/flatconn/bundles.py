@@ -165,14 +165,6 @@ class DerivedBundle:
             source=self.graph, target=self.base, vertex_map=vertex_map, edge_map=edge_map
         )
 
-    def left_translation(self, g: int) -> tuple:
-        """Vertex permutation (v, x) -> (v, g * x); an automorphism over the base."""
-        n = self.group.order
-        mul = self.group.product
-        return tuple(
-            (idx // n) * n + mul[g][idx % n] for idx in range(self.graph.vertex_count)
-        )
-
 
 def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     """Build the derived graph of a flat voltage and its components.

@@ -163,29 +163,6 @@ def validate_complex(c: BaseComplex) -> BaseComplex:
     return c
 
 
-def graph_diameter(c: BaseComplex) -> int:
-    """Diameter of the underlying undirected graph (validated, connected)."""
-    validate_complex(c)
-    neighbors: dict[int, set] = {v: set() for v in range(c.vertex_count)}
-    for e in c.edges:
-        neighbors[e.tail].add(e.head)
-        neighbors[e.head].add(e.tail)
-    diameter = 0
-    for start in range(c.vertex_count):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in neighbors[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        diameter = max(diameter, max(dist.values()))
-    return diameter
-
-
 @dataclass(frozen=True)
 class SpanningTreeData:
     """Breadth-first spanning tree rooted at the basepoint.

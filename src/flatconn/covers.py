@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .complexes import BaseComplex, Edge, EdgeWord, spanning_tree
+from .complexes import BaseComplex, Edge, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
 from .subgroups import CosetAutomaton
 
@@ -89,12 +89,6 @@ def is_covering_map(m: ComplexMap) -> bool:
     return True
 
 
-def covering_degree(m: ComplexMap) -> int:
-    """Number of sheets; fiber sizes are uniform over a connected target."""
-    fiber = [v for v in range(m.source.vertex_count) if m.vertex_map[v] == m.target.basepoint]
-    return len(fiber)
-
-
 def _end_index(m: ComplexMap) -> list[dict]:
     """Per source vertex: (target edge id, sign) -> source edge id."""
     idx: list[dict] = [dict() for _ in range(m.source.vertex_count)]
@@ -102,25 +96,6 @@ def _end_index(m: ComplexMap) -> list[dict]:
         idx[e.tail][(m.edge_map[e.id], 1)] = e.id
         idx[e.head][(m.edge_map[e.id], -1)] = e.id
     return idx
-
-
-def lift_path(m: ComplexMap, w: EdgeWord, start: int) -> EdgeWord:
-    """The unique lift of a target path starting at a given source vertex."""
-    end_index = _end_index(m)
-    cur = start
-    lifted = []
-    for eid, sign in w:
-        key = (eid, sign)
-        try:
-            src_edge = end_index[cur][key]
-        except KeyError:
-            raise ComplexError(
-                f"no lift of edge {eid} (sign {sign}) at source vertex {cur}"
-            ) from None
-        lifted.append((src_edge, sign))
-        frm, to = m.source.step_endpoints((src_edge, sign))
-        cur = to
-    return tuple(lifted)
 
 
 @dataclass(frozen=True, eq=False)

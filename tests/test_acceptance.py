@@ -14,7 +14,7 @@ import time
 import pytest
 
 from flatconn.bundles import derived_bundle, holonomy_bundle
-from flatconn.complexes import graph_diameter, spanning_tree
+from flatconn.complexes import spanning_tree
 from flatconn.connections import holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
 from flatconn.covers import is_covering_map, subgroup_of_cover
@@ -32,6 +32,7 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
+from helpers import graph_diameter
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200

@@ -12,9 +12,7 @@ from flatconn.covers import (
     ComplexMap,
     build_cover,
     compose_complex_maps,
-    covering_degree,
     is_covering_map,
-    lift_path,
     subgroup_of_cover,
 )
 from flatconn.errors import (
@@ -34,6 +32,7 @@ from flatconn.subgroups import (
     stallings_core,
 )
 from flatconn.theorems import Instance, _product_form
+from helpers import covering_degree, left_translation, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -343,7 +342,7 @@ def test_left_translation_is_automorphism(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge, s3, wedge_s3_voltage)
     edge_set = {(e.tail, e.head, d.edge_pair(e.id)[0]) for e in d.graph.edges}
     for g in range(s3.order):
-        perm = d.left_translation(g)
+        perm = left_translation(d, g)
         translated = {
             (perm[e.tail], perm[e.head], d.edge_pair(e.id)[0]) for e in d.graph.edges
         }
@@ -359,7 +358,7 @@ def test_left_translation_permutes_components(wedge, s3):
     hol = {0, 1}
     base_comp = set(d.components[d.component_of[d.base_lift]])
     for g in range(s3.order):
-        perm = d.left_translation(g)
+        perm = left_translation(d, g)
         image = {perm[idx] for idx in base_comp}
         cids = {d.component_of[idx] for idx in image}
         assert len(cids) == 1

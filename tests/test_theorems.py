@@ -2,7 +2,7 @@ import pytest
 
 from flatconn.complexes import BaseComplex, Edge
 from flatconn.connections import Voltage, word_holonomy
-from flatconn.covers import is_covering_map, lift_path
+from flatconn.covers import is_covering_map
 from flatconn.errors import FlatnessError
 from flatconn.groups import group_from_permutations, subgroup_closure
 from flatconn.subgroups import SubgroupSpec, membership
@@ -22,6 +22,7 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
+from helpers import lift_path
 
 A = (0, 1)
 B = (1, 1)

@@ -22,11 +22,12 @@ from flatconn.complexes import (
 )
 from flatconn.connections import Voltage, holonomy_morphism, word_holonomy
 from flatconn.corpus import generate_corpus
-from flatconn.covers import lift_path, subgroup_of_cover
+from flatconn.covers import subgroup_of_cover
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance
 from flatconn.subgroups import CosetAutomaton
+from helpers import lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)

@@ -172,10 +172,11 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     The lifts of a spanning tree split the graph into |G| sheets; sheet s is
     the one through (basepoint, s), and ``sheets[u][x]`` is the sheet through
     (u, x), carried out along the tree by the tree edges' fiber maps.  The
-    lifts of a non-tree edge join the sheets pairwise, and a union-find over
-    the |G| sheet labels (keeping the smaller root) merges them into
-    components.  Only the lifted-edge rule is read, never the holonomy
-    morphism, so the claim checks compare two independent computations.
+    lifts of a non-tree edge join the sheets pairwise, by a permutation of
+    the sheet labels (its sheet map); the components are the orbits of the
+    sheets under the distinct non-identity sheet maps.  Only the lifted-edge
+    rule is read, never the holonomy morphism, so the claim checks compare
+    two independent computations.
     """
     if v.complex is not c:  # the voltage validated its complex
         raise ValueError("voltage is not defined on the given complex")
@@ -193,41 +194,29 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         # sheet of (parent, x * w^-sign).
         parent_row = sheets[c.step_endpoints(step)[0]]
         sheets[u] = _gather(parent_row, graph._fiber_map(c.edge_pos(step[0]), -step[1]))
-    root = list(range(n))
-    seen = set()
+    sheet_maps = set()
     for p, e in enumerate(c.edges):
-        if e.id in tree.tree_edges:
-            continue
-        # the lift at x joins sheet starts[x] to sheet ends[x]
-        starts, ends = sheets[e.tail], _gather(sheets[e.head], graph._fiber_map(p))
-        if starts == ends:
-            continue
-        joined = frozenset(zip(starts, ends))
-        if joined in seen:
-            continue
-        seen.add(joined)
-        for a, b in joined:
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
-            if a != b:
-                if b < a:
-                    a, b = b, a
-                root[b] = a
-    for s in range(n):
-        root[s] = root[root[s]]  # root[s] <= s, so root[s]'s root is final
-    # Every component meets fiber 0, so numbering components in order of
-    # first appearance along it numbers them by minimal vertex.
-    number: dict[int, int] = {}
+        if e.id not in tree.tree_edges:
+            # the lift at x joins sheet starts[x] to sheet ends[x]
+            starts, ends = sheets[e.tail], _gather(sheets[e.head], graph._fiber_map(p))
+            if starts != ends:
+                sheet_maps.add(frozenset(zip(starts, ends)))
+    moves = [dict(m) for m in sheet_maps]
+    # Every component meets fiber 0, so seeding orbits in order of first
+    # appearance along it numbers the components by minimal vertex.
+    component_of_sheet = [None] * n
+    sheet_counts = []
     for s in sheets[0]:
-        number.setdefault(root[s], len(number))
-    component_of_sheet = tuple(number[r] for r in root)
-    sheet_counts = [0] * len(number)
-    for cid in component_of_sheet:
-        sheet_counts[cid] += 1
+        if component_of_sheet[s] is None:
+            component_of_sheet[s] = cid = len(sheet_counts)
+            orbit = [s]
+            for a in orbit:  # forward images suffice: the maps permute finitely many sheets
+                for move in moves:
+                    b = move[a]
+                    if component_of_sheet[b] is None:
+                        component_of_sheet[b] = cid
+                        orbit.append(b)
+            sheet_counts.append(len(orbit))
     return DerivedBundle(
         base=c,
         group=g,

@@ -31,7 +31,8 @@ class BaseComplex:
     closure are enforced by :func:`validate_complex` so that malformed inputs
     can be built and then rejected with a precise error.  The per-vertex
     incidence behind :meth:`star` is built once here; the spanning tree is
-    built once, on first request, and kept like the validation flag.
+    built once, by the validation's connectivity check, and kept with the
+    validation flag.
     """
 
     __slots__ = (
@@ -137,29 +138,18 @@ class BaseComplex:
 
 
 def validate_complex(c: BaseComplex) -> BaseComplex:
-    """Check connectivity and relator closure; returns the same complex."""
-    if c._validated:
-        return c
-    reached = {c.basepoint}
-    frontier = [c.basepoint]
-    neighbors: dict[int, list[int]] = {}
-    for e in c.edges:
-        neighbors.setdefault(e.tail, []).append(e.head)
-        neighbors.setdefault(e.head, []).append(e.tail)
-    while frontier:
-        v = frontier.pop()
-        for u in neighbors.get(v, ()):
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    if len(reached) != c.vertex_count:
-        missing = sorted(set(range(c.vertex_count)) - reached)
-        raise ComplexError(f"graph is disconnected; unreachable vertices {missing}")
-    for k, w in enumerate(c.relators):
-        verts = c.path_vertices(w)
-        if verts[0] != verts[-1]:
-            raise ComplexError(f"relator {k} is not a closed path ({verts[0]} != {verts[-1]})")
-    c._validated = True
+    """Check connectivity and relator closure; returns the same complex.
+
+    Connectivity is checked by the spanning-tree BFS, whose tree is kept on
+    the complex; a complex built valid skips only the relator check."""
+    if c._tree is None:
+        c._tree = _breadth_first_tree(c)
+    if not c._validated:
+        for k, w in enumerate(c.relators):
+            verts = c.path_vertices(w)
+            if verts[0] != verts[-1]:
+                raise ComplexError(f"relator {k} is not a closed path ({verts[0]} != {verts[-1]})")
+        c._validated = True
     return c
 
 
@@ -196,9 +186,10 @@ class SpanningTreeData:
 def spanning_tree(c: BaseComplex) -> SpanningTreeData:
     """Deterministic BFS tree: edges explored in ascending id, forward
     orientation before reverse.  Built once per complex and kept on it."""
-    if c._tree is not None:
-        return c._tree
-    validate_complex(c)
+    return validate_complex(c)._tree
+
+
+def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
     base = c.basepoint
     parent: list = [None] * c.vertex_count
     visited = [False] * c.vertex_count
@@ -216,15 +207,17 @@ def spanning_tree(c: BaseComplex) -> SpanningTreeData:
                 tree.add(step[0])
                 order.append(u)
                 queue.append(u)
+    if len(order) != c.vertex_count:
+        missing = [u for u in range(c.vertex_count) if not visited[u]]
+        raise ComplexError(f"graph is disconnected; unreachable vertices {missing}")
     generators = tuple(e.id for e in c.edges if e.id not in tree)
-    c._tree = SpanningTreeData(
+    return SpanningTreeData(
         complex=c,
         tree_edges=frozenset(tree),
         parent=tuple(parent),
         order=tuple(order),
         generators=generators,
     )
-    return c._tree
 
 
 def _generator_word(gen_index: dict, w: EdgeWord) -> Word:

@@ -10,7 +10,7 @@ basepointed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
@@ -78,23 +78,23 @@ def is_covering_map(m: ComplexMap) -> bool:
 
     Incidence violations raise; a failed bijection returns False.
     """
+    return _lift_index(m) is not None
+
+
+def _lift_index(m: ComplexMap) -> Optional[list]:
+    """Per source vertex: (target edge id, sign) -> the source edge whose end
+    there lifts it; None unless the edge-ends at every source vertex map one
+    to one (no key is taken twice) and onto (as many keys as ends at the
+    image vertex).  Incidence is checked first, so every key is such an end."""
     check_incidence(m)
-    for v in range(m.source.vertex_count):
-        image_star = m.target.star(m.vertex_map[v])
-        mapped = [m.map_step(end) for end in m.source.star(v)]
-        if len(mapped) != len(set(mapped)):
-            return False
-        if sorted(mapped) != sorted(image_star):
-            return False
-    return True
-
-
-def _end_index(m: ComplexMap) -> list[dict]:
-    """Per source vertex: (target edge id, sign) -> source edge id."""
-    idx: list[dict] = [dict() for _ in range(m.source.vertex_count)]
+    idx: list[dict] = [{} for _ in range(m.source.vertex_count)]
     for e in m.source.edges:
-        idx[e.tail][(m.edge_map[e.id], 1)] = e.id
-        idx[e.head][(m.edge_map[e.id], -1)] = e.id
+        t = m.edge_map[e.id]
+        if idx[e.tail].setdefault((t, 1), e.id) != e.id or idx[e.head].setdefault((t, -1), e.id) != e.id:
+            return None
+    for v, ends in enumerate(idx):
+        if len(ends) != len(m.target.star(m.vertex_map[v])):
+            return None
     return idx
 
 
@@ -207,12 +207,12 @@ def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
     sheet(head) along each lift of its edge.  States are the sheets reached
     from the base lift's: for a connected source, every sheet.
     """
-    if not is_covering_map(m):
+    end_index = _lift_index(m)
+    if end_index is None:
         raise IncidenceError("subgroup extraction requires a covering map")
     base, source = m.target, m.source
     if m.vertex_map[base_lift] != base.basepoint:
         raise ValueError("base lift does not sit over the basepoint")
-    end_index = _end_index(m)
     tree = spanning_tree(base)
     lifts = [()] * base.vertex_count  # lifts[u][k]: the vertex over u on sheet k
     lifts[base.basepoint] = [x for x, u in enumerate(m.vertex_map) if u == base.basepoint]

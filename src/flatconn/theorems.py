@@ -268,24 +268,22 @@ def _subgroup_witness(name: str, s: SubgroupSet) -> tuple:
     return (name, "{" + ", ".join(s.label_list()) + "}")
 
 
+def _verdict(claim: str, hyp: tuple, ok: bool, witnesses: tuple, notes: tuple = ()) -> VerificationReport:
+    """The verdict once the hypotheses pass: HOLDS if the check holds, else
+    FAILS with the claim's witnesses."""
+    if ok:
+        return VerificationReport(claim, HOLDS, hypotheses=hyp, notes=notes)
+    return VerificationReport(claim, FAILS, hypotheses=hyp, witnesses=witnesses, notes=notes)
+
+
 def verify_theorem_1_1(inst: Instance) -> VerificationReport:
     """Check: induced holonomy image equals the base holonomy image of the
     covering subgroup (computed through its Schreier generators)."""
     aut = inst.subgroup_aut
-    hyp = [HypothesisCheck("automaton-complete", aut.complete, f"index {aut.state_count}")]
-    restricted = inst.restricted_image
-    induced = inst.induced_image
-    if restricted.members == induced.members:
-        return VerificationReport("theorem_1_1", HOLDS, hypotheses=tuple(hyp))
-    return VerificationReport(
-        "theorem_1_1",
-        FAILS,
-        hypotheses=tuple(hyp),
-        witnesses=(
-            _subgroup_witness("h(H)", restricted),
-            _subgroup_witness("Im(h-induced)", induced),
-        ),
-    )
+    hyp = (HypothesisCheck("automaton-complete", aut.complete, f"index {aut.state_count}"),)
+    restricted, induced = inst.restricted_image, inst.induced_image
+    witnesses = (_subgroup_witness("h(H)", restricted), _subgroup_witness("Im(h-induced)", induced))
+    return _verdict("theorem_1_1", hyp, restricted.members == induced.members, witnesses)
 
 
 def verify_functoriality(
@@ -350,21 +348,16 @@ def verify_functoriality(
 
 
 def _product_form(inst: Instance) -> tuple[bool, str]:
-    """Does the bundle upstairs split into |G| copies of the cover?"""
-    bundle = inst.cover_bundle
-    n = inst.group.order
-    v_hat = inst.cover.total.vertex_count
-    e_hat = len(inst.cover.total.edges)
-    if len(bundle.components) != n:
-        return False, f"{len(bundle.components)} components, expected {n}"
-    # a sheet of the bundle has one vertex over each cover vertex, one edge over each cover edge
-    for sheets in bundle.sheet_counts:
-        if sheets * v_hat != v_hat:
-            return False, f"component with {sheets * v_hat} vertices, expected {v_hat}"
-    for cid, sheets in enumerate(bundle.sheet_counts):
-        if sheets * e_hat != e_hat:
-            return False, f"component {cid} has {sheets * e_hat} edges, expected {e_hat}"
-    return True, f"{n} components, each {v_hat} vertices / {e_hat} edges"
+    """Does the bundle upstairs split into |G| copies of the cover?
+
+    Components are unions of the |G| sheets, so |G| components are one sheet
+    each: one vertex over each cover vertex, one edge over each cover edge.
+    """
+    n, total = inst.group.order, inst.cover.total
+    count = len(inst.cover_bundle.components)
+    if count != n:
+        return False, f"{count} components, expected {n}"
+    return True, f"{n} components, each {total.vertex_count} vertices / {len(total.edges)} edges"
 
 
 def is_induced_trivial(inst: Instance) -> VerificationReport:
@@ -452,18 +445,12 @@ def verify_prop_2_1(inst: Instance) -> VerificationReport:
     )
     if not all(h.passed for h in hyp):
         return VerificationReport("prop_2_1", GATE, hypotheses=hyp)
-    same = automata_equal(inst.base_nx_subgroup, inst.composite_subgroup)
-    if same:
-        return VerificationReport("prop_2_1", HOLDS, hypotheses=hyp)
-    return VerificationReport(
-        "prop_2_1",
-        FAILS,
-        hypotheses=hyp,
-        witnesses=(
-            ("base-holonomy-bundle-index", str(inst.base_nx_subgroup.state_count)),
-            ("composite-index", str(inst.composite_subgroup.state_count)),
-        ),
+    base, comp = inst.base_nx_subgroup, inst.composite_subgroup
+    witnesses = (
+        ("base-holonomy-bundle-index", str(base.state_count)),
+        ("composite-index", str(comp.state_count)),
     )
+    return _verdict("prop_2_1", hyp, automata_equal(base, comp), witnesses)
 
 
 def verify_cor_2_2(inst: Instance) -> VerificationReport:
@@ -482,18 +469,8 @@ def verify_cor_2_2(inst: Instance) -> VerificationReport:
         return VerificationReport("cor_2_2", GATE, hypotheses=hyp, notes=notes)
     base_ok = automata_equal(inst.base_nx_subgroup, inst.kernel_aut)
     comp_ok = automata_equal(inst.composite_subgroup, inst.kernel_aut)
-    if base_ok and comp_ok:
-        return VerificationReport("cor_2_2", HOLDS, hypotheses=hyp, notes=notes)
-    return VerificationReport(
-        "cor_2_2",
-        FAILS,
-        hypotheses=hyp,
-        notes=notes,
-        witnesses=(
-            ("base-equals-kernel", str(base_ok)),
-            ("composite-equals-kernel", str(comp_ok)),
-        ),
-    )
+    witnesses = (("base-equals-kernel", str(base_ok)), ("composite-equals-kernel", str(comp_ok)))
+    return _verdict("cor_2_2", hyp, base_ok and comp_ok, witnesses, notes)
 
 
 def verify_prop_2_3(inst: Instance) -> VerificationReport:
@@ -509,20 +486,13 @@ def verify_prop_2_3(inst: Instance) -> VerificationReport:
     product_ok, detail = _product_form(inst)
     base_ok = automata_equal(inst.base_nx_subgroup, inst.kernel_aut)
     comp_ok = automata_equal(inst.composite_subgroup, inst.kernel_aut)
-    notes = (f"product-form: {detail}",)
-    if product_ok and base_ok and comp_ok:
-        return VerificationReport("prop_2_3", HOLDS, hypotheses=hyp, notes=notes)
-    return VerificationReport(
-        "prop_2_3",
-        FAILS,
-        hypotheses=hyp,
-        notes=notes,
-        witnesses=(
-            ("product-form", str(product_ok)),
-            ("base-equals-kernel", str(base_ok)),
-            ("composite-equals-kernel", str(comp_ok)),
-        ),
+    witnesses = (
+        ("product-form", str(product_ok)),
+        ("base-equals-kernel", str(base_ok)),
+        ("composite-equals-kernel", str(comp_ok)),
     )
+    notes = (f"product-form: {detail}",)
+    return _verdict("prop_2_3", hyp, product_ok and base_ok and comp_ok, witnesses, notes)
 
 
 def verify_prop_2_4(inst: Instance) -> VerificationReport:
@@ -543,18 +513,8 @@ def verify_prop_2_4(inst: Instance) -> VerificationReport:
         actual = inst.base_nx.complex.free_rank
         rank_ok = actual == expected
         notes.append(f"rank pi1(holonomy bundle) = {actual}, expected {expected}")
-    if sub_ok and rank_ok:
-        return VerificationReport("prop_2_4", HOLDS, hypotheses=hyp, notes=tuple(notes))
-    return VerificationReport(
-        "prop_2_4",
-        FAILS,
-        hypotheses=hyp,
-        notes=tuple(notes),
-        witnesses=(
-            ("bundle-subgroup-equals-kernel", str(sub_ok)),
-            ("rank-formula", str(rank_ok)),
-        ),
-    )
+    witnesses = (("bundle-subgroup-equals-kernel", str(sub_ok)), ("rank-formula", str(rank_ok)))
+    return _verdict("prop_2_4", hyp, sub_ok and rank_ok, witnesses, tuple(notes))
 
 
 @dataclass(frozen=True)

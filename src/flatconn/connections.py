@@ -44,6 +44,20 @@ class Voltage:
             raise ValueError(f"voltage assigned to unknown edges {sorted(seen)}")
         object.__setattr__(self, "assignment", dict(self.assignment))
 
+    @classmethod
+    def _trusted(
+        cls, complex: BaseComplex, group: GroupTable, assignment: dict, violations: Optional[tuple] = None
+    ) -> Voltage:
+        """A voltage valid by construction, stored without the checks; known
+        ``violations`` are kept as its flatness result."""
+        v = cls.__new__(cls)
+        object.__setattr__(v, "complex", complex)
+        object.__setattr__(v, "group", group)
+        object.__setattr__(v, "assignment", assignment)
+        if violations is not None:
+            v.__dict__["_violations"] = violations
+        return v
+
     @cached_property
     def _violations(self) -> tuple:
         g, out = self.group, []

@@ -257,11 +257,15 @@ class Instance:
 
 def pullback_voltage(cov: CoveringComplex, v: Voltage) -> Voltage:
     """Pull a voltage back along a covering: each lifted edge inherits the
-    value of its image.  Flatness carries over to the lifted relators."""
+    value of its image.  The values are the base voltage's, already checked,
+    so the result is handed over unchecked.  Each lifted relator multiplies
+    to its base relator's product, so a flat base gives a pullback known to
+    be flat; a non-flat base's pullback evaluates its relators when asked."""
     if v.complex is not cov.base:
         raise ValueError("voltage is not defined on the covering's base")
-    assignment = {eid: v.on_edge(base_eid) for eid, base_eid in cov.edge_to_base.items()}
-    return Voltage(cov.total, v.group, assignment)
+    w = v.assignment
+    assignment = {eid: w[base_eid] for eid, base_eid in cov.edge_to_base.items()}
+    return Voltage._trusted(cov.total, v.group, assignment, () if v._violations == () else None)
 
 
 def _subgroup_witness(name: str, s: SubgroupSet) -> tuple:

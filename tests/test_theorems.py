@@ -1,11 +1,11 @@
 import pytest
 
 from flatconn.complexes import BaseComplex, Edge
-from flatconn.connections import Voltage, word_holonomy
-from flatconn.covers import is_covering_map
+from flatconn.connections import Voltage, check_flatness, word_holonomy
+from flatconn.covers import build_cover, is_covering_map
 from flatconn.errors import FlatnessError
 from flatconn.groups import group_from_permutations, subgroup_closure
-from flatconn.subgroups import SubgroupSpec, membership
+from flatconn.subgroups import SubgroupSpec, automaton_from_quotient, membership
 from flatconn.theorems import (
     FAILS,
     GATE,
@@ -14,6 +14,7 @@ from flatconn.theorems import (
     VerificationReport,
     is_induced_trivial,
     oracle_holonomy,
+    pullback_voltage,
     standard_reports,
     verify_cor_2_2,
     verify_functoriality,
@@ -63,6 +64,15 @@ def test_pullback_a3_cover(inst_a3, s3):
     b_lift_values = {pb.on_edge(e.id) for e in cov.total.edges if cov.edge_to_base[e.id] == 1}
     assert a_lift_values == {1}  # both a-lifts carry (01)
     assert b_lift_values == {2}  # both b-loops carry (012)
+
+
+def test_pullback_of_nonflat_voltage_keeps_its_violations(torus, s3, z4):
+    # a flat base hands its flatness over; a non-flat base's pullback evaluates its lifted relators
+    cov = build_cover(torus, automaton_from_quotient([1, 2], z4, subgroup_closure(z4, (2,))))
+    pb = pullback_voltage(cov, Voltage(torus, s3, {0: 1, 1: 3}))
+    fresh = Voltage(cov.total, s3, dict(pb.assignment))
+    assert check_flatness(pb) == check_flatness(fresh)
+    assert len(check_flatness(pb)) == cov.degree
 
 
 def test_pullback_identity_voltage(wedge, s3):

@@ -122,3 +122,4 @@ def test_pullbacks_are_flat(covered_instances):
         pullback = inst.pullback
         fresh = Voltage(_fresh_copy(pullback.complex), pullback.group, dict(pullback.assignment))
         assert check_flatness(fresh) == (), inst.name
+        assert fresh.assignment == pullback.assignment, inst.name

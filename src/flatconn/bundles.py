@@ -284,7 +284,7 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
     sub._validated = True  # a component is connected and has no relators
     vertex_map = tuple(g // n for g in verts)
     edge_map = {i: d.base.edges[eid // n].id for i, eid in enumerate(global_edges)}
-    proj = ComplexMap(source=sub, target=d.base, vertex_map=vertex_map, edge_map=edge_map)
+    proj = ComplexMap._trusted(sub, d.base, vertex_map, edge_map)
     return HolonomyBundle(
         bundle=d,
         complex=sub,

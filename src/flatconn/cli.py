@@ -107,6 +107,8 @@ def _verdict_exit(reports, strict_gates: bool) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.samples < 0:
+        raise FlatConnError(f"--samples must be non-negative, got {args.samples}")
     if args.all_random is not None:
         return _verify_random(args, out)
     if args.document is None:

@@ -10,6 +10,7 @@ basepointed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .complexes import BaseComplex, Edge, spanning_tree
@@ -45,6 +46,13 @@ class ComplexMap:
             self.target.edge(tid)
         object.__setattr__(self, "edge_map", dict(self.edge_map))
 
+    @classmethod
+    def _trusted(cls, source: BaseComplex, target: BaseComplex, vertex_map: tuple, edge_map: dict):
+        """A map valid by construction, stored without the checks."""
+        m = cls.__new__(cls)
+        m.__dict__.update(source=source, target=target, vertex_map=vertex_map, edge_map=edge_map)
+        return m
+
     def map_step(self, step: tuple[int, int]) -> tuple[int, int]:
         eid, sign = step
         return (self.edge_map[eid], sign)
@@ -62,14 +70,15 @@ def check_incidence(m: ComplexMap) -> None:
 
 
 def compose_complex_maps(f: ComplexMap, g: ComplexMap) -> ComplexMap:
-    """g after f; requires f.target is g.source."""
+    """g after f; requires f.target is g.source.  Two maps compose to a map,
+    so the result is not checked again."""
     if f.target is not g.source:
         raise ValueError("maps do not compose: target/source mismatch")
-    return ComplexMap(
-        source=f.source,
-        target=g.target,
-        vertex_map=tuple(g.vertex_map[v] for v in f.vertex_map),
-        edge_map={eid: g.edge_map[t] for eid, t in f.edge_map.items()},
+    return ComplexMap._trusted(
+        f.source,
+        g.target,
+        tuple(g.vertex_map[v] for v in f.vertex_map),
+        {eid: g.edge_map[t] for eid, t in f.edge_map.items()},
     )
 
 
@@ -114,12 +123,12 @@ class CoveringComplex:
         return self.automaton.state_count
 
     def projection(self) -> ComplexMap:
-        return ComplexMap(
-            source=self.total,
-            target=self.base,
-            vertex_map=self.vertex_to_base,
-            edge_map=dict(self.edge_to_base),
-        )
+        return self._projection
+
+    @cached_property
+    def _projection(self) -> ComplexMap:
+        """The covering map, built once per cover from the cover's own data."""
+        return ComplexMap._trusted(self.total, self.base, self.vertex_to_base, self.edge_to_base)
 
 
 def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:

@@ -498,6 +498,27 @@ def test_cli_verify_all_random(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", doc_path("wedge_s3_a3.json"), "--seed", "5", "--samples", "-3"],
+        ["verify", "--all-random", "3", "--seed", "1", "--samples", "-1"],
+    ],
+)
+def test_cli_negative_samples_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples must be non-negative, got {argv[-1]}\n"
+
+
+def test_cli_zero_samples_still_decides(capsys):
+    # functoriality is decided on the generators; only the hypothesis line names the count
+    code, out, _ = run_cli(["verify", doc_path("wedge_s3_a3.json"), "--seed", "5", "--samples", "0"], capsys)
+    assert code == 0
+    assert out == golden("verify_wedge_s3_a3.txt").replace("samples 100", "samples 0")
+
+
 def test_cli_strict_gates(capsys):
     # two section-2 gates miss on the A3 document: strict mode turns that
     # into exit 1, default mode does not

@@ -137,6 +137,32 @@ def test_functoriality_fails_on_tampered_pullback(inst_a3, s3):
     ]
 
 
+def test_functoriality_without_samples_is_decided(inst_a3, s3):
+    # no sampled word: the generators decide, and the first failing one's loop is the witness
+    report = verify_functoriality(inst_a3, sample_count=0, seed=3)
+    assert report.to_lines() == [
+        "claim: functoriality",
+        "hypothesis automaton-complete: ok (samples 0, seed 3)",
+        "verdict: holds",
+    ]
+    assignment = dict(inst_a3.pullback.assignment)
+    assignment[1] = 0
+    inst_a3.__dict__["pullback"] = Voltage(inst_a3.cover.total, s3, assignment)
+    assert verify_functoriality(inst_a3, sample_count=0, seed=3).to_lines() == [
+        "claim: functoriality",
+        "hypothesis automaton-complete: ok (samples 0, seed 3)",
+        "verdict: fails",
+        "witness word: ((1, 1),)",
+        "witness holonomy-upstairs: e",
+        "witness holonomy-downstairs: (012)",
+    ]
+
+
+def test_functoriality_rejects_a_negative_sample_count(inst_a3):
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_functoriality(inst_a3, sample_count=-1, seed=3)
+
+
 def test_trivial_kernel_cover(inst_kernel, s3):
     report = is_induced_trivial(inst_kernel)
     assert report.verdict == HOLDS

@@ -2,11 +2,14 @@
 
 Group tables from ``group_from_permutations``, subgroups from
 ``subgroup_closure``, the total space of ``build_cover``, the components of
-``component_complex`` and the pulled-back voltage are valid by construction,
-so the library does not run the public validators on them.  These oracles
-run the public validators on fresh copies of those outputs instead: every
-table passes ``GroupTable``, every closure passes ``SubgroupSet``, every
-complex passes ``validate_complex`` and every pullback is flat.
+``component_complex``, the pulled-back voltage and the maps of
+``CoveringComplex.projection``, ``component_complex`` and
+``compose_complex_maps`` are valid by construction, so the library does not
+run the public validators on them.  These oracles run the public validators
+on fresh copies of those outputs instead: every table passes ``GroupTable``,
+every closure passes ``SubgroupSet``, every complex passes
+``validate_complex``, every pullback is flat and every map passes
+``ComplexMap`` and ``check_incidence``.
 """
 
 import os
@@ -17,6 +20,7 @@ import pytest
 from flatconn.complexes import BaseComplex, validate_complex
 from flatconn.connections import Voltage, check_flatness
 from flatconn.corpus import generate_corpus
+from flatconn.covers import ComplexMap, check_incidence
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import (
     CATALOG_GROUP_NAMES,
@@ -123,3 +127,13 @@ def test_pullbacks_are_flat(covered_instances):
         fresh = Voltage(_fresh_copy(pullback.complex), pullback.group, dict(pullback.assignment))
         assert check_flatness(fresh) == (), inst.name
         assert fresh.assignment == pullback.assignment, inst.name
+
+
+def test_built_maps_pass_the_public_constructor(covered_instances):
+    for inst in covered_instances:
+        cover_map = inst.cover.projection()
+        assert inst.cover.projection() is cover_map  # built once per cover
+        for m in (cover_map, inst.base_nx.projection, inst.cover_nx.projection, inst.composite_map):
+            fresh = ComplexMap(m.source, m.target, tuple(m.vertex_map), dict(m.edge_map))
+            check_incidence(fresh)
+            assert fresh.vertex_map == m.vertex_map and fresh.edge_map == m.edge_map, inst.name

@@ -7,6 +7,10 @@ then a graph automorphism commuting with the projection, which is the
 structure-group action.  The connected component of the basepoint lift is
 the holonomy bundle: its fiber over the basepoint is exactly the holonomy
 group.
+
+Fiber maps are right multiplications, so a bundle is stored as elements,
+not |G|-long tables: over a spanning tree the sheet through (u, x) is
+x * shift[u], and a non-tree edge maps sheet s to s * gamma.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Optional
@@ -25,15 +30,9 @@ from .errors import ComplexError
 from .groups import GroupTable
 
 
-def _gather(row: tuple, indices: tuple) -> tuple:
-    """``row[i]`` for each i in ``indices``, in one C-level call."""
-    if len(indices) == 1:  # itemgetter with one index returns a scalar
-        return (row[indices[0]],)
-    return itemgetter(*indices)(row)
-
-
 class LiftedEdges(Sequence):
-    """The edges of a lifted graph, as ``Edge`` objects made on demand."""
+    """The edges of a lifted graph, as ``Edge`` objects made on demand; a
+    slice is the list that slicing ``list(self)`` gives."""
 
     __slots__ = ("_graph",)
 
@@ -44,7 +43,9 @@ class LiftedEdges(Sequence):
         v = self._graph._voltage
         return len(v.complex.edges) * v.group.order
 
-    def __getitem__(self, i: int) -> Edge:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         return self._graph.edge(range(len(self))[i])
 
 
@@ -109,21 +110,30 @@ class LiftedGraph(BaseComplex):
 
 
 class BundleComponents(Sequence):
-    """The vertex ids of each component, ascending, gathered from
-    ``component_of`` only when a component is asked for."""
+    """The vertex ids of each component, ascending, listed from the
+    component's sheets only when it is asked for: over base vertex u, sheet
+    s holds the vertex (u, s * shift[u]^-1).  A slice is a list, as for
+    ``list(self)``."""
 
-    __slots__ = ("_component_of", "_count")
+    __slots__ = ("_bundle",)
 
-    def __init__(self, component_of: tuple, count: int):
-        self._component_of = component_of
-        self._count = count
+    def __init__(self, bundle: DerivedBundle):
+        self._bundle = bundle
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._bundle.sheet_counts)
 
-    def __getitem__(self, i: int) -> tuple:
-        i = range(self._count)[i]
-        return tuple(compress(range(len(self._component_of)), map(i.__eq__, self._component_of)))
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        d = self._bundle
+        n, inverse = d.group.order, d.group.inverse
+        rows = list(compress(d.group.product, map(i.__eq__, d._sheet_component)))
+        return tuple(chain.from_iterable(
+            map((u * n).__add__, sorted(map(itemgetter(inverse[t]), rows)))
+            for u, t in enumerate(d._shift)
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +146,31 @@ class DerivedBundle:
     necessarily connected: there are [|G| : |Hol|] components, and component
     i is the union of ``sheet_counts[i]`` sheets (lifts of a spanning tree),
     each with one vertex over every base vertex and one edge over every
-    base edge.
+    base edge.  It stores V + |G| entries, not |G| * V: the sheet through
+    (u, x) is x * ``_shift[u]``, and sheet s lies in ``_sheet_component[s]``.
     """
 
     base: BaseComplex
     group: GroupTable
     voltage: Voltage
     graph: LiftedGraph
-    component_of: tuple
+    _shift: tuple
+    _sheet_component: tuple
     sheet_counts: tuple
     base_lift: int
 
     @property
     def components(self) -> BundleComponents:
-        return BundleComponents(self.component_of, len(self.sheet_counts))
+        return BundleComponents(self)
+
+    @cached_property
+    def component_of(self) -> tuple:
+        """The component of every vertex, |G| * V entries, built when first
+        read: (u, x) lies on sheet x * shift[u]."""
+        product, sheet_component = self.group.product, self._sheet_component.__getitem__
+        return tuple(chain.from_iterable(
+            map(sheet_component, map(itemgetter(t), product)) for t in self._shift
+        ))
 
     def edge_pair(self, eid: int) -> tuple[int, int]:
         """(base edge position, group element) of a lifted edge id."""
@@ -170,13 +191,14 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     """Build the derived graph of a flat voltage and its components.
 
     The lifts of a spanning tree split the graph into |G| sheets; sheet s is
-    the one through (basepoint, s), and ``sheets[u][x]`` is the sheet through
-    (u, x), carried out along the tree by the tree edges' fiber maps.  The
-    lifts of a non-tree edge join the sheets pairwise, by a permutation of
-    the sheet labels (its sheet map); the components are the orbits of the
-    sheets under the distinct non-identity sheet maps.  Only the lifted-edge
-    rule is read, never the holonomy morphism, so the claim checks compare
-    two independent computations.
+    the one through (basepoint, s).  Fiber maps are right multiplications, so
+    the sheet through (u, x) is x * shift[u], one element per base vertex
+    carried out along the tree, and base edge p from t to h maps sheet s to
+    s * gamma(p), gamma(p) = shift[t]^-1 * w(p) * shift[h] (e on tree edges).
+    The component of sheet 0 is the subgroup H the gammas generate, and the
+    components are its cosets s * H.  Only the lifted-edge rule is read,
+    never the holonomy morphism, so the claim checks compare two
+    independent computations.
     """
     if v.complex is not c:  # the voltage validated its complex
         raise ValueError("voltage is not defined on the given complex")
@@ -184,46 +206,46 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         raise ValueError("voltage takes values in a different group")
     _require_flat(v)
     graph = LiftedGraph(v)
-    n = g.order
+    product, inverse, values = g.product, g.inverse, graph._values
     tree = spanning_tree(c)
-    sheets: list[tuple] = [()] * c.vertex_count
-    sheets[c.basepoint] = tuple(range(n))
+    shift = [0] * c.vertex_count
     for u in tree.order[1:]:
         step = tree.parent[u]
         # (parent, y) is joined to (u, y * w^sign), so (u, x) lies on the
-        # sheet of (parent, x * w^-sign).
-        parent_row = sheets[c.step_endpoints(step)[0]]
-        sheets[u] = _gather(parent_row, graph._fiber_map(c.edge_pos(step[0]), -step[1]))
-    sheet_maps = set()
-    for p, e in enumerate(c.edges):
-        if e.id not in tree.tree_edges:
-            # the lift at x joins sheet starts[x] to sheet ends[x]
-            starts, ends = sheets[e.tail], _gather(sheets[e.head], graph._fiber_map(p))
-            if starts != ends:
-                sheet_maps.add(frozenset(zip(starts, ends)))
-    moves = [dict(m) for m in sheet_maps]
-    # Every component meets fiber 0, so seeding orbits in order of first
-    # appearance along it numbers the components by minimal vertex.
-    component_of_sheet = [None] * n
-    sheet_counts = []
-    for s in sheets[0]:
-        if component_of_sheet[s] is None:
-            component_of_sheet[s] = cid = len(sheet_counts)
-            orbit = [s]
-            for a in orbit:  # forward images suffice: the maps permute finitely many sheets
-                for move in moves:
-                    b = move[a]
-                    if component_of_sheet[b] is None:
-                        component_of_sheet[b] = cid
-                        orbit.append(b)
-            sheet_counts.append(len(orbit))
+        # sheet of (parent, x * w^-sign): shift[u] = w^-sign * shift[parent].
+        w = values[c.edge_pos(step[0])]
+        shift[u] = product[inverse[w] if step[1] > 0 else w][shift[c.step_endpoints(step)[0]]]
+    gammas = {
+        product[product[inverse[shift[e.tail]]][w]][shift[e.head]] for e, w in zip(c.edges, values)
+    }
+    gammas.discard(0)
+    hol = [0]  # H: the sheets reached from sheet 0
+    seen = {0}
+    for a in hol:  # forward images suffice: the gammas generate a finite group
+        row = product[a]
+        for gamma in gammas:
+            b = row[gamma]
+            if b not in seen:
+                seen.add(b)
+                hol.append(b)
+    # Every component meets fiber 0, so seeding cosets in order of the sheets
+    # of (0, x), x ascending, numbers the components by minimal vertex.
+    sheet_component = [None] * g.order
+    count = 0
+    for s in map(itemgetter(shift[0]), product):
+        if sheet_component[s] is None:
+            row = product[s]
+            for h in hol:
+                sheet_component[row[h]] = count
+            count += 1
     return DerivedBundle(
         base=c,
         group=g,
         voltage=v,
         graph=graph,
-        component_of=tuple(chain.from_iterable(_gather(component_of_sheet, row) for row in sheets)),
-        sheet_counts=tuple(sheet_counts),
+        _shift=tuple(shift),
+        _sheet_component=tuple(sheet_component),
+        sheet_counts=(len(hol),) * count,
         base_lift=graph.basepoint,
     )
 
@@ -296,12 +318,13 @@ def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int
 
 
 def holonomy_bundle(d: DerivedBundle) -> HolonomyBundle:
-    """Extract the holonomy bundle: the basepoint-lift component.
+    """Extract the holonomy bundle: the component of sheet 0, the sheet of
+    the basepoint lift (basepoint, e).
 
     Its fiber elements over the basepoint form the holonomy group of the
     voltage.  The restricted projection is verified to be a covering map.
     """
-    hb = component_complex(d, d.component_of[d.base_lift], basepoint=d.base_lift)
+    hb = component_complex(d, d._sheet_component[0], basepoint=d.base_lift)
     if not is_covering_map(hb.projection):
         raise AssertionError("holonomy bundle projection failed the covering check")
     return hb

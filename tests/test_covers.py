@@ -1,6 +1,7 @@
 import glob
 import os
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -31,7 +32,7 @@ from flatconn.subgroups import (
     SubgroupSpec,
     stallings_core,
 )
-from flatconn.theorems import Instance, _product_form
+from flatconn.theorems import Instance, _product_form, standard_reports
 from helpers import covering_degree, left_translation, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
@@ -261,6 +262,49 @@ def test_bundle_components_match_bfs_over_edges(seed):
             expected = components_by_bfs(d.graph.vertex_count, edges)
             assert (tuple(d.components), d.component_of) == expected
             assert d.sheet_counts == tuple(len(comp) // d.base.vertex_count for comp in expected[0])
+
+
+@pytest.mark.parametrize("seed", BUNDLE_SOURCES)
+def test_extracted_components_match_bfs_over_edges(seed):
+    for inst in source_instances(seed):
+        bundles = [inst.base_bundle] + ([inst.cover_bundle] if has_finite_cover(inst) else [])
+        for d in bundles:
+            edges = list(d.graph.edges)
+            components, component_of = components_by_bfs(d.graph.vertex_count, edges)
+            for i, comp in enumerate(components):
+                part = component_complex(d, i)
+                assert part.global_vertices == comp
+                assert part.global_edges == tuple(e.id for e in edges if component_of[e.tail] == i)
+            assert holonomy_bundle(d).global_vertices == components[component_of[d.base_lift]]
+
+
+def test_verify_path_never_builds_component_of():
+    inst = next(wedge_s4_instances())  # the kernel cover: 24 one-sheet components upstairs
+    inst.cover_nx
+    assert "component_of" not in inst.cover_bundle.__dict__
+    standard_reports(inst, seed=0)
+    assert "component_of" not in inst.base_bundle.__dict__
+    assert "component_of" not in inst.cover_bundle.__dict__
+    # read on demand, it is built once and kept
+    assert len(inst.cover_bundle.component_of) == inst.group.order * inst.cover.total.vertex_count
+    assert "component_of" in inst.cover_bundle.__dict__
+
+
+def test_bundle_sequences_slice_like_lists():
+    inst = parse_instance(os.path.join(INSTANCES, "wedge_s3_a3.json"))
+    components = inst.cover_bundle.components
+    assert len(components) == 2
+    edges = inst.cover_bundle.graph.edges
+    for seq in (components, edges):
+        for cut in (slice(0, 2), slice(None), slice(1, None), slice(None, None, -1), slice(-3, 7, 2), slice(5, 1)):
+            assert seq[cut] == list(seq)[cut]
+    assert components[0:2] != list(chain.from_iterable(components))
+    assert edges[0:2] == [edges[0], edges[1]]
+    assert components[-1] == components[1]
+    with pytest.raises(IndexError):
+        components[2]
+    with pytest.raises(IndexError):
+        edges[len(edges)]
 
 
 def product_form_by_counter(inst):

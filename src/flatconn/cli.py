@@ -133,6 +133,7 @@ def _verify_random(args, out) -> int:
     all_reports = []
     skipped = 0
     for k, item in enumerate(items):
+        items[k] = None  # release each instance once verified
         inst = item.instance
         try:
             if not inst.subgroup_aut.complete:

@@ -1,14 +1,17 @@
 """Covering complexes: construction from coset automata and verification.
 
-A covering built from a coset automaton has vertex set (state, base vertex);
-tree edges stay within a sheet, and the generator for a non-tree edge moves
-sheets by the automaton transition.  Every cover carries an explicit base
-lift, the vertex (state 0, basepoint), and all subgroup extraction is
-basepointed.
+A covering built from a coset automaton is the derived graph of a
+permutation voltage: it has vertex set (state, base vertex), a tree edge
+stays within a sheet, and a non-tree edge's lifts move sheets by its
+automaton column, which is read once per lift.  Lifted relators are traced
+through the same columns to check that they close, and are listed only
+when read.  Every cover carries an explicit base lift, the vertex
+(state 0, basepoint), and all subgroup extraction is basepointed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -57,6 +60,24 @@ class ComplexMap:
         eid, sign = step
         return (self.edge_map[eid], sign)
 
+    @cached_property
+    def _lift_index(self) -> Optional[list]:
+        """Per source vertex: (target edge id, sign) -> the source edge whose
+        end there lifts it; None unless the edge-ends at every source vertex
+        map one to one (no key is taken twice) and onto (as many keys as ends
+        at the image vertex).  Incidence is checked first, so every key is
+        such an end.  A map is immutable, so this is built once per map."""
+        check_incidence(self)
+        idx: list[dict] = [{} for _ in range(self.source.vertex_count)]
+        for e in self.source.edges:
+            t = self.edge_map[e.id]
+            if idx[e.tail].setdefault((t, 1), e.id) != e.id or idx[e.head].setdefault((t, -1), e.id) != e.id:
+                return None
+        for v, ends in enumerate(idx):
+            if len(ends) != len(self.target.star(self.vertex_map[v])):
+                return None
+        return idx
+
 
 def check_incidence(m: ComplexMap) -> None:
     """Raise IncidenceError unless the map respects tails and heads."""
@@ -87,24 +108,7 @@ def is_covering_map(m: ComplexMap) -> bool:
 
     Incidence violations raise; a failed bijection returns False.
     """
-    return _lift_index(m) is not None
-
-
-def _lift_index(m: ComplexMap) -> Optional[list]:
-    """Per source vertex: (target edge id, sign) -> the source edge whose end
-    there lifts it; None unless the edge-ends at every source vertex map one
-    to one (no key is taken twice) and onto (as many keys as ends at the
-    image vertex).  Incidence is checked first, so every key is such an end."""
-    check_incidence(m)
-    idx: list[dict] = [{} for _ in range(m.source.vertex_count)]
-    for e in m.source.edges:
-        t = m.edge_map[e.id]
-        if idx[e.tail].setdefault((t, 1), e.id) != e.id or idx[e.head].setdefault((t, -1), e.id) != e.id:
-            return None
-    for v, ends in enumerate(idx):
-        if len(ends) != len(m.target.star(m.vertex_map[v])):
-            return None
-    return idx
+    return m._lift_index is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +135,50 @@ class CoveringComplex:
         return ComplexMap._trusted(self.total, self.base, self.vertex_to_base, self.edge_to_base)
 
 
+class LiftedRelators(Sequence):
+    """The lifted relators of a cover, each traced through the automaton
+    columns when it is read.  Item ``k * n + s`` is the k-th non-empty base
+    relator lifted at state s, for n states; a slice is the list that
+    slicing ``list(self)`` gives."""
+
+    __slots__ = ("_relators", "_fwd", "_bwd", "_n", "_E")
+
+    def __init__(self, relators: list, fwd: list, bwd: list, n: int, E: int):
+        self._relators = relators  # non-empty base relators as (edge position, sign) steps
+        self._fwd = fwd
+        self._bwd = bwd
+        self._n = n
+        self._E = E
+
+    def __len__(self) -> int:
+        return len(self._relators) * self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        k, cur = divmod(range(len(self))[i], self._n)
+        fwd, bwd, E = self._fwd, self._bwd, self._E
+        steps = []
+        for pos, sign in self._relators[k]:
+            if sign > 0:
+                steps.append((cur * E + pos, 1))
+                cur = fwd[pos][cur]
+            else:
+                cur = bwd[pos][cur]
+                steps.append((cur * E + pos, -1))
+        return tuple(steps)
+
+
 def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     """Assemble the covering complex of a complete coset automaton.
 
-    Relators are traced from every state and must close up (automatic for
-    enumeration output, checked for everything else); they are installed
-    on the total space as lifted relators.
+    Base edge position p has forward column ``fwd[p]``, the automaton's
+    column for a non-tree edge and the identity for a tree edge: its lift
+    at state s is edge s * E + p, from vertex s * V + tail to vertex
+    fwd[p][s] * V + head.  Every relator is traced from every state through
+    the columns and must close up (automatic for enumeration output,
+    checked for everything else); the total space lists its lifted
+    relators only when they are read.
     """
     if not a.complete:
         raise IncompleteAutomatonError("covering construction requires a complete automaton")
@@ -146,58 +188,43 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     gen_index = {eid: i for i, eid in enumerate(tree.generators)}
     n_states = a.state_count
     V, E = c.vertex_count, len(c.edges)
+    identity = range(n_states)
+    fwd = [identity if e.id not in gen_index else a.forward[gen_index[e.id]] for e in c.edges]
+    bwd = [identity if e.id not in gen_index else a.backward[gen_index[e.id]] for e in c.edges]
 
-    def fwd_state(eid: int, s: int) -> int:
-        g = gen_index.get(eid)
-        return s if g is None else a.forward[g][s]
+    edges = [
+        Edge(s * E + pos, s * V + e.tail, fwd[pos][s] * V + e.head)
+        for s in range(n_states)
+        for pos, e in enumerate(c.edges)
+    ]
+    edge_to_base = {s * E + pos: e.id for s in range(n_states) for pos, e in enumerate(c.edges)}
 
-    def bwd_state(eid: int, s: int) -> int:
-        g = gen_index.get(eid)
-        return s if g is None else a.backward[g][s]
-
-    edges = []
-    edge_to_base = {}
-    for s in range(n_states):
-        for pos, e in enumerate(c.edges):
-            lifted_id = s * E + pos
-            tail = s * V + e.tail
-            head = fwd_state(e.id, s) * V + e.head
-            edges.append(Edge(lifted_id, tail, head))
-            edge_to_base[lifted_id] = e.id
-
-    lifted_relators = []
+    relators = []
     for k, rel in enumerate(c.relators):
         if not rel:
             continue
-        for s in range(n_states):
-            cur = s
-            steps = []
-            for eid, sign in rel:
-                pos = c.edge_pos(eid)
-                if sign > 0:
-                    steps.append((cur * E + pos, 1))
-                    cur = fwd_state(eid, cur)
-                else:
-                    src = bwd_state(eid, cur)
-                    steps.append((src * E + pos, -1))
-                    cur = src
-            if cur != s:
+        steps = [(c.edge_pos(eid), sign) for eid, sign in rel]
+        ends = list(identity)  # ends[s]: where the relator read from state s has got to
+        for pos, sign in steps:
+            ends = list(map((fwd if sign > 0 else bwd)[pos].__getitem__, ends))
+        for s, t in enumerate(ends):
+            if t != s:
                 raise ComplexError(
                     f"relator {k} does not close over state {s}; "
                     "the automaton is not compatible with the relators"
                 )
-            lifted_relators.append(tuple(steps))
+        relators.append(tuple(steps))
 
     total = BaseComplex(
         vertex_count=n_states * V,
         edges=edges,
         basepoint=c.basepoint,  # vertex (state 0, basepoint) has index basepoint
-        relators=lifted_relators,
     )
+    total.relators = LiftedRelators(relators, fwd, bwd, n_states, E)
     # valid as built: each lifted relator closed above, and each sheet is joined to
     # state 0's (an automaton keeps only the states reachable from state 0)
     total._validated = True
-    vertex_to_base = tuple(idx % V for idx in range(n_states * V))
+    vertex_to_base = tuple(range(V)) * n_states
     return CoveringComplex(
         base=c,
         automaton=a,
@@ -216,7 +243,7 @@ def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
     sheet(head) along each lift of its edge.  States are the sheets reached
     from the base lift's: for a connected source, every sheet.
     """
-    end_index = _lift_index(m)
+    end_index = m._lift_index
     if end_index is None:
         raise IncidenceError("subgroup extraction requires a covering map")
     base, source = m.target, m.source

@@ -182,8 +182,11 @@ def _rep_words(a: CosetAutomaton) -> list[Word]:
 
 
 def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list[Word]:
-    """Schreier generators u * g * rep(u g)^-1 with trivial ones dropped.
+    """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped.
 
+    The transversal of :func:`_rep_words` is prefix-closed and reduced, so a
+    generator is trivial exactly on a tree step, where rep(s g) = rep(s) g
+    or rep(s) = rep(s g) g^-1, and is freely reduced as written otherwise.
     Order is (state, generator) ascending; for a free group of rank r and
     index d this yields d(r-1)+1 words.
     """
@@ -192,13 +195,14 @@ def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list
     if presentation.rank != a.rank:
         raise ValueError("presentation rank does not match automaton alphabet")
     reps = _rep_words(a)
+    inverses = [invert_word(w) for w in reps]
+    last = [w[-1] if w else None for w in reps]  # the letter that put each state in the tree
     out = []
-    for s in range(a.state_count):
-        for g in range(a.rank):
-            t = a.forward[g][s]
-            w = reduce_word(reps[s] + ((g, 1),) + invert_word(reps[t]))
-            if w:
-                out.append(w)
+    for s, rep in enumerate(reps):
+        for g, col in enumerate(a.forward):
+            t = col[s]
+            if last[t] != (g, 1) and last[s] != (g, -1):
+                out.append(rep + ((g, 1),) + inverses[t])
     return out
 
 

@@ -1,11 +1,16 @@
-"""Graph helpers that only the tests use.
+"""Graph helpers and reference loops that only the tests use.
 
 They are written against the public complex and map interfaces and share no
 lookup structure with the library, so the tests that use them stay
-independent oracles.
+independent oracles.  The reference loops compute lifted relators and
+Schreier generators the long way: every lift traced step by step, and every
+Schreier word freely reduced (over the library's transversal).
 """
 
+from flatconn.complexes import spanning_tree
 from flatconn.errors import ComplexError
+from flatconn.subgroups import _rep_words
+from flatconn.words import invert_word, reduce_word
 
 
 def lift_path(m, w, start):
@@ -60,3 +65,53 @@ def graph_diameter(c):
             frontier = nxt
         diameter = max(diameter, max(dist.values()))
     return diameter
+
+
+def eager_lifted_relators(c, a):
+    """The lifted relators of the cover of c by the automaton a, as one list:
+    each non-empty relator traced from each state in turn, step by step
+    through the transition of each edge."""
+    gen_index = {eid: i for i, eid in enumerate(spanning_tree(c).generators)}
+    E = len(c.edges)
+
+    def fwd_state(eid, s):
+        g = gen_index.get(eid)
+        return s if g is None else a.forward[g][s]
+
+    def bwd_state(eid, s):
+        g = gen_index.get(eid)
+        return s if g is None else a.backward[g][s]
+
+    lifted = []
+    for k, rel in enumerate(c.relators):
+        if not rel:
+            continue
+        for s in range(a.state_count):
+            cur = s
+            steps = []
+            for eid, sign in rel:
+                pos = c.edge_pos(eid)
+                if sign > 0:
+                    steps.append((cur * E + pos, 1))
+                    cur = fwd_state(eid, cur)
+                else:
+                    src = bwd_state(eid, cur)
+                    steps.append((src * E + pos, -1))
+                    cur = src
+            if cur != s:
+                raise ComplexError(f"relator {k} does not close over state {s}")
+            lifted.append(tuple(steps))
+    return lifted
+
+
+def reduced_schreier_words(a):
+    """The non-trivial Schreier generators rep(s) * g * rep(s g)^-1 of a
+    complete automaton, each freely reduced, in (state, generator) order."""
+    reps = _rep_words(a)
+    words = []
+    for s in range(a.state_count):
+        for g in range(a.rank):
+            w = reduce_word(reps[s] + ((g, 1),) + invert_word(reps[a.forward[g][s]]))
+            if w:
+                words.append(w)
+    return words

@@ -1,8 +1,11 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
+from flatconn import cli
 from flatconn.cli import main
 from flatconn.complexes import validate_complex
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
@@ -496,6 +499,20 @@ def test_cli_verify_all_random(capsys):
     assert len(lines) == 12
     code2, out2, _ = run_cli(["verify", "--all-random", "12", "--seed", "4"], capsys)
     assert out2 == out
+
+
+def test_cli_verify_all_random_releases_verified_instances(monkeypatch, capsys):
+    verified = []
+
+    def reports_after_release(inst, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in verified)  # only the instance at hand is alive
+        verified.append(weakref.ref(inst))
+        return standard_reports(inst, **kwargs)
+
+    monkeypatch.setattr(cli, "standard_reports", reports_after_release)
+    code, out, _ = run_cli(["verify", "--all-random", "12", "--seed", "4"], capsys)
+    assert code == 0 and len(verified) > 1 and len(verified) + out.count(": skipped (") == 12
 
 
 @pytest.mark.parametrize(

@@ -17,13 +17,14 @@ from .complexes import (
     Edge,
     EdgeWord,
     loop_to_generator_word,
+    pi1_presentation,
     spanning_tree,
     validate_complex,
 )
 from .connections import Voltage, check_flatness
 from .errors import ComplexError, FlatConnError, InputError
 from .groups import GroupTable, _is_int, catalog_group, group_from_permutations
-from .subgroups import SubgroupSpec
+from .subgroups import SubgroupSpec, check_quotient_images
 from .theorems import Instance
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?P<inv>\^-1)?$")
@@ -241,6 +242,10 @@ def parse_covering(
             images = tuple(
                 resolve_element(target, ref, f"{location}/images/{k}") for k, ref in enumerate(refs)
             )
+            try:
+                check_quotient_images(images, target, pi1_presentation(c, spanning_tree(c)))
+            except ValueError as exc:
+                raise InputError(str(exc), f"{location}/images") from None
         elif "group" in data and data["group"] is not None:
             raise InputError(
                 "a covering with an explicit group needs explicit images", f"{location}/images"

@@ -164,46 +164,96 @@ def automata_equal(x: CosetAutomaton, y: CosetAutomaton) -> bool:
     return x.key() == y.key()
 
 
-def _rep_words(a: CosetAutomaton) -> list[Word]:
-    """Breadth-first coset representative words (state 0 gets the empty word).
+def _transversal(a: CosetAutomaton) -> tuple[list[int], list[int]]:
+    """The breadth-first coset transversal as tree letters.
 
-    States are numbered in breadth-first order, so visiting them in number
-    order is the breadth-first walk.
+    State t > 0 is first reached from state parent[t] by the letter in
+    column[t]: 2g for generator g and 2g+1 for its inverse, the coset
+    table's columns.  First means walking the states in number order, which
+    is breadth-first order, taking letters in the order g0, g0^-1, g1, ...;
+    so parent[t] < t, and rep(t) = rep(parent[t]) * letter is prefix-closed
+    and reduced.  State 0 has column -1.
     """
-    reps: list[Optional[Word]] = [None] * a.state_count
-    reps[0] = ()
+    parent = [0] * a.state_count
+    column = [-1] * a.state_count
+    letters = list(enumerate(col for g in range(a.rank) for col in (a.forward[g], a.backward[g])))
     for s in range(a.state_count):
-        for g in range(a.rank):
-            for col, sign in ((a.forward, 1), (a.backward, -1)):
-                t = col[g][s]
-                if t is not None and reps[t] is None:
-                    reps[t] = reps[s] + ((g, sign),)
-    return reps  # type: ignore[return-value]
+        for c, col in letters:
+            t = col[s]
+            if t and column[t] < 0:
+                parent[t] = s
+                column[t] = c
+    return parent, column
+
+
+def _rep_words(a: CosetAutomaton) -> list[Word]:
+    """Breadth-first coset representative words (state 0 gets the empty word)."""
+    parent, column = _transversal(a)
+    reps: list[Word] = [()] * a.state_count
+    for t in range(1, a.state_count):
+        reps[t] = reps[parent[t]] + ((column[t] >> 1, -1 if column[t] & 1 else 1),)
+    return reps
+
+
+def _schreier_points(a: CosetAutomaton, forward, backward):
+    """Where the Schreier generators of a complete automaton a take point 0
+    of another right action, without spelling them out.
+
+    The action is given by columns, ``forward[g][x]`` = x g and
+    ``backward[g][x]`` = x g^-1, None where undefined.  One walk down the
+    transversal carries pot(s), the point rep(s) reaches (Gross-Tucker's
+    T-reduced values).  The generator rep(s) * g * rep(t)^-1 of the step
+    s -> t = s g fixes 0 exactly when x = pot(s) g is defined and equals
+    y = pot(t); in a group acting on itself x * y^-1 is its value.
+
+    The generator is trivial exactly on a tree step, where rep(t) = rep(s) g
+    or rep(s) = rep(t) g^-1, and freely reduced as written otherwise.
+    Yields (s, g, x, y) for the others, in (state, generator) order.
+    """
+    if not a.complete:
+        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    parent, column = _transversal(a)
+    moves = [col for g in range(a.rank) for col in (forward[g], backward[g])]
+    pot: list = [0] * a.state_count
+    for t in range(1, a.state_count):
+        x = pot[parent[t]]
+        pot[t] = None if x is None else moves[column[t]][x]
+    steps = list(enumerate(zip(a.forward, forward)))
+    for s in range(a.state_count):
+        x, up = pot[s], column[s]
+        for g, (col, move) in steps:
+            t = col[s]
+            if column[t] != 2 * g and up != 2 * g + 1:
+                yield s, g, None if x is None else move[x], pot[t]
 
 
 def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list[Word]:
     """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped.
 
-    The transversal of :func:`_rep_words` is prefix-closed and reduced, so a
-    generator is trivial exactly on a tree step, where rep(s g) = rep(s) g
-    or rep(s) = rep(s g) g^-1, and is freely reduced as written otherwise.
     Order is (state, generator) ascending; for a free group of rank r and
-    index d this yields d(r-1)+1 words.
+    index d this yields d(r-1)+1 words, each freely reduced.
     """
-    if not a.complete:
-        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    point = [(0,)] * a.rank  # the action on one point: only the steps are read
+    steps = [(s, g) for s, g, _, _ in _schreier_points(a, point, point)]
     if presentation.rank != a.rank:
         raise ValueError("presentation rank does not match automaton alphabet")
     reps = _rep_words(a)
     inverses = [invert_word(w) for w in reps]
-    last = [w[-1] if w else None for w in reps]  # the letter that put each state in the tree
-    out = []
-    for s, rep in enumerate(reps):
-        for g, col in enumerate(a.forward):
-            t = col[s]
-            if last[t] != (g, 1) and last[s] != (g, -1):
-                out.append(rep + ((g, 1),) + inverses[t])
-    return out
+    return [reps[s] + ((g, 1),) + inverses[a.forward[g][s]] for s, g in steps]
+
+
+def _first_generator_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[Word]:
+    """The first Schreier generator of a's subgroup that b's does not
+    contain, spelled out as a word; None when a's subgroup lies inside b's.
+
+    b may be partial: a generator whose path leaves b's table is outside, as
+    :func:`membership` decides.  Only the failing word is spelled out.
+    """
+    for s, g, x, y in _schreier_points(a, b.forward, b.backward):
+        if x is None or x != y:
+            reps = _rep_words(a)
+            return reps[s] + ((g, 1),) + invert_word(reps[a.forward[g][s]])
+    return None
 
 
 def is_normal_subgroup(a: CosetAutomaton) -> bool:
@@ -497,7 +547,20 @@ def automaton_from_quotient(
     right multiplication with h(g).  Relator words must map to the identity
     for h to be well defined on the presented group.
     """
-    rank = len(images)
+    _check_images(images, group, relators)
+    image = subgroup_closure(group, images)
+    t_members = sorted(set(subgroup.members) & set(image.members))
+    product = group.product
+
+    def act(rep: int, g: int) -> int:
+        # A coset T x is named by its smallest element.
+        x = product[rep][images[g]]
+        return min(product[t][x] for t in t_members)
+
+    return CosetAutomaton.from_action(len(images), 0, act)
+
+
+def _check_images(images: Sequence[int], group: GroupTable, relators: Iterable[Word]) -> None:
     for k, x in enumerate(images):
         if not 0 <= x < group.order:
             raise ValueError(f"image {k} out of range for group of order {group.order}")
@@ -508,16 +571,17 @@ def automaton_from_quotient(
                 f"relator {k} maps to {group.label(val)}, not the identity; "
                 "the quotient morphism is not well defined"
             )
-    image = subgroup_closure(group, images)
-    t_members = sorted(set(subgroup.members) & set(image.members))
-    product = group.product
 
-    def act(rep: int, g: int) -> int:
-        # A coset T x is named by its smallest element.
-        x = product[rep][images[g]]
-        return min(product[t][x] for t in t_members)
 
-    return CosetAutomaton.from_action(rank, 0, act)
+def check_quotient_images(images: Sequence[int], group: GroupTable, presentation: Presentation) -> None:
+    """Raise ValueError unless the generator images define a homomorphism
+    from the presented group into group: one image in range per generator,
+    and every relator mapped to the identity."""
+    if len(images) != presentation.rank:
+        raise ValueError(
+            f"quotient spec has {len(images)} images for {presentation.rank} generators"
+        )
+    _check_images(images, group, presentation.relators)
 
 
 def automaton_from_spec(
@@ -541,9 +605,6 @@ def automaton_from_spec(
     images = spec.images if spec.images is not None else default_images
     if group is None or images is None:
         raise ValueError("quotient subgroup spec needs a group and generator images")
-    if len(images) != presentation.rank:
-        raise ValueError(
-            f"quotient spec has {len(images)} images for {presentation.rank} generators"
-        )
+    check_quotient_images(images, group, presentation)
     sub = subgroup_closure(group, spec.subgroup)
-    return automaton_from_quotient(images, group, sub, relators=presentation.relators)
+    return automaton_from_quotient(images, group, sub)

@@ -63,10 +63,11 @@ from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
     SubgroupSpec,
+    _first_generator_outside,
+    _schreier_points,
     automaton_from_spec,
     automata_equal,
     is_normal_subgroup,
-    membership,
     reidemeister_schreier,
 )
 
@@ -206,13 +207,23 @@ class Instance:
 
     @cached_property
     def subgroup_schreier(self) -> list:
+        """The covering subgroup's Schreier generators spelled out as words;
+        the claim checks read the transversal instead and never build it."""
         return reidemeister_schreier(self.subgroup_aut, self.presentation)
 
     @cached_property
     def restricted_image(self) -> SubgroupSet:
-        """h(H): the base holonomy image of the covering subgroup, generated
-        by the images of its Schreier generators."""
-        mapped = [self.morphism.evaluate(w) for w in self.subgroup_schreier]
+        """h(H): the base holonomy image of the covering subgroup.
+
+        It is generated by the images hol(s) * h(g) * hol(t)^-1 of the
+        Schreier generators, where hol(s) is the holonomy of rep(s), read
+        once down the coset transversal; no Schreier word is spelled out.
+        Raises :class:`IncompleteAutomatonError` on an incomplete automaton.
+        """
+        mul, inv = self.group.product, self.group.inverse
+        forward = [[row[h] for row in mul] for h in self.morphism.images]
+        backward = [[row[inv[h]] for row in mul] for h in self.morphism.images]
+        mapped = {mul[x][inv[y]] for _, _, x, y in _schreier_points(self.subgroup_aut, forward, backward)}
         return subgroup_closure(self.group, mapped)
 
     @cached_property
@@ -385,13 +396,16 @@ def is_induced_trivial(inst: Instance) -> VerificationReport:
     """Triviality criterion, both sides computed independently.
 
     Side one: the induced holonomy image is trivial.  Side two: every
-    Schreier generator of the covering subgroup lies in the holonomy kernel.
-    The verdict asserts the biconditional; when trivial, the bundle
-    upstairs must additionally split into |G| sheets isomorphic to the
-    cover (the product form).
+    Schreier generator of the covering subgroup lies in the holonomy kernel,
+    decided by carrying the kernel automaton's state down the covering
+    automaton's transversal; only the first generator outside the kernel is
+    spelled out, as the witness.  The verdict asserts the biconditional;
+    when trivial, the bundle upstairs must additionally split into |G|
+    sheets isomorphic to the cover (the product form).
     """
     side_induced = inst.induced_image.members == (0,)
-    side_kernel = all(membership(inst.kernel_aut, w) for w in inst.subgroup_schreier)
+    outside = _first_generator_outside(inst.subgroup_aut, inst.kernel_aut)
+    side_kernel = outside is None
     hyp = (
         HypothesisCheck(
             "automaton-complete", inst.subgroup_aut.complete, f"index {inst.subgroup_aut.state_count}"
@@ -403,9 +417,8 @@ def is_induced_trivial(inst: Instance) -> VerificationReport:
     if not ok:
         witnesses.append(("induced-image-trivial", str(side_induced)))
         witnesses.append(("subgroup-inside-kernel", str(side_kernel)))
-        bad = [w for w in inst.subgroup_schreier if not membership(inst.kernel_aut, w)]
-        if bad:
-            witnesses.append(("kernel-membership-failure", str(bad[0])))
+        if outside is not None:
+            witnesses.append(("kernel-membership-failure", str(outside)))
     product_ok = True
     if side_induced:
         product_ok, detail = _product_form(inst)
@@ -446,12 +459,18 @@ def _gate_subgroup_normal(inst: Instance) -> HypothesisCheck:
 
 
 def _gate_kernel_inside_subgroup(inst: Instance) -> HypothesisCheck:
-    kernel_gens = reidemeister_schreier(inst.kernel_aut, inst.presentation)
-    bad = [w for w in kernel_gens if not membership(inst.subgroup_aut, w)]
+    """Does the holonomy kernel lie inside the covering subgroup?
+
+    The triviality walk with the roles swapped: the covering automaton's
+    state is carried down the kernel automaton's transversal.  The covering
+    automaton may be partial (an infinite-index core); a generator whose
+    path leaves it escapes.  The first escaping generator is the detail.
+    """
+    outside = _first_generator_outside(inst.kernel_aut, inst.subgroup_aut)
     return HypothesisCheck(
         "kernel-inside-subgroup",
-        not bad,
-        "" if not bad else f"kernel generator {bad[0]} escapes the subgroup",
+        outside is None,
+        "" if outside is None else f"kernel generator {outside} escapes the subgroup",
     )
 
 

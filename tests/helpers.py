@@ -3,13 +3,16 @@
 They are written against the public complex and map interfaces and share no
 lookup structure with the library, so the tests that use them stay
 independent oracles.  The reference loops compute lifted relators and
-Schreier generators the long way: every lift traced step by step, and every
-Schreier word freely reduced (over the library's transversal).
+Schreier generators the long way: every lift traced step by step, every
+Schreier word freely reduced (over the library's transversal), and every
+Schreier word spelled out, evaluated and traced letter by letter (over a
+transversal built here).
 """
 
 from flatconn.complexes import spanning_tree
 from flatconn.errors import ComplexError
-from flatconn.subgroups import _rep_words
+from flatconn.groups import subgroup_closure
+from flatconn.subgroups import _rep_words, membership
 from flatconn.words import invert_word, reduce_word
 
 
@@ -115,3 +118,44 @@ def reduced_schreier_words(a):
             if w:
                 words.append(w)
     return words
+
+
+def breadth_first_reps(a):
+    """Coset representative words, built letter by letter: each state gets
+    its first word in a walk of the states in number order, letters in the
+    order g0, g0^-1, g1, ...; state 0 gets the empty word."""
+    reps = [None] * a.state_count
+    reps[0] = ()
+    for s in range(a.state_count):
+        for g in range(a.rank):
+            for col, sign in ((a.forward, 1), (a.backward, -1)):
+                t = col[g][s]
+                if t is not None and reps[t] is None:
+                    reps[t] = reps[s] + ((g, sign),)
+    return reps
+
+
+def spelled_schreier_words(a):
+    """The non-trivial Schreier generators rep(s) * g * rep(s g)^-1 of a
+    complete automaton, spelled out in (state, generator) order over
+    :func:`breadth_first_reps`."""
+    reps = breadth_first_reps(a)
+    last = [w[-1] if w else None for w in reps]
+    words = []
+    for s in range(a.state_count):
+        for g, col in enumerate(a.forward):
+            t = col[s]
+            if last[t] != (g, 1) and last[s] != (g, -1):
+                words.append(reps[s] + ((g, 1),) + invert_word(reps[t]))
+    return words
+
+
+def word_path_image(a, morphism):
+    """h(H) the long way: every spelled-out Schreier generator evaluated."""
+    return subgroup_closure(morphism.group, [morphism.evaluate(w) for w in spelled_schreier_words(a)])
+
+
+def word_path_outside(a, b):
+    """The first spelled-out Schreier generator of a that b does not accept,
+    traced letter by letter; None if there is none."""
+    return next((w for w in spelled_schreier_words(a) if not membership(b, w)), None)

@@ -597,3 +597,31 @@ def test_cover_emit_complex_pins_lifted_relators(tmp_path, capsys):
     assert out == f"degree: 4\nrank: 5\nregular: yes\nemitted: {out_path}\n"
     with open(out_path, "r", encoding="utf-8") as fh:
         assert fh.read() == golden("cover_torus_z4_complex.json")
+
+
+def test_cli_golden_kernel_gate_miss(capsys):
+    # the b-parity subgroup: the kernel escapes it, so cor_2_2's gate fails
+    parity = os.path.join(HERE, "documents", "wedge_s3_parity.json")
+    test_cli_golden(["verify", parity, "--seed", "5"], "verify_wedge_s3_parity.txt", capsys)
+
+
+@pytest.mark.parametrize("verb", [["verify", "--seed", "1"], ["cover"]], ids=["verify", "cover"])
+@pytest.mark.parametrize(
+    "images,message",
+    [
+        (["(01)"], "quotient spec has 1 images for 2 generators"),
+        (
+            ["(01)", "(012)"],
+            "relator 0 maps to (012), not the identity; the quotient morphism is not well defined",
+        ),
+    ],
+    ids=["length", "relator"],
+)
+def test_cli_explicit_quotient_images_are_validated(tmp_path, capsys, verb, images, message):
+    doc = load_doc("torus_z4.json")
+    doc["covering"] = {"kind": "quotient", "group": "S3", "images": images}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli([verb[0], str(path)] + verb[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: /covering/images: {message}\n"

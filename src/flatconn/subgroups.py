@@ -242,18 +242,21 @@ def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list
     return [reps[s] + ((g, 1),) + inverses[a.forward[g][s]] for s, g in steps]
 
 
-def _first_generator_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[Word]:
-    """The first Schreier generator of a's subgroup that b's does not
-    contain, spelled out as a word; None when a's subgroup lies inside b's.
+def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[int, int]]:
+    """The step (s, g) of the first Schreier generator of a's subgroup that
+    b's does not contain; None when a's subgroup lies inside b's.
 
     b may be partial: a generator whose path leaves b's table is outside, as
-    :func:`membership` decides.  Only the failing word is spelled out.
+    :func:`membership` decides.
     """
-    for s, g, x, y in _schreier_points(a, b.forward, b.backward):
-        if x is None or x != y:
-            reps = _rep_words(a)
-            return reps[s] + ((g, 1),) + invert_word(reps[a.forward[g][s]])
-    return None
+    points = _schreier_points(a, b.forward, b.backward)
+    return next(((s, g) for s, g, x, y in points if x is None or x != y), None)
+
+
+def _schreier_word(a: CosetAutomaton, s: int, g: int) -> Word:
+    """The Schreier generator rep(s) * g * rep(s g)^-1, spelled out."""
+    reps = _rep_words(a)
+    return reps[s] + ((g, 1),) + invert_word(reps[a.forward[g][s]])
 
 
 def is_normal_subgroup(a: CosetAutomaton) -> bool:

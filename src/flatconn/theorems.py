@@ -63,8 +63,9 @@ from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
     SubgroupSpec,
-    _first_generator_outside,
+    _first_step_outside,
     _schreier_points,
+    _schreier_word,
     automaton_from_spec,
     automata_equal,
     is_normal_subgroup,
@@ -398,13 +399,13 @@ def is_induced_trivial(inst: Instance) -> VerificationReport:
     Side one: the induced holonomy image is trivial.  Side two: every
     Schreier generator of the covering subgroup lies in the holonomy kernel,
     decided by carrying the kernel automaton's state down the covering
-    automaton's transversal; only the first generator outside the kernel is
-    spelled out, as the witness.  The verdict asserts the biconditional;
-    when trivial, the bundle upstairs must additionally split into |G|
-    sheets isomorphic to the cover (the product form).
+    automaton's transversal; the first generator outside the kernel is
+    spelled out only when it is the witness.  The verdict asserts the
+    biconditional; when trivial, the bundle upstairs must additionally split
+    into |G| sheets isomorphic to the cover (the product form).
     """
     side_induced = inst.induced_image.members == (0,)
-    outside = _first_generator_outside(inst.subgroup_aut, inst.kernel_aut)
+    outside = _first_step_outside(inst.subgroup_aut, inst.kernel_aut)
     side_kernel = outside is None
     hyp = (
         HypothesisCheck(
@@ -418,7 +419,7 @@ def is_induced_trivial(inst: Instance) -> VerificationReport:
         witnesses.append(("induced-image-trivial", str(side_induced)))
         witnesses.append(("subgroup-inside-kernel", str(side_kernel)))
         if outside is not None:
-            witnesses.append(("kernel-membership-failure", str(outside)))
+            witnesses.append(("kernel-membership-failure", str(_schreier_word(inst.subgroup_aut, *outside))))
     product_ok = True
     if side_induced:
         product_ok, detail = _product_form(inst)
@@ -466,12 +467,11 @@ def _gate_kernel_inside_subgroup(inst: Instance) -> HypothesisCheck:
     automaton may be partial (an infinite-index core); a generator whose
     path leaves it escapes.  The first escaping generator is the detail.
     """
-    outside = _first_generator_outside(inst.kernel_aut, inst.subgroup_aut)
-    return HypothesisCheck(
-        "kernel-inside-subgroup",
-        outside is None,
-        "" if outside is None else f"kernel generator {outside} escapes the subgroup",
-    )
+    outside = _first_step_outside(inst.kernel_aut, inst.subgroup_aut)
+    if outside is None:
+        return HypothesisCheck("kernel-inside-subgroup", True, "")
+    word = _schreier_word(inst.kernel_aut, *outside)
+    return HypothesisCheck("kernel-inside-subgroup", False, f"kernel generator {word} escapes the subgroup")
 
 
 def verify_prop_2_1(inst: Instance) -> VerificationReport:

@@ -25,8 +25,9 @@ from flatconn.groups import catalog_group, subgroup_closure
 from flatconn.io import parse_instance
 from flatconn.subgroups import (
     SubgroupSpec,
-    _first_generator_outside,
+    _first_step_outside,
     _rep_words,
+    _schreier_word,
     todd_coxeter,
 )
 from flatconn.theorems import (
@@ -51,6 +52,11 @@ def documents():
     return [os.path.join(INSTANCES, n) for n in names] + [PARITY]
 
 
+def _outside(a, b):
+    step = _first_step_outside(a, b)
+    return None if step is None else _schreier_word(a, *step)
+
+
 def _compare(inst, label):
     """h(H), the kernel side and the gate against the word path; when the
     subgroup automaton is partial only the gate applies.  Returns whether it
@@ -63,8 +69,8 @@ def _compare(inst, label):
     assert _rep_words(a) == breadth_first_reps(a), label
     if a.complete:
         assert inst.restricted_image.members == word_path_image(a, inst.morphism).members, label
-        assert _first_generator_outside(a, kernel) == word_path_outside(a, kernel), label
-    assert _first_generator_outside(kernel, a) == word_path_outside(kernel, a), label
+        assert _outside(a, kernel) == word_path_outside(a, kernel), label
+    assert _outside(kernel, a) == word_path_outside(kernel, a), label
     return a.complete
 
 

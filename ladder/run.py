@@ -26,7 +26,7 @@ is what it adds once the earlier stages are cached:
 
 ``theorem_1_1+triviality`` sums ``restricted_image``, ``theorem_1_1`` and
 ``triviality``: what the two claims cost once the cover and its induced
-image exist.  Each stage is the median of ``--repeat`` fresh instances.  The
+image exist.  Each stage is the median of ``REPEAT`` fresh instances.  The
 slope of a stage is the least-squares slope of log(seconds) against
 log(index) over a family's rows, and ``slope_top`` the same over its three
 largest rows.  With ``--out``, the result is stored under ``--label`` in that
@@ -67,6 +67,7 @@ STAGES = (
     "cor_2_2",
 )
 COMBINED = ("restricted_image", "theorem_1_1", "triviality")
+REPEAT = 5  # fresh instances per row
 
 
 def document(family: str, k: int) -> dict:
@@ -115,9 +116,9 @@ def time_row(family: str, k: int) -> dict:
     return {"index": inst.subgroup_aut.state_count, "seconds": seconds, "verdicts": verdicts}
 
 
-def run_row(family: str, k: int, repeat: int) -> dict:
-    """One subprocess: ``repeat`` fresh instances, stage medians, peak RSS."""
-    runs = [time_row(family, k) for _ in range(repeat)]
+def run_row(family: str, k: int) -> dict:
+    """One subprocess: ``REPEAT`` fresh instances, stage medians, peak RSS."""
+    runs = [time_row(family, k) for _ in range(REPEAT)]
     if any(r["verdicts"] != runs[0]["verdicts"] or r["index"] != runs[0]["index"] for r in runs):
         raise RuntimeError("repeated runs of one row disagree")
     seconds = {s: statistics.median(r["seconds"][s] for r in runs) for s in STAGES}
@@ -141,27 +142,24 @@ def slope(rows: list, stage: str) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=5, help="fresh instances per row")
     parser.add_argument("--label", default="change", help="key of this run in --out")
     parser.add_argument("--out", default=None, help="JSON file to store the run in")
     parser.add_argument("--row", nargs=2, metavar=("FAMILY", "K"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     if args.row:
-        print(json.dumps(run_row(args.row[0], int(args.row[1]), args.repeat)))
+        print(json.dumps(run_row(args.row[0], int(args.row[1]))))
         return 0
     result = {
         "python": sys.version.split()[0],
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "families": {},
     }
     for family in FAMILIES:
         rows = []
         for k in FAMILIES[family][3]:
             out = subprocess.run(
-                [sys.executable, __file__, "--row", family, str(k), "--repeat", str(args.repeat)],
+                [sys.executable, __file__, "--row", family, str(k)],
                 check=True,
                 capture_output=True,
                 text=True,

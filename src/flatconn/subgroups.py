@@ -186,13 +186,19 @@ def _transversal(a: CosetAutomaton) -> tuple[list[int], list[int]]:
     return parent, column
 
 
+def _rep_word(parent: list[int], column: list[int], t: int) -> Word:
+    """rep(t), read back along the transversal from state t to state 0."""
+    letters = []
+    while t:
+        letters.append((column[t] >> 1, -1 if column[t] & 1 else 1))
+        t = parent[t]
+    return tuple(reversed(letters))
+
+
 def _rep_words(a: CosetAutomaton) -> list[Word]:
     """Breadth-first coset representative words (state 0 gets the empty word)."""
     parent, column = _transversal(a)
-    reps: list[Word] = [()] * a.state_count
-    for t in range(1, a.state_count):
-        reps[t] = reps[parent[t]] + ((column[t] >> 1, -1 if column[t] & 1 else 1),)
-    return reps
+    return [_rep_word(parent, column, t) for t in range(a.state_count)]
 
 
 def _schreier_points(a: CosetAutomaton, forward, backward):
@@ -230,16 +236,26 @@ def _schreier_points(a: CosetAutomaton, forward, backward):
 def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list[Word]:
     """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped.
 
-    Order is (state, generator) ascending; for a free group of rank r and
-    index d this yields d(r-1)+1 words, each freely reduced.
+    The generator of the step s -> t = s g is trivial exactly on a tree step
+    of :func:`_transversal`, where rep(t) = rep(s) g or rep(s) = rep(t) g^-1,
+    and freely reduced as written otherwise.  Order is (state, generator)
+    ascending; for a free group of rank r and index d this yields d(r-1)+1
+    words.
     """
-    point = [(0,)] * a.rank  # the action on one point: only the steps are read
-    steps = [(s, g) for s, g, _, _ in _schreier_points(a, point, point)]
+    if not a.complete:
+        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
     if presentation.rank != a.rank:
         raise ValueError("presentation rank does not match automaton alphabet")
-    reps = _rep_words(a)
+    parent, column = _transversal(a)
+    reps = [_rep_word(parent, column, t) for t in range(a.state_count)]
     inverses = [invert_word(w) for w in reps]
-    return [reps[s] + ((g, 1),) + inverses[a.forward[g][s]] for s, g in steps]
+    out = []
+    for s, rep in enumerate(reps):
+        for g, col in enumerate(a.forward):
+            t = col[s]
+            if column[t] != 2 * g and column[s] != 2 * g + 1:
+                out.append(rep + ((g, 1),) + inverses[t])
+    return out
 
 
 def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[int, int]]:
@@ -255,8 +271,9 @@ def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[
 
 def _schreier_word(a: CosetAutomaton, s: int, g: int) -> Word:
     """The Schreier generator rep(s) * g * rep(s g)^-1, spelled out."""
-    reps = _rep_words(a)
-    return reps[s] + ((g, 1),) + invert_word(reps[a.forward[g][s]])
+    parent, column = _transversal(a)
+    t = a.forward[g][s]
+    return _rep_word(parent, column, s) + ((g, 1),) + invert_word(_rep_word(parent, column, t))
 
 
 def is_normal_subgroup(a: CosetAutomaton) -> bool:
@@ -550,20 +567,7 @@ def automaton_from_quotient(
     right multiplication with h(g).  Relator words must map to the identity
     for h to be well defined on the presented group.
     """
-    _check_images(images, group, relators)
-    image = subgroup_closure(group, images)
-    t_members = sorted(set(subgroup.members) & set(image.members))
-    product = group.product
-
-    def act(rep: int, g: int) -> int:
-        # A coset T x is named by its smallest element.
-        x = product[rep][images[g]]
-        return min(product[t][x] for t in t_members)
-
-    return CosetAutomaton.from_action(len(images), 0, act)
-
-
-def _check_images(images: Sequence[int], group: GroupTable, relators: Iterable[Word]) -> None:
+    rank = len(images)
     for k, x in enumerate(images):
         if not 0 <= x < group.order:
             raise ValueError(f"image {k} out of range for group of order {group.order}")
@@ -574,17 +578,16 @@ def _check_images(images: Sequence[int], group: GroupTable, relators: Iterable[W
                 f"relator {k} maps to {group.label(val)}, not the identity; "
                 "the quotient morphism is not well defined"
             )
+    image = subgroup_closure(group, images)
+    t_members = sorted(set(subgroup.members) & set(image.members))
+    product = group.product
 
+    def act(rep: int, g: int) -> int:
+        # A coset T x is named by its smallest element.
+        x = product[rep][images[g]]
+        return min(product[t][x] for t in t_members)
 
-def check_quotient_images(images: Sequence[int], group: GroupTable, presentation: Presentation) -> None:
-    """Raise ValueError unless the generator images define a homomorphism
-    from the presented group into group: one image in range per generator,
-    and every relator mapped to the identity."""
-    if len(images) != presentation.rank:
-        raise ValueError(
-            f"quotient spec has {len(images)} images for {presentation.rank} generators"
-        )
-    _check_images(images, group, presentation.relators)
+    return CosetAutomaton.from_action(rank, 0, act)
 
 
 def automaton_from_spec(
@@ -608,6 +611,21 @@ def automaton_from_spec(
     images = spec.images if spec.images is not None else default_images
     if group is None or images is None:
         raise ValueError("quotient subgroup spec needs a group and generator images")
-    check_quotient_images(images, group, presentation)
+    if len(images) != presentation.rank:
+        raise ValueError(
+            f"quotient spec has {len(images)} images for {presentation.rank} generators"
+        )
     sub = subgroup_closure(group, spec.subgroup)
-    return automaton_from_quotient(images, group, sub)
+    return automaton_from_quotient(images, group, sub, relators=presentation.relators)
+
+
+def check_quotient_images(images: Sequence[int], group: GroupTable, presentation: Presentation) -> None:
+    """Raise the ValueError of :func:`automaton_from_spec` unless the
+    generator images define a homomorphism of the presented group: one image
+    per generator, and every relator mapped to the identity."""
+    if len(images) != presentation.rank:
+        raise ValueError(
+            f"quotient spec has {len(images)} images for {presentation.rank} generators"
+        )
+    # the one-state automaton of the whole image, built only for its checks
+    automaton_from_quotient(images, group, subgroup_closure(group, images), presentation.relators)

@@ -128,10 +128,6 @@ class GroupTable:
         self.name = name
         self.perms = tuple(tuple(p) for p in perms) if perms is not None else None
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
 

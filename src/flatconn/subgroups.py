@@ -31,9 +31,14 @@ class CosetAutomaton:
     breadth-first discovery order from state 0, visiting letters in the
     order g0, g0^-1, g1, g1^-1, ...; so two automata describe the same
     based subgroup exactly when their tables are equal.
+
+    The tree of that walk is the coset transversal: state t > 0 was
+    discovered from state ``parent[t]`` < t by the letter in ``column[t]``,
+    2g for generator g and 2g+1 for its inverse (the coset table's columns);
+    state 0 has column -1.
     """
 
-    __slots__ = ("rank", "forward", "backward", "complete")
+    __slots__ = ("rank", "forward", "backward", "complete", "parent", "column")
 
     def __init__(self, rank: int, forward, backward):
         state_count = len(forward[0]) if rank else 1
@@ -50,8 +55,19 @@ class CosetAutomaton:
                 u = bwd[g][s]
                 if u is not None and fwd[g][u] != s:
                     raise ValueError(f"transitions for generator {g} are not mutually inverse")
-        order = self._bfs_order(rank, fwd, bwd, state_count)
-        remap = {old: new for new, old in enumerate(order)}
+        letters = list(enumerate(col for g in range(rank) for col in (fwd[g], bwd[g])))
+        order = [0]
+        remap = {0: 0}
+        parent = [0]
+        column = [-1]
+        for new, old in enumerate(order):
+            for c, col in letters:
+                t = col[old]
+                if t is not None and t not in remap:
+                    remap[t] = len(order)
+                    order.append(t)
+                    parent.append(new)
+                    column.append(c)
 
         def renumber(cols) -> tuple:
             # the states reached from reachable states are all reachable
@@ -64,6 +80,8 @@ class CosetAutomaton:
         self.forward = renumber(fwd)
         self.backward = renumber(bwd)
         self.complete = all(t is not None for col in self.forward + self.backward for t in col)
+        self.parent = tuple(parent)
+        self.column = tuple(column)
 
     @classmethod
     def from_action(cls, rank: int, start, act) -> "CosetAutomaton":
@@ -90,21 +108,6 @@ class CosetAutomaton:
             for s, t in enumerate(forward[g]):
                 backward[g][t] = s
         return cls(rank, forward, backward)
-
-    @staticmethod
-    def _bfs_order(rank, fwd, bwd, state_count):
-        seen = {0}
-        order = [0]
-        head = 0
-        while head < len(order):
-            s = order[head]
-            head += 1
-            for g in range(rank):
-                for t in (fwd[g][s], bwd[g][s]):
-                    if t is not None and t not in seen:
-                        seen.add(t)
-                        order.append(t)
-        return order
 
     @property
     def state_count(self) -> int:
@@ -164,41 +167,34 @@ def automata_equal(x: CosetAutomaton, y: CosetAutomaton) -> bool:
     return x.key() == y.key()
 
 
-def _transversal(a: CosetAutomaton) -> tuple[list[int], list[int]]:
-    """The breadth-first coset transversal as tree letters.
-
-    State t > 0 is first reached from state parent[t] by the letter in
-    column[t]: 2g for generator g and 2g+1 for its inverse, the coset
-    table's columns.  First means walking the states in number order, which
-    is breadth-first order, taking letters in the order g0, g0^-1, g1, ...;
-    so parent[t] < t, and rep(t) = rep(parent[t]) * letter is prefix-closed
-    and reduced.  State 0 has column -1.
-    """
-    parent = [0] * a.state_count
-    column = [-1] * a.state_count
-    letters = list(enumerate(col for g in range(a.rank) for col in (a.forward[g], a.backward[g])))
-    for s in range(a.state_count):
-        for c, col in letters:
-            t = col[s]
-            if t and column[t] < 0:
-                parent[t] = s
-                column[t] = c
-    return parent, column
-
-
-def _rep_word(parent: list[int], column: list[int], t: int) -> Word:
+def _rep_word(a: CosetAutomaton, t: int) -> Word:
     """rep(t), read back along the transversal from state t to state 0."""
     letters = []
     while t:
-        letters.append((column[t] >> 1, -1 if column[t] & 1 else 1))
-        t = parent[t]
+        c = a.column[t]
+        letters.append((c >> 1, -1 if c & 1 else 1))
+        t = a.parent[t]
     return tuple(reversed(letters))
 
 
-def _rep_words(a: CosetAutomaton) -> list[Word]:
-    """Breadth-first coset representative words (state 0 gets the empty word)."""
-    parent, column = _transversal(a)
-    return [_rep_word(parent, column, t) for t in range(a.state_count)]
+def _schreier_steps(a: CosetAutomaton):
+    """The steps s -> t = s g of the non-trivial Schreier generators
+    rep(s) * g * rep(t)^-1 of a complete automaton, in (state, generator)
+    order, as (s, g, t).
+
+    The generator is trivial exactly on a tree step, where rep(t) = rep(s) g
+    or rep(s) = rep(t) g^-1, and freely reduced as written otherwise; for a
+    free group of rank r and index d there are d(r-1)+1 of them.
+    """
+    if not a.complete:
+        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    column = a.column
+    for s in range(a.state_count):
+        up = column[s]
+        for g, col in enumerate(a.forward):
+            t = col[s]
+            if column[t] != 2 * g and up != 2 * g + 1:
+                yield s, g, t
 
 
 def _schreier_points(a: CosetAutomaton, forward, backward):
@@ -211,51 +207,27 @@ def _schreier_points(a: CosetAutomaton, forward, backward):
     T-reduced values).  The generator rep(s) * g * rep(t)^-1 of the step
     s -> t = s g fixes 0 exactly when x = pot(s) g is defined and equals
     y = pot(t); in a group acting on itself x * y^-1 is its value.
-
-    The generator is trivial exactly on a tree step, where rep(t) = rep(s) g
-    or rep(s) = rep(t) g^-1, and freely reduced as written otherwise.
-    Yields (s, g, x, y) for the others, in (state, generator) order.
+    Yields (s, g, x, y) for the steps of :func:`_schreier_steps`.
     """
-    if not a.complete:
-        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
-    parent, column = _transversal(a)
     moves = [col for g in range(a.rank) for col in (forward[g], backward[g])]
     pot: list = [0] * a.state_count
     for t in range(1, a.state_count):
-        x = pot[parent[t]]
-        pot[t] = None if x is None else moves[column[t]][x]
-    steps = list(enumerate(zip(a.forward, forward)))
-    for s in range(a.state_count):
-        x, up = pot[s], column[s]
-        for g, (col, move) in steps:
-            t = col[s]
-            if column[t] != 2 * g and up != 2 * g + 1:
-                yield s, g, None if x is None else move[x], pot[t]
+        x = pot[a.parent[t]]
+        pot[t] = None if x is None else moves[a.column[t]][x]
+    for s, g, t in _schreier_steps(a):
+        x = pot[s]
+        yield s, g, None if x is None else forward[g][x], pot[t]
 
 
 def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list[Word]:
-    """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped.
-
-    The generator of the step s -> t = s g is trivial exactly on a tree step
-    of :func:`_transversal`, where rep(t) = rep(s) g or rep(s) = rep(t) g^-1,
-    and freely reduced as written otherwise.  Order is (state, generator)
-    ascending; for a free group of rank r and index d this yields d(r-1)+1
-    words.
-    """
-    if not a.complete:
-        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped,
+    in the (state, generator) order of :func:`_schreier_steps`."""
+    steps = list(_schreier_steps(a))  # an incomplete automaton raises before the rank check
     if presentation.rank != a.rank:
         raise ValueError("presentation rank does not match automaton alphabet")
-    parent, column = _transversal(a)
-    reps = [_rep_word(parent, column, t) for t in range(a.state_count)]
+    reps = [_rep_word(a, t) for t in range(a.state_count)]
     inverses = [invert_word(w) for w in reps]
-    out = []
-    for s, rep in enumerate(reps):
-        for g, col in enumerate(a.forward):
-            t = col[s]
-            if column[t] != 2 * g and column[s] != 2 * g + 1:
-                out.append(rep + ((g, 1),) + inverses[t])
-    return out
+    return [reps[s] + ((g, 1),) + inverses[t] for s, g, t in steps]
 
 
 def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[int, int]]:
@@ -271,9 +243,7 @@ def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[
 
 def _schreier_word(a: CosetAutomaton, s: int, g: int) -> Word:
     """The Schreier generator rep(s) * g * rep(s g)^-1, spelled out."""
-    parent, column = _transversal(a)
-    t = a.forward[g][s]
-    return _rep_word(parent, column, s) + ((g, 1),) + invert_word(_rep_word(parent, column, t))
+    return _rep_word(a, s) + ((g, 1),) + invert_word(_rep_word(a, a.forward[g][s]))
 
 
 def is_normal_subgroup(a: CosetAutomaton) -> bool:

@@ -69,7 +69,6 @@ from .subgroups import (
     automaton_from_spec,
     automata_equal,
     is_normal_subgroup,
-    reidemeister_schreier,
 )
 
 HOLDS = "holds"
@@ -205,12 +204,6 @@ class Instance:
     def subgroup_normal(self) -> bool:
         """Is the covering subgroup normal, i.e. is the covering regular?"""
         return is_normal_subgroup(self.subgroup_aut)
-
-    @cached_property
-    def subgroup_schreier(self) -> list:
-        """The covering subgroup's Schreier generators spelled out as words;
-        the claim checks read the transversal instead and never build it."""
-        return reidemeister_schreier(self.subgroup_aut, self.presentation)
 
     @cached_property
     def restricted_image(self) -> SubgroupSet:

@@ -7,20 +7,10 @@ representation serves edge paths (symbol = edge id) and free-group words
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]
-
-
-def word(letters: Iterable[tuple[int, int]]) -> Word:
-    """Normalize an iterable of (symbol, sign) pairs into a Word tuple."""
-    out = []
-    for sym, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        out.append((int(sym), sign))
-    return tuple(out)
 
 
 def invert_word(w: Word) -> Word:

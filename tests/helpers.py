@@ -3,16 +3,15 @@
 They are written against the public complex and map interfaces and share no
 lookup structure with the library, so the tests that use them stay
 independent oracles.  The reference loops compute lifted relators and
-Schreier generators the long way: every lift traced step by step, every
-Schreier word freely reduced (over the library's transversal), and every
-Schreier word spelled out, evaluated and traced letter by letter (over a
-transversal built here).
+Schreier generators the long way: every lift traced step by step, and
+every Schreier word, over a transversal built here, freely reduced or
+spelled out, evaluated and traced letter by letter.
 """
 
 from flatconn.complexes import spanning_tree
 from flatconn.errors import ComplexError
 from flatconn.groups import subgroup_closure
-from flatconn.subgroups import _rep_words, membership
+from flatconn.subgroups import membership
 from flatconn.words import invert_word, reduce_word
 
 
@@ -109,8 +108,9 @@ def eager_lifted_relators(c, a):
 
 def reduced_schreier_words(a):
     """The non-trivial Schreier generators rep(s) * g * rep(s g)^-1 of a
-    complete automaton, each freely reduced, in (state, generator) order."""
-    reps = _rep_words(a)
+    complete automaton, each freely reduced, in (state, generator) order over
+    :func:`breadth_first_reps`."""
+    reps = breadth_first_reps(a)
     words = []
     for s in range(a.state_count):
         for g in range(a.rank):

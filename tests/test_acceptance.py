@@ -19,7 +19,7 @@ from flatconn.connections import holonomy_morphism, holonomy_group, kernel_autom
 from flatconn.corpus import generate_corpus
 from flatconn.covers import is_covering_map, subgroup_of_cover
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
-from flatconn.subgroups import automata_equal
+from flatconn.subgroups import automata_equal, reidemeister_schreier
 from flatconn.theorems import (
     FAILS,
     HOLDS,
@@ -198,7 +198,7 @@ def test_criterion_8_regression_vector(s3, wedge, wedge_s3_voltage):
     assert a3.cover.degree == 2
     assert a3.cover.total.free_rank == 3
     assert a3.induced_image.label_list() == ["e", "(012)", "(021)"]
-    mapped = [a3.morphism.evaluate(w) for w in a3.subgroup_schreier]
+    mapped = [a3.morphism.evaluate(w) for w in reidemeister_schreier(a3.subgroup_aut, a3.presentation)]
     from flatconn.groups import subgroup_closure
 
     assert subgroup_closure(s3, mapped).members == a3.induced_image.members

@@ -128,4 +128,4 @@ def test_sampler_matches_reference_on_tampered_pullbacks():
                     tampered += 1
                     on_tree += e.id in inst.cover_tree.tree_edges
         inst.__dict__["pullback"] = honest
-    assert tampered == 272 and on_tree == 100
+    assert tampered == 312 and on_tree == 110

@@ -193,7 +193,7 @@ def test_no_false_flags_on_coxeter_presentations():
 
 def test_no_false_flags_on_instance_documents():
     names = sorted(n for n in os.listdir(INSTANCES) if n.endswith(".json"))
-    assert len(names) == 7
+    assert len(names) == 8
     for name in names:
         with open(os.path.join(INSTANCES, name), "r", encoding="utf-8") as fh:
             doc = json.load(fh)

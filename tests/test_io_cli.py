@@ -459,7 +459,7 @@ def test_dropped_and_replaced_fields_fail_cleanly_or_verify():
                 assert len(reports) == 7, (name, parts)
                 assert all(r.verdict != FAILS for r in reports), (name, parts)
                 outcomes["verified"] += 1
-    assert sum(outcomes.values()) == 1304
+    assert sum(outcomes.values()) == 1544
     assert min(outcomes.values()) > 0 and outcomes["input-error"] > 1000, outcomes
 
 
@@ -601,7 +601,7 @@ def test_cover_emit_complex_pins_lifted_relators(tmp_path, capsys):
 
 def test_cli_golden_kernel_gate_miss(capsys):
     # the b-parity subgroup: the kernel escapes it, so cor_2_2's gate fails
-    parity = os.path.join(HERE, "documents", "wedge_s3_parity.json")
+    parity = doc_path("wedge_s3_parity.json")
     test_cli_golden(["verify", parity, "--seed", "5"], "verify_wedge_s3_parity.txt", capsys)
 
 

@@ -8,6 +8,7 @@ from flatconn.corpus import generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
 from flatconn.groups import catalog_group, subgroup_closure
 from flatconn.subgroups import (
+    CosetAutomaton,
     SubgroupSpec,
     automata_equal,
     automaton_from_quotient,
@@ -269,6 +270,14 @@ def test_schreier_index_one():
     assert reidemeister_schreier(aut, FREE2) == [(A,), (B,)]
 
 
+def test_schreier_rejects_an_incomplete_automaton_before_a_rank_mismatch():
+    rank3 = Presentation(generators=(0, 1, 2), relators=())
+    with pytest.raises(IncompleteAutomatonError, match="^Schreier generators require a complete automaton$"):
+        reidemeister_schreier(stallings_core([(A,)], 2), rank3)
+    with pytest.raises(ValueError, match="^presentation rank does not match automaton alphabet$"):
+        reidemeister_schreier(stallings_core(INDEX2, 2), rank3)
+
+
 def test_schreier_index_two_count():
     aut = stallings_core(INDEX2, 2)
     gens = reidemeister_schreier(aut, FREE2)
@@ -335,6 +344,26 @@ def test_canonical_numbering_is_bfs():
     assert aut.forward[0][0] == 1
     assert aut.trace((A, A)) == 0
     assert aut.trace((A,)) == 1
+
+
+def test_constructor_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="^transition columns have inconsistent lengths$"):
+        CosetAutomaton(2, [[1, 0], [0, 1]], [[1, 0], [0]])
+
+
+@pytest.mark.parametrize(
+    "forward,backward",
+    [
+        # generator 1 sends 0 to 1, but its inverse is undefined at 1
+        ([[1, 0], [1, None]], [[1, 0], [None, None]]),
+        # the inverse of generator 1 sends 0 to 1, but generator 1 is undefined at 1
+        ([[1, 0], [None, None]], [[1, 0], [1, None]]),
+    ],
+    ids=["forward", "backward"],
+)
+def test_constructor_rejects_transitions_that_are_not_mutually_inverse(forward, backward):
+    with pytest.raises(ValueError, match="^transitions for generator 1 are not mutually inverse$"):
+        CosetAutomaton(2, forward, backward)
 
 
 def test_todd_coxeter_recovers_finite_group_orders():

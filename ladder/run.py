@@ -11,7 +11,13 @@ Rows are Todd-Coxeter covers of the torus and the Klein bottle, with
 H = <a^p, b^q> and p q = 2^k (p = 2^ceil(k/2)): the torus at index
 2^6 ... 2^14 with the voltage a -> 1, b -> 2 into Z4 (H lies in the holonomy
 kernel, so every Schreier generator is checked), the Klein bottle at index
-2^6 ... 2^12 with a -> (01), b -> (012) into S3 (h(H) = A3).
+2^6 ... 2^12 with a -> (01), b -> (012) into S3 (h(H) = A3).  The
+symmetric-group rows put S_k (k = 4 ... 7, given by (01) and the full
+cycle) over the wedge of two circles, with the voltage onto a seeded random
+generating pair: ``sym_kernel`` covers by the holonomy kernel (index k!),
+``sym_quotient`` by the preimage of a seeded involution's subgroup (index
+k!/2, not normal).  There the group itself grows with the row, so ``parse``
+carries the group closure.
 
 Stages are timed from outside the library, by reading the ``Instance``
 artifacts and calling the claim checks in pipeline order; each stage's time
@@ -41,6 +47,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -52,9 +59,16 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
 FAMILIES = {
-    # name: (relator, group, voltage on a and b, exponents k of the indices)
-    "torus": ("a b a^-1 b^-1", "Z4", (1, 2), range(6, 15)),
-    "klein": ("a b a^-1 b", "S3", ("(01)", "(012)"), range(6, 13)),
+    # name: the k of its rows (the index is 2^k on a surface, k! or k!/2 for S_k)
+    "torus": range(6, 15),
+    "klein": range(6, 13),
+    "sym_kernel": range(4, 8),
+    "sym_quotient": range(4, 8),
+}
+SURFACES = {
+    # name: (relator, group, voltage on a and b)
+    "torus": ("a b a^-1 b^-1", "Z4", (1, 2)),
+    "klein": ("a b a^-1 b", "S3", ("(01)", "(012)")),
 }
 STAGES = (
     "parse",
@@ -71,19 +85,57 @@ REPEAT = 5  # fresh instances per row
 
 
 def document(family: str, k: int) -> dict:
-    relator, group, (va, vb) = FAMILIES[family][:3]
+    if family not in SURFACES:
+        return symmetric_document(k, kernel=family == "sym_kernel")
+    relator, group, (va, vb) = SURFACES[family]
     p, q = 2 ** ((k + 1) // 2), 2 ** (k // 2)
+    return wedge_document(group, [relator], (va, vb), {"kind": "words", "words": [" ".join(["a"] * p), " ".join(["b"] * q)]})
+
+
+def wedge_document(group, relators: list, voltage: tuple, covering: dict) -> dict:
+    """Two loops a and b at one vertex, with the given relators."""
     return {
         "group": group,
         "complex": {
             "vertices": 1,
             "edges": [{"id": 0, "tail": 0, "head": 0}, {"id": 1, "tail": 0, "head": 0}],
             "aliases": {"a": 0, "b": 1},
-            "relators": [relator],
+            "relators": relators,
         },
-        "voltage": [{"edge": "a", "element": va}, {"edge": "b", "element": vb}],
-        "covering": {"kind": "words", "words": [" ".join(["a"] * p), " ".join(["b"] * q)]},
+        "voltage": [{"edge": "a", "element": voltage[0]}, {"edge": "b", "element": voltage[1]}],
+        "covering": covering,
     }
+
+
+def closure_order(gens: list) -> int:
+    """The order of the permutation group the generators generate."""
+    seen = {tuple(range(len(gens[0])))}
+    frontier = list(seen)
+    for p in frontier:  # the list grows while it is walked
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+def symmetric_document(degree: int, kernel: bool) -> dict:
+    """S_degree over the wedge of two circles, seeded by the degree; element
+    names are the library's cycle labels (``src/`` is on the path)."""
+    from flatconn.groups import cycle_label
+
+    rng = random.Random(degree)
+    pair = None
+    while pair is None or closure_order(pair) != math.factorial(degree):
+        pair = [tuple(rng.sample(range(degree), degree)) for _ in range(2)]
+    identity = tuple(range(degree))
+    t = identity
+    while t == identity or tuple(t[i] for i in t) != identity:
+        t = tuple(rng.sample(range(degree), degree))
+    group = {"degree": degree, "generators": [[1, 0, *range(2, degree)], [*range(1, degree), 0]]}
+    subgroup = ["e"] if kernel else [cycle_label(t)]
+    return wedge_document(group, [], tuple(map(cycle_label, pair)), {"kind": "quotient", "subgroup": subgroup})
 
 
 def time_row(family: str, k: int) -> dict:
@@ -157,7 +209,7 @@ def main(argv=None) -> int:
     }
     for family in FAMILIES:
         rows = []
-        for k in FAMILIES[family][3]:
+        for k in FAMILIES[family]:
             out = subprocess.run(
                 [sys.executable, __file__, "--row", family, str(k)],
                 check=True,

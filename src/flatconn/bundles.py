@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter
 from typing import Optional
 
 from .complexes import BaseComplex, Edge, spanning_tree
@@ -54,12 +53,12 @@ class LiftedGraph(BaseComplex):
 
     Lifted edge ``p * |G| + x`` runs from (tail p, x) to (head p, x * w(p)):
     vertex ``tail(p) * |G| + x`` to vertex ``head(p) * |G| + x * w(p)``.  The
-    map x -> x * w(p) is the fiber map of p, a column of the product table;
+    map x -> x * w(p) is the fiber map of p, the group's column of w(p);
     the :class:`BaseComplex` queries (edges, edge lookup, stars, paths) are
     answered from the fiber maps and the base, without an ``Edge`` per lift.
     """
 
-    __slots__ = ("_voltage", "_values", "_columns")
+    __slots__ = ("_voltage", "_values")
 
     def __init__(self, v: Voltage):
         n = v.group.order
@@ -69,7 +68,6 @@ class LiftedGraph(BaseComplex):
         self.relators = ()
         self._voltage = v
         self._values = v.as_tuple()
-        self._columns: dict[int, tuple] = {}
         self._validated = False
         self._tree = None
 
@@ -78,11 +76,7 @@ class LiftedGraph(BaseComplex):
         the lift of p at x ends at element x * w(p); with sign -1, the lift
         ending at x starts at element x * w(p)^-1."""
         group = self._voltage.group
-        w = self._values[p] if sign > 0 else group.inverse[self._values[p]]
-        column = self._columns.get(w)
-        if column is None:
-            column = self._columns[w] = tuple(map(itemgetter(w), group.product))
-        return column
+        return group.column(self._values[p] if sign > 0 else group.inverse[self._values[p]])
 
     def edge(self, eid: int) -> Edge:
         base, n = self._voltage.complex, self._voltage.group.order
@@ -111,9 +105,11 @@ class LiftedGraph(BaseComplex):
 
 class BundleComponents(Sequence):
     """The vertex ids of each component, ascending, listed from the
-    component's sheets only when it is asked for: over base vertex u, sheet
-    s holds the vertex (u, s * shift[u]^-1).  A slice is a list, as for
-    ``list(self)``."""
+    component's sheets only when it is asked for.  Over the root of the
+    base's spanning tree (shift e) the fiber is the component's sheets; the
+    lift of a tree step joins (parent, y) to (u, y * w^sign), so each other
+    fiber is its parent's read through that step's fiber map.  A slice is a
+    list, as for ``list(self)``."""
 
     __slots__ = ("_bundle",)
 
@@ -128,12 +124,14 @@ class BundleComponents(Sequence):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         d = self._bundle
-        n, inverse = d.group.order, d.group.inverse
-        rows = list(compress(d.group.product, map(i.__eq__, d._sheet_component)))
-        return tuple(chain.from_iterable(
-            map((u * n).__add__, sorted(map(itemgetter(inverse[t]), rows)))
-            for u, t in enumerate(d._shift)
-        ))
+        base, n, tree = d.base, d.group.order, spanning_tree(d.base)
+        fibers = [()] * base.vertex_count
+        fibers[tree.order[0]] = list(compress(range(n), map(i.__eq__, d._sheet_component)))
+        for u in tree.order[1:]:
+            eid, sign = step = tree.parent[u]
+            ends = d.graph._fiber_map(base.edge_pos(eid), sign)
+            fibers[u] = list(map(ends.__getitem__, fibers[base.step_endpoints(step)[0]]))
+        return tuple(chain.from_iterable(map((u * n).__add__, sorted(f)) for u, f in enumerate(fibers)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +165,8 @@ class DerivedBundle:
     def component_of(self) -> tuple:
         """The component of every vertex, |G| * V entries, built when first
         read: (u, x) lies on sheet x * shift[u]."""
-        product, sheet_component = self.group.product, self._sheet_component.__getitem__
-        return tuple(chain.from_iterable(
-            map(sheet_component, map(itemgetter(t), product)) for t in self._shift
-        ))
+        column, sheet_component = self.group.column, self._sheet_component.__getitem__
+        return tuple(chain.from_iterable(map(sheet_component, column(t)) for t in self._shift))
 
     def edge_pair(self, eid: int) -> tuple[int, int]:
         """(base edge position, group element) of a lifted edge id."""
@@ -206,37 +202,39 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         raise ValueError("voltage takes values in a different group")
     _require_flat(v)
     graph = LiftedGraph(v)
-    product, inverse, values = g.product, g.inverse, graph._values
+    column, inverse, values = g.column, g.inverse, graph._values
     tree = spanning_tree(c)
-    shift = [0] * c.vertex_count
+    unshift = [0] * c.vertex_count  # shift[u]^-1
     for u in tree.order[1:]:
         step = tree.parent[u]
         # (parent, y) is joined to (u, y * w^sign), so (u, x) lies on the
-        # sheet of (parent, x * w^-sign): shift[u] = w^-sign * shift[parent].
+        # sheet of (parent, x * w^-sign): shift[u] = w^-sign * shift[parent],
+        # and its inverse is a column read, unshift[parent] * w^sign.
         w = values[c.edge_pos(step[0])]
-        shift[u] = product[inverse[w] if step[1] > 0 else w][shift[c.step_endpoints(step)[0]]]
-    gammas = {
-        product[product[inverse[shift[e.tail]]][w]][shift[e.head]] for e, w in zip(c.edges, values)
-    }
-    gammas.discard(0)
-    hol = [0]  # H: the sheets reached from sheet 0
-    seen = {0}
-    for a in hol:  # forward images suffice: the gammas generate a finite group
-        row = product[a]
-        for gamma in gammas:
-            b = row[gamma]
-            if b not in seen:
-                seen.add(b)
-                hol.append(b)
-    # Every component meets fiber 0, so seeding cosets in order of the sheets
-    # of (0, x), x ascending, numbers the components by minimal vertex.
+        unshift[u] = column(w if step[1] > 0 else inverse[w])[unshift[c.step_endpoints(step)[0]]]
+    gammas = set()
+    for e, w in zip(c.edges, values):
+        x, y = column(w)[unshift[e.tail]], unshift[e.head]
+        if x != y:  # gamma = x * y^-1 is the identity on tree edges
+            gammas.add(g.mul_inv(x, y))
+    shift = [inverse[x] for x in unshift]
+    # Sheets s and s * gamma share a component, so the components are the
+    # orbits of the gammas' columns, the cosets of the subgroup H they
+    # generate.  Every component meets fiber 0, so seeding orbits in order of
+    # the sheets of (0, x), x ascending, numbers them by minimal vertex.
+    gamma_columns = [column(gamma) for gamma in gammas]
     sheet_component = [None] * g.order
     count = 0
-    for s in map(itemgetter(shift[0]), product):
+    for s in column(shift[0]):
         if sheet_component[s] is None:
-            row = product[s]
-            for h in hol:
-                sheet_component[row[h]] = count
+            sheet_component[s] = count
+            orbit = [s]
+            for a in orbit:  # forward images suffice: the gammas generate a finite group
+                for col in gamma_columns:
+                    b = col[a]
+                    if sheet_component[b] is None:
+                        sheet_component[b] = count
+                        orbit.append(b)
             count += 1
     return DerivedBundle(
         base=c,
@@ -245,7 +243,7 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         graph=graph,
         _shift=tuple(shift),
         _sheet_component=tuple(sheet_component),
-        sheet_counts=(len(hol),) * count,
+        sheet_counts=(g.order // count,) * count,
         base_lift=graph.basepoint,
     )
 

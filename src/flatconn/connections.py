@@ -132,12 +132,12 @@ class HolonomyMorphism:
 def _tree_potentials(t: SpanningTreeData, g: GroupTable, value: Callable[[tuple], int]) -> list:
     """pot[u]: the product of value(step) along the tree path to u, read in
     one pass down the tree (Gross-Tucker's T-reduced voltage)."""
-    c, mul = t.complex, g.product
+    c, column = t.complex, g.column
     pot = [0] * c.vertex_count
     for u in t.order[1:]:
         eid, sign = step = t.parent[u]
         e = c.edge(eid)
-        pot[u] = mul[pot[e.tail if sign > 0 else e.head]][value(step)]
+        pot[u] = column(value(step))[pot[e.tail if sign > 0 else e.head]]
     return pot
 
 
@@ -148,9 +148,9 @@ def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
     potential pot(u) is the product along the tree path to u.
     """
     _require_flat(v)
-    c, w, mul, inv = v.complex, v.assignment, v.group.product, v.group.inverse
-    pot = _tree_potentials(t, v.group, v.on_step)
-    images = tuple([mul[mul[pot[e.tail]][w[e.id]]][inv[pot[e.head]]] for e in map(c.edge, t.generators)])
+    g, c, w = v.group, v.complex, v.assignment
+    pot = _tree_potentials(t, g, v.on_step)
+    images = tuple([g.mul_inv(g.column(w[e.id])[pot[e.tail]], pot[e.head]) for e in map(c.edge, t.generators)])
     return HolonomyMorphism(group=v.group, images=images)
 
 

@@ -65,10 +65,10 @@ def random_flat_voltage(
             return v
     seed_elt = rng.randrange(g.order)
     cyc = [0]
-    x = seed_elt
+    x, times_seed = seed_elt, g.column(seed_elt)
     while x != 0:
         cyc.append(x)
-        x = g.mul(x, seed_elt)
+        x = times_seed[x]
     flat = []
     for combo in iter_product(cyc, repeat=len(edge_ids)):
         v = Voltage(c, g, dict(zip(edge_ids, combo)))

@@ -62,16 +62,18 @@ class ComplexMap:
 
     @cached_property
     def _lift_index(self) -> Optional[list]:
-        """Per source vertex: (target edge id, sign) -> the source edge whose
-        end there lifts it; None unless the edge-ends at every source vertex
-        map one to one (no key is taken twice) and onto (as many keys as ends
-        at the image vertex).  Incidence is checked first, so every key is
-        such an end.  A map is immutable, so this is built once per map."""
+        """Per source vertex: the target edge-end 2 t (out of target edge t)
+        or 2 t + 1 (into it), one int rather than a (t, sign) tuple -> the
+        source edge whose end there lifts it; None unless the edge-ends at
+        every source vertex map one to one (no key is taken twice) and onto
+        (as many keys as ends at the image vertex).  Incidence is checked
+        first, so every key is such an end.  A map is immutable, so this is
+        built once per map."""
         check_incidence(self)
         idx: list[dict] = [{} for _ in range(self.source.vertex_count)]
         for e in self.source.edges:
-            t = self.edge_map[e.id]
-            if idx[e.tail].setdefault((t, 1), e.id) != e.id or idx[e.head].setdefault((t, -1), e.id) != e.id:
+            out = 2 * self.edge_map[e.id]
+            if idx[e.tail].setdefault(out, e.id) != e.id or idx[e.head].setdefault(out + 1, e.id) != e.id:
                 return None
         for v, ends in enumerate(idx):
             if len(ends) != len(self.target.star(self.vertex_map[v])):
@@ -254,8 +256,9 @@ def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
     lifts[base.basepoint] = [x for x, u in enumerate(m.vertex_map) if u == base.basepoint]
     for u in tree.order[1:]:
         step = tree.parent[u]
+        end = 2 * step[0] + (step[1] < 0)
         lifts[u] = [
-            source.step_endpoints((end_index[x][step], step[1]))[1]
+            source.step_endpoints((end_index[x][end], step[1]))[1]
             for x in lifts[base.step_endpoints(step)[0]]
         ]
     sheet = [0] * source.vertex_count
@@ -263,8 +266,10 @@ def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
         for k, x in enumerate(row):
             sheet[x] = k
 
+    ends = [(base.edge(eid).tail, 2 * eid) for eid in tree.generators]
+
     def act(k: int, i: int) -> int:
-        e = base.edge(tree.generators[i])
-        return sheet[source.edge(end_index[lifts[e.tail][k]][(e.id, 1)]).head]
+        tail, out = ends[i]
+        return sheet[source.edge(end_index[lifts[tail][k]][out]).head]
 
     return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)

@@ -1,4 +1,12 @@
-"""Finite groups as explicit multiplication tables, with subgroup machinery.
+"""Finite groups as permutation groups, with subgroup machinery.
+
+A group is kept as its elements' permutations, an index from permutation to
+element, inverses, labels and the breadth-first tree of its closure, never
+as a |G| x |G| product table.  Products with a fixed right factor w are read
+from ``column(w)``, the map x -> x * w: each generator's column falls out
+of the closure, and any other column is built from its ancestors' in the
+tree on first read and then cached.  Any other product a * b composes the
+two permutations and looks the result up.
 
 Conventions used throughout the package:
 
@@ -31,7 +39,7 @@ def _is_int(value) -> bool:
 
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Left-to-right composition: apply ``p`` first, then ``q``."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def invert_perm(p: Sequence[int]) -> Perm:
@@ -66,16 +74,48 @@ def cycle_label(p: Sequence[int]) -> str:
     return "".join("(" + sep.join(str(x) for x in c) + ")" for c in cycles)
 
 
-class GroupTable:
-    """A finite group given by its full multiplication table.
+class _Columns(dict):
+    """Element w -> its column, the tuple x -> x * w, kept once built.  A
+    missing column is built from the nearest ancestor of w in the closure
+    tree whose column is known, one generator column per tree step."""
 
-    ``product[i][j]`` is the index of the product of elements i and j (in
-    that order, left-to-right).  Identity checks and inverse totality are
-    enforced at construction; associativity can be checked exhaustively for
-    small orders via :meth:`check_associativity`.
+    __slots__ = ("_gens", "_parent", "_via")
+
+    def __init__(self, gens: tuple, parent: tuple, via: tuple):
+        super().__init__((col[0], col) for col in gens)  # 0 * g = g names generator g's column
+        self._gens, self._parent, self._via = gens, parent, via
+
+    def __missing__(self, w: int) -> tuple:
+        path = []
+        a = w
+        while a and a not in self:
+            path.append(self._gens[self._via[a]])
+            a = self._parent[a]
+        col = self[a] if a else tuple(range(len(self._parent)))
+        for gen in reversed(path):  # x * a * g: the generator's column read after a's
+            col = itemgetter(*col)(gen)  # a tuple: a path is only walked when |G| >= 2
+        self[w] = col
+        return col
+
+
+class GroupTable:
+    """A finite permutation group with right-multiplication columns.
+
+    ``perms[i]`` is element i's permutation and ``index`` maps it back;
+    ``parent[i]`` and ``via[i]`` say that i = parent[i] * generator via[i]
+    in the closure's breadth-first tree.  ``column(w)`` is the tuple
+    x -> x * w, a plain lookup once built (see :class:`_Columns`), and
+    ``mul(a, b)`` any product, composed from the two permutations.  A table
+    given to the public constructor is checked (entries, identity, two-sided
+    inverses) and becomes its right-regular permutation group: element a
+    acts as column a of the table, and every element is a generator.
+    ``product`` is the full table, computed when first read; the library
+    never reads it.
     """
 
-    __slots__ = ("order", "product", "inverse", "labels", "name", "perms")
+    __slots__ = (
+        "order", "perms", "index", "inverse", "labels", "name", "parent", "via", "_columns", "column", "_product"
+    )
 
     def __init__(
         self,
@@ -103,20 +143,23 @@ class GroupTable:
                 raise ValueError(f"element {i} has no inverse")
             if table[row.index(0)][i] != 0:
                 raise ValueError(f"one-sided inverse at element {i}")
-        self._store(table, labels, name, perms)
+        columns = tuple(zip(*table))  # column a is x -> x * a, element a's right-regular permutation
+        perms = columns if perms is None else _check_perms(perms, table)
+        index = {p: i for i, p in enumerate(perms)}
+        inverse = tuple(row.index(0) for row in table)
+        self._store(perms, index, inverse, (0,) * order, tuple(range(order)), columns, labels, name)
 
-    @classmethod
-    def _from_closure(cls, product: tuple, labels, name, perms: tuple) -> GroupTable:
-        """A closure's table, stored unchecked: its rows are permutations."""
-        g = cls.__new__(cls)
-        g._store(product, labels, name, perms)
-        return g
-
-    def _store(self, product: tuple, labels, name, perms) -> None:
-        """Keep a valid table (i's inverse is where row i holds 0); check the caller's labels."""
-        self.order = order = len(product)
-        self.product = product
-        self.inverse = tuple(row.index(0) for row in product)
+    def _store(self, perms: tuple, index: dict, inverse: tuple, parent, via, gens, labels, name) -> None:
+        """Keep a valid group, its closure tree and generator columns; check the caller's labels."""
+        self.order = order = len(perms)
+        self.perms = perms
+        self.index = index
+        self.inverse = inverse
+        self.parent = parent
+        self.via = via
+        self._columns = _Columns(gens, parent, via)
+        self.column = self._columns.__getitem__
+        self._product = None
         if labels is not None:
             if len(labels) != order:
                 raise ValueError("labels length does not match group order")
@@ -126,10 +169,21 @@ class GroupTable:
         if len(set(self.labels)) != order:
             raise ValueError("element labels must be distinct")
         self.name = name
-        self.perms = tuple(tuple(p) for p in perms) if perms is not None else None
+
+    @property
+    def product(self) -> tuple:
+        """The full table, ``product[a][b]`` = a * b, built from every
+        column on first read (|G|^2 entries, for tests and small groups)."""
+        if self._product is None:
+            self._product = tuple(zip(*map(self.column, range(self.order))))
+        return self._product
 
     def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
+        return self.index[compose_perms(self.perms[a], self.perms[b])]
+
+    def mul_inv(self, a: int, b: int) -> int:
+        """a * b^-1, the identity without composing when a == b."""
+        return 0 if a == b else self.index[compose_perms(self.perms[a], self.perms[self.inverse[b]])]
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -146,25 +200,42 @@ class GroupTable:
         acc = 0
         for sym, sign in w:
             g = images[sym]
-            acc = self.product[acc][g if sign > 0 else self.inverse[g]]
+            acc = self.column(g if sign > 0 else self.inverse[g])[acc]
         return acc
 
     def check_associativity(self) -> None:
         """Exhaustive associativity check; refuses orders above 64."""
         if self.order > SUBGROUP_ENUM_MAX_ORDER:
             raise ValueError(f"exhaustive associativity check limited to order {SUBGROUP_ENUM_MAX_ORDER}")
-        t = self.product
+        col = self.column
         n = self.order
         for a in range(n):
             for b in range(n):
-                ab = t[a][b]
                 for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
+                    if col(c)[col(b)[a]] != col(col(c)[b])[a]:
                         raise ValueError(f"product is not associative at ({a}, {b}, {c})")
 
     def __repr__(self) -> str:
         name = self.name or "group"
         return f"GroupTable({name}, order={self.order})"
+
+
+def _check_perms(perms: Sequence[Perm], table: tuple) -> tuple:
+    """The caller's permutations, if they are distinct and multiply as the table."""
+    perms = tuple(tuple(p) for p in perms)
+    if len(perms) != len(table):
+        raise ValueError("perms length does not match group order")
+    degree = len(perms[0])
+    for i, p in enumerate(perms):
+        if not is_permutation(p, degree):
+            raise ValueError(f"perm {i} is not a permutation of 0..{degree - 1}")
+    if len(set(perms)) != len(perms):
+        raise ValueError("perms must be distinct")
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            if compose_perms(perms[a], perms[b]) != perms[ab]:
+                raise ValueError(f"perms do not multiply as the table at ({a}, {b})")
+    return perms
 
 
 @dataclass(frozen=True)
@@ -190,7 +261,7 @@ class SubgroupSet:
             if g.inverse[a] not in memberset:
                 raise ValueError(f"subgroup not closed under inverse at {g.label(a)}")
             for b in self.members:
-                if g.product[a][b] not in memberset:
+                if g.mul(a, b) not in memberset:
                     raise ValueError(f"subgroup not closed under product at ({g.label(a)}, {g.label(b)})")
 
     @classmethod
@@ -218,11 +289,13 @@ def group_from_permutations(
     name: Optional[str] = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> GroupTable:
-    """Close permutation generators into a full multiplication table.
+    """Close permutation generators into a group.
 
     Elements are numbered by breadth-first discovery: the identity first,
     then products ``current * generator`` with generators taken in input
-    order.  Raises :class:`ClosureCapError` once the closure passes ``cap``.
+    order.  Each such product is one entry of that generator's column, so
+    the closure keeps the generator columns and the tree it walked.  Raises
+    :class:`ClosureCapError` once the closure passes ``cap``.
     """
     if not _is_int(degree):
         raise ValueError(f"degree {degree!r} is not an integer")
@@ -240,35 +313,33 @@ def group_from_permutations(
     index = {identity: 0}
     parent = [0]  # elements[i] == elements[parent[i]] * gens[via[i]] for i > 0
     via = [0]
+    columns = [[] for _ in gens]  # columns[k][i]: the index of elements[i] * gens[k]
     for i, cur in enumerate(elements):  # the list grows while it is walked
         for k, g in enumerate(gens):
             nxt = compose_perms(cur, g)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(elements) >= cap:
                     raise ClosureCapError(f"closure exceeded cap of {cap} elements")
-                index[nxt] = len(elements)
+                j = index[nxt] = len(elements)
                 elements.append(nxt)
                 parent.append(i)
                 via.append(k)
-    # i * j = parent(i) * (g * j), so row i is row parent(i) read through
-    # left multiplication by g: |G| * |gens| products, then one C-level
-    # permutation per row instead of |G| products (an itemgetter returns a
-    # tuple once |G| >= 2, the only case in which the loop runs)
-    left = [itemgetter(*(index[compose_perms(g, p)] for p in elements)) for g in gens]
-    product = [tuple(range(len(elements)))]
-    for i in range(1, len(elements)):
-        product.append(left[via[i]](product[parent[i]]))
+            columns[k].append(j)
     if labels is None:
         labels = [cycle_label(p) for p in elements]
-    return GroupTable._from_closure(tuple(product), labels, name, tuple(elements))
+    g = GroupTable.__new__(GroupTable)
+    inverse = tuple([index[invert_perm(p)] for p in elements])
+    g._store(tuple(elements), index, inverse, tuple(parent), tuple(via), tuple(map(tuple, columns)), labels, name)
+    return g
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup of ``g`` containing ``seed``.
 
     This is the orbit of the identity under right multiplication by the
-    distinct seed elements: in a finite group every inverse is a power, so
-    the orbit is closed under inverses too.
+    distinct seed elements, read from their columns: in a finite group
+    every inverse is a power, so the orbit is closed under inverses too.
     """
     gens = set()
     for s in seed:
@@ -277,14 +348,15 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
         if not 0 <= s < g.order:
             raise ValueError(f"seed element {s} out of range")
         gens.add(s)
+    columns = [g.column(s) for s in gens]
     members = {0}
     orbit = [0]
     for a in orbit:  # the list grows while it is walked
-        row = g.product[a]
-        for s in gens:
-            if row[s] not in members:
-                members.add(row[s])
-                orbit.append(row[s])
+        for col in columns:
+            b = col[a]
+            if b not in members:
+                members.add(b)
+                orbit.append(b)
     return SubgroupSet._from_closure(g, orbit)
 
 

@@ -549,13 +549,17 @@ def automaton_from_quotient(
                 "the quotient morphism is not well defined"
             )
     image = subgroup_closure(group, images)
-    t_members = sorted(set(subgroup.members) & set(image.members))
-    product = group.product
+    others = sorted(set(subgroup.members) & set(image.members))[1:]  # T without the identity
+    columns, mul = [group.column(x) for x in images], group.mul
+    name: dict = {}  # element -> the smallest element of its coset, listed one coset at a time
 
     def act(rep: int, g: int) -> int:
         # A coset T x is named by its smallest element.
-        x = product[rep][images[g]]
-        return min(product[t][x] for t in t_members)
+        x = columns[g][rep]
+        if x not in name:
+            coset = [x, *(mul(t, x) for t in others)]
+            name.update(dict.fromkeys(coset, min(coset)))
+        return name[x]
 
     return CosetAutomaton.from_action(rank, 0, act)
 

@@ -214,11 +214,11 @@ class Instance:
         once down the coset transversal; no Schreier word is spelled out.
         Raises :class:`IncompleteAutomatonError` on an incomplete automaton.
         """
-        mul, inv = self.group.product, self.group.inverse
-        forward = [[row[h] for row in mul] for h in self.morphism.images]
-        backward = [[row[inv[h]] for row in mul] for h in self.morphism.images]
-        mapped = {mul[x][inv[y]] for _, _, x, y in _schreier_points(self.subgroup_aut, forward, backward)}
-        return subgroup_closure(self.group, mapped)
+        g, images = self.group, self.morphism.images
+        forward = [g.column(h) for h in images]
+        backward = [g.column(g.inverse[h]) for h in images]
+        mapped = {g.mul_inv(x, y) for _, _, x, y in _schreier_points(self.subgroup_aut, forward, backward)}
+        return subgroup_closure(g, mapped)
 
     @cached_property
     def base_bundle(self) -> DerivedBundle:
@@ -321,7 +321,8 @@ def verify_functoriality(
     cov, tree = inst.cover, inst.cover_tree
     proj = cov.projection()
     check_incidence(proj)  # so the projection of every closed word is a closed word
-    total, mul, inv = cov.total, inst.group.product, inst.group.inverse
+    total, g = cov.total, inst.group
+    mul_inv, column = g.mul_inv, g.column
     up_value = inst.pullback.on_step
 
     def down_value(step: tuple[int, int]) -> int:
@@ -331,8 +332,12 @@ def verify_functoriality(
     pot_down = _tree_potentials(tree, inst.group, down_value)
     hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
     for e in map(total.edge, tree.generators):
-        loop_up = mul[mul[pot_up[e.tail]][up_value((e.id, 1))]][inv[pot_up[e.head]]]
-        loop_down = mul[mul[pot_down[e.tail]][down_value((e.id, 1))]][inv[pot_down[e.head]]]
+        u, d = up_value((e.id, 1)), down_value((e.id, 1))
+        t, h = e.tail, e.head
+        if (u, pot_up[t], pot_up[h]) == (d, pot_down[t], pot_down[h]):
+            continue  # the same three factors give the same T-reduced value
+        loop_up = mul_inv(column(u)[pot_up[t]], pot_up[h])
+        loop_down = mul_inv(column(d)[pot_down[t]], pot_down[h])
         if loop_up != loop_down:
             break
     else:
@@ -352,9 +357,9 @@ def verify_functoriality(
             if not row:
                 break
             cur, u, d, step = rng.choice(row)
-            up, down = mul[up][u], mul[down][d]
+            up, down = column(u)[up], column(d)[down]
             steps.append(step)
-        up, down = mul[up][inv[pot_up[cur]]], mul[down][inv[pot_down[cur]]]
+        up, down = mul_inv(up, pot_up[cur]), mul_inv(down, pot_down[cur])
         if up != down:
             w = tuple(steps) + tree.path_to_base(cur)
             break
@@ -571,14 +576,13 @@ def oracle_holonomy(c: BaseComplex, v: Voltage, max_length: int) -> OracleResult
         raise ValueError("max_length must be at least 2")
     validate_complex(c)
     g = v.group
-    mul = g.product
     order = g.order
     base = c.basepoint
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(c.vertex_count)]
+    ends: list[list[tuple[int, tuple]]] = [[] for _ in range(c.vertex_count)]  # (next vertex, step's column)
     for e in c.edges:
         w = v.on_edge(e.id)
-        ends[e.tail].append((e.head, w))
-        ends[e.head].append((e.tail, g.inverse[w]))
+        ends[e.tail].append((e.head, g.column(w)))
+        ends[e.head].append((e.tail, g.column(g.inverse[w])))
     short_cut = max_length - 2
     vals_full = {0}
     vals_short = {0}
@@ -588,9 +592,8 @@ def oracle_holonomy(c: BaseComplex, v: Voltage, max_length: int) -> OracleResult
         if len(vals_short) == order:
             break
         nd = depth + 1
-        row = mul[acc]
-        for nv, m in ends[vtx]:
-            ng = row[m]
+        for nv, col in ends[vtx]:
+            ng = col[acc]
             if nv == base:
                 vals_full.add(ng)
                 if nd <= short_cut:

@@ -1,0 +1,151 @@
+"""Permutation-native groups against composition of their permutations.
+
+A group keeps its elements' permutations, the breadth-first tree of its
+closure and one right-multiplication column per generator; any other column
+is built from the tree when first read, and any other product composes two
+permutations.  Here columns, products, quotients and inverses are checked
+against ``compose_perms`` over ``perms`` on the catalog, S5, S6, random
+groups and the right-regular groups of explicit tables, and an S6 document
+over the wedge of two circles is shown to build no |G|^2 structure.
+"""
+
+import random
+
+import pytest
+
+from flatconn.groups import (
+    CATALOG_GROUP_NAMES,
+    GroupTable,
+    catalog_group,
+    compose_perms,
+    cycle_label,
+    group_from_permutations,
+    invert_perm,
+)
+from flatconn.io import parse_instance_data
+from flatconn.theorems import HOLDS, standard_reports
+
+S5_GENERATORS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+S6_GENERATORS = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+
+
+def closures():
+    """(generators, group) for the catalog, S5, S6 and 100 random groups."""
+    specs = [
+        ([(1, 0)], "Z2"), ([(1, 2, 0)], "Z3"), ([(1, 2, 3, 0)], "Z4"), ([(1, 2, 3, 4, 5, 0)], "Z6"),
+        ([(1, 0, 2), (1, 2, 0)], "S3"), ([(1, 2, 3, 0), (0, 3, 2, 1)], "D4"),
+        ([(1, 2, 0, 3), (1, 0, 3, 2)], "A4"), ([(1, 0, 2, 3), (1, 2, 3, 0)], "S4"),
+    ]
+    out = [(gens, catalog_group(name)) for gens, name in specs]
+    assert [g.name for _, g in out] == list(CATALOG_GROUP_NAMES)
+    out += [(S5_GENERATORS, group_from_permutations(5, S5_GENERATORS))]
+    out += [(S6_GENERATORS, group_from_permutations(6, S6_GENERATORS))]
+    rng = random.Random(0)
+    for _ in range(100):
+        degree = rng.randint(1, 5)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(0, 3))]
+        out.append((gens, group_from_permutations(degree, gens)))
+    return out
+
+
+def check_against_composition(g, rng):
+    """Every read of g against composing its permutations: all of them up to
+    order 120, a seeded sample of columns and pairs above."""
+    index = {p: i for i, p in enumerate(g.perms)}
+    assert len(index) == g.order
+    n = g.order
+    columns = range(n) if n <= 120 else rng.sample(range(n), 40)
+    pairs = [(a, b) for a in range(n) for b in range(n)] if n <= 120 else [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(4000)
+    ]
+    for w in columns:
+        assert g.column(w) == tuple(index[compose_perms(p, g.perms[w])] for p in g.perms)
+    for a, b in pairs:
+        assert g.mul(a, b) == index[compose_perms(g.perms[a], g.perms[b])]
+        assert g.mul_inv(a, b) == index[compose_perms(g.perms[a], invert_perm(g.perms[b]))]
+    for a in range(n):
+        assert g.perms[g.inverse[a]] == invert_perm(g.perms[a])
+
+
+def test_closure_reads_match_composition():
+    rng = random.Random(1)
+    for gens, g in closures():
+        # before any read, only the generators' columns exist
+        assert set(g._columns) == {g.index[tuple(p)] for p in gens}
+        for i in range(1, g.order):
+            assert g.parent[i] < i
+            assert g.perms[i] == compose_perms(g.perms[g.parent[i]], gens[g.via[i]])
+        check_against_composition(g, rng)
+
+
+def test_right_regular_groups_of_tables_match_composition():
+    rng = random.Random(2)
+    for _, g in closures():
+        if g.order > 24:  # a right-regular permutation has degree |G|
+            continue
+        table = [list(row) for row in g.product]
+        cayley = GroupTable(table)
+        assert cayley.perms == tuple(zip(*g.product))  # element a acts as column a
+        assert cayley.product == g.product
+        assert cayley.inverse == g.inverse
+        assert cayley.labels == tuple(str(i) for i in range(g.order))
+        check_against_composition(cayley, rng)
+        assert all(cayley.mul(a, b) == table[a][b] for a in range(g.order) for b in range(g.order))
+
+
+def test_product_is_the_transposed_columns():
+    g = group_from_permutations(5, S5_GENERATORS)
+    assert g._product is None
+    assert all(g.product[x][w] == g.column(w)[x] for w in range(g.order) for x in range(g.order))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda perms: perms[:5], "perms length does not match group order"),
+        (lambda perms: perms[:1] + ((0, 0, 1),) + perms[2:], "perm 1 is not a permutation of 0..2"),
+        (lambda perms: perms[:2] + perms[1:2] + perms[3:], "perms must be distinct"),
+        (lambda perms: perms[:1] + (perms[2], perms[1]) + perms[3:], "perms do not multiply as the table at (1, 1)"),
+    ],
+)
+def test_table_with_perms_that_disagree_is_refused(change, message):
+    s3 = catalog_group("S3")
+    with pytest.raises(ValueError) as err:
+        GroupTable(s3.product, perms=change(s3.perms))
+    assert str(err.value) == message
+
+
+def s6_document(kernel: bool) -> dict:
+    """S6 over the wedge of two circles, a voltage onto a seeded generating
+    pair, covered by the holonomy kernel or by an involution's preimage."""
+    rng = random.Random(3)
+    while True:
+        pair = [tuple(rng.sample(range(6), 6)) for _ in range(2)]
+        if group_from_permutations(6, pair).order == 720:
+            break
+    return {
+        "group": {"degree": 6, "generators": [list(p) for p in S6_GENERATORS]},
+        "complex": {
+            "vertices": 1,
+            "edges": [{"id": 0, "tail": 0, "head": 0}, {"id": 1, "tail": 0, "head": 0}],
+            "aliases": {"a": 0, "b": 1},
+        },
+        "voltage": [{"edge": "a", "element": cycle_label(pair[0])}, {"edge": "b", "element": cycle_label(pair[1])}],
+        "covering": {"kind": "quotient", "subgroup": ["e" if kernel else "(01)"]},
+    }
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "quotient"])
+def test_s6_document_builds_no_square_table(kernel):
+    inst = parse_instance_data(s6_document(kernel))
+    g = inst.group
+    assert g.order == 720
+    # parsing keeps at most the generator columns, 2 x 720 entries
+    assert set(g._columns) <= {g.index[p] for p in S6_GENERATORS}
+    assert g._product is None
+    reports = standard_reports(inst, seed=3)
+    assert inst.subgroup_aut.state_count == (720 if kernel else 360)
+    assert reports[0].verdict == reports[1].verdict == HOLDS
+    # verifying reads the columns of a few elements, not of all 720
+    assert len(g._columns) <= 16
+    assert g._product is None

@@ -10,6 +10,7 @@ subgroup (or none).  The witness texts are pinned as the word path wrote
 them, and the verify path is shown to spell out no Schreier word list.
 """
 
+import ast
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from flatconn.theorems import (
     verify_cor_2_2,
     verify_theorem_1_1,
 )
+from flatconn.words import invert_word
 from helpers import breadth_first_reps, word_path_image, word_path_outside
 from test_low_index_sweep import CASES, based_subgroups
 
@@ -203,15 +205,28 @@ def test_todd_coxeter_up_to_index_256(name):
 
 @pytest.mark.parametrize("path", [os.path.join(INSTANCES, "wedge_s3_kernel.json"), PARITY], ids=["kernel", "parity"])
 def test_standard_reports_spell_out_no_schreier_word_list(monkeypatch, path):
-    calls = []
-    spelled = subgroups.reidemeister_schreier
+    """A Schreier word is spelled out only as a printed witness: each one
+    reads back the two representatives rep(s) and rep(s g) it is made of,
+    and no other representative is read back."""
+    reps = []
+    rep_word = subgroups._rep_word
 
-    def counted(*args):
-        calls.append(args)
-        return spelled(*args)
+    def counted(a, t):
+        reps.append(rep_word(a, t))
+        return reps[-1]
 
-    monkeypatch.setattr(subgroups, "reidemeister_schreier", counted)
-    inst = parse_instance(path)
-    reports = standard_reports(inst, seed=5)
+    monkeypatch.setattr(subgroups, "_rep_word", counted)
+    reports = standard_reports(parse_instance(path), seed=5)
     assert [r.verdict for r in reports].count(FAILS) == 0
-    assert calls == []
+    printed = [value for r in reports for name, value in r.witnesses if name == "kernel-membership-failure"]
+    printed += [
+        h.detail.removeprefix("kernel generator ").removesuffix(" escapes the subgroup")
+        for r in reports
+        for h in r.hypotheses
+        if h.name == "kernel-inside-subgroup" and not h.passed
+    ]
+    assert len(printed) == (1 if path == PARITY else 0)  # the parity document misses the cor 2.2 gate
+    assert len(reps) == 2 * len(printed)
+    for k, text in enumerate(printed):
+        word, rep_s, rep_t = ast.literal_eval(text), reps[2 * k], reps[2 * k + 1]
+        assert word == rep_s + word[len(rep_s) : len(rep_s) + 1] + invert_word(rep_t)

@@ -17,7 +17,11 @@ cycle) over the wedge of two circles, with the voltage onto a seeded random
 generating pair: ``sym_kernel`` covers by the holonomy kernel (index k!),
 ``sym_quotient`` by the preimage of a seeded involution's subgroup (index
 k!/2, not normal).  There the group itself grows with the row, so ``parse``
-carries the group closure.
+carries the group closure.  The ``stallings`` rows fold long words over the
+wedge: H = ker(F2 -> S5) (index 120 on every row), given by its Schreier
+generators plus one seeded random word of 10^(k/2) letters (k = 4 ... 8, so
+10^2 ... 10^4) closed back into H, with the voltage a -> (01), b -> (012)
+into S3.  There ``parse`` reads every letter and ``subgroup_aut`` folds them.
 
 Stages are timed from outside the library, by reading the ``Instance``
 artifacts and calling the claim checks in pipeline order; each stage's time
@@ -34,9 +38,10 @@ is what it adds once the earlier stages are cached:
 ``triviality``: what the two claims cost once the cover and its induced
 image exist.  Each stage is the median of ``REPEAT`` fresh instances.  The
 slope of a stage is the least-squares slope of log(seconds) against
-log(index) over a family's rows, and ``slope_top`` the same over its three
-largest rows.  With ``--out``, the result is stored under ``--label`` in that
-JSON file, next to any labels already there.
+log(index) over a family's rows (against log(letters), the letters of all
+covering words, on ``stallings``), and ``slope_top`` the same over its
+three largest rows.  With ``--out``, the result is stored under ``--label``
+in that JSON file, next to any labels already there.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ FAMILIES = {
     "klein": range(6, 13),
     "sym_kernel": range(4, 8),
     "sym_quotient": range(4, 8),
+    "stallings": range(4, 9),  # a random word of 10^(k/2) letters
 }
+AXIS = {"stallings": "letters"}  # what a family's slope is taken against, if not the index
 SURFACES = {
     # name: (relator, group, voltage on a and b)
     "torus": ("a b a^-1 b^-1", "Z4", (1, 2)),
@@ -85,6 +92,8 @@ REPEAT = 5  # fresh instances per row
 
 
 def document(family: str, k: int) -> dict:
+    if family == "stallings":
+        return stallings_document(k)
     if family not in SURFACES:
         return symmetric_document(k, kernel=family == "sym_kernel")
     relator, group, (va, vb) = SURFACES[family]
@@ -138,6 +147,46 @@ def symmetric_document(degree: int, kernel: bool) -> dict:
     return wedge_document(group, [], tuple(map(cycle_label, pair)), {"kind": "quotient", "subgroup": subgroup})
 
 
+def stallings_document(k: int, degree: int = 5) -> dict:
+    """H = ker(F2 -> S_degree), a -> the full cycle, b -> (01): the
+    non-trivial Schreier generators over a breadth-first transversal, and one
+    random reduced word of 10^(k/2) letters closed back into H, seeded by k;
+    every word freely reduced."""
+    rng = random.Random(k)
+    cycle, swap = (*range(1, degree), 0), (1, 0, *range(2, degree))
+    moves = {"a": cycle, "b": swap, "a^-1": tuple(sorted(range(degree), key=cycle.__getitem__)), "b^-1": swap}
+    inverse = {"a": "a^-1", "a^-1": "a", "b": "b^-1", "b^-1": "b"}
+    identity = tuple(range(degree))
+    reps = {identity: []}
+    order = [identity]
+    for p in order:  # the list grows while it is walked
+        for tok, g in moves.items():
+            q = tuple(g[i] for i in p)
+            if q not in reps:
+                reps[q] = reps[p] + [tok]
+                order.append(q)
+
+    def closed(word: list, p: tuple) -> str:
+        """The word, which reaches coset p, closed by rep(p)^-1 and freely reduced."""
+        out = []
+        for tok in word + [inverse[tok] for tok in reversed(reps[p])]:
+            if out and out[-1] == inverse[tok]:
+                out.pop()
+            else:
+                out.append(tok)
+        return " ".join(out)
+
+    words = [closed(reps[p] + [tok], tuple(moves[tok][i] for i in p)) for p in order for tok in ("a", "b")]
+    word, p = [], identity
+    while len(word) < round(10 ** (k / 2)):
+        tok = rng.choice(list(moves))
+        if not word or inverse[word[-1]] != tok:
+            word.append(tok)
+            p = tuple(moves[tok][i] for i in p)
+    words = [w for w in words if w] + [closed(word, p)]
+    return wedge_document("S3", [], ("(01)", "(012)"), {"kind": "words", "words": words})
+
+
 def time_row(family: str, k: int) -> dict:
     """Verify one instance, timing each stage; runs inside the row's subprocess."""
     sys.path.insert(0, str(SRC))
@@ -165,7 +214,8 @@ def time_row(family: str, k: int) -> dict:
         seconds[stage] = perf_counter() - t0
         if isinstance(result, theorems.VerificationReport):
             verdicts.append(result.verdict)
-    return {"index": inst.subgroup_aut.state_count, "seconds": seconds, "verdicts": verdicts}
+    letters = sum(len(w.split()) for w in data["covering"].get("words", []))
+    return {"index": inst.subgroup_aut.state_count, "letters": letters, "seconds": seconds, "verdicts": verdicts}
 
 
 def run_row(family: str, k: int) -> dict:
@@ -179,14 +229,15 @@ def run_row(family: str, k: int) -> dict:
         "family": family,
         "k": k,
         "index": runs[0]["index"],
+        "letters": runs[0]["letters"],
         "verdicts": runs[0]["verdicts"],
         "seconds": {s: round(t, 6) for s, t in seconds.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
-def slope(rows: list, stage: str) -> float:
-    xs = [math.log(r["index"]) for r in rows]
+def slope(rows: list, stage: str, axis: str = "index") -> float:
+    xs = [math.log(r[axis]) for r in rows]
     ys = [math.log(max(r["seconds"][stage], 1e-9)) for r in rows]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
@@ -208,6 +259,7 @@ def main(argv=None) -> int:
         "families": {},
     }
     for family in FAMILIES:
+        axis = AXIS.get(family, "index")
         rows = []
         for k in FAMILIES[family]:
             out = subprocess.run(
@@ -218,12 +270,13 @@ def main(argv=None) -> int:
             ).stdout
             rows.append(json.loads(out))
             row = rows[-1]
-            print(f"{family} {row['index']:>6}: {row['seconds']}  {row['peak_rss_mb']} MB", file=sys.stderr)
+            print(f"{family} {row[axis]:>6}: {row['seconds']}  {row['peak_rss_mb']} MB", file=sys.stderr)
         stages = list(rows[0]["seconds"])
         result["families"][family] = {
             "rows": rows,
-            "slope": {s: round(slope(rows, s), 3) for s in stages},
-            "slope_top": {s: round(slope(rows[-3:], s), 3) for s in stages},
+            "axis": axis,
+            "slope": {s: round(slope(rows, s, axis), 3) for s in stages},
+            "slope_top": {s: round(slope(rows[-3:], s, axis), 3) for s in stages},
         }
     if args.out:
         path = Path(args.out)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .errors import ComplexError
 from .words import Word, invert_word, reduce_word
 
 EdgeWord = Word
+_NO_LETTER = (None, None)  # the (letter, inverse) of a tree step
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,17 @@ class SpanningTreeData:
     def path_to_base(self, v: int) -> EdgeWord:
         return invert_word(self.path_from_base(v))
 
+    @cached_property
+    def letters(self) -> dict:
+        """Signed step on a non-tree edge -> (its generator letter, that
+        letter's inverse).  Each letter is one shared tuple, so a letter
+        followed by its inverse is found by identity."""
+        out = {}
+        for i, eid in enumerate(self.generators):
+            fwd, bwd = (i, 1), (i, -1)
+            out[eid, 1], out[eid, -1] = (fwd, bwd), (bwd, fwd)
+        return out
+
 
 def spanning_tree(c: BaseComplex) -> SpanningTreeData:
     """Deterministic BFS tree: edges explored in ascending id, forward
@@ -220,19 +233,34 @@ def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
     )
 
 
-def _generator_word(gen_index: dict, w: EdgeWord) -> Word:
-    """The non-tree letters of an edge word as generator letters, freely
-    reduced; tree edges contribute nothing."""
-    return reduce_word(tuple((gen_index[eid], sign) for eid, sign in w if eid in gen_index))
+def _closed_loop_word(path: Sequence[tuple], basepoint: int) -> Word:
+    """One pass over a path given as (from, to, step, letter, inverse)
+    entries, the letters of :attr:`SpanningTreeData.letters` or None on tree
+    edges: check that the steps chain into a loop at the basepoint while
+    rewriting it as generator letters, freely reduced."""
+    cur = path[0][0] if path else basepoint
+    start = cur
+    out: list = [None]  # a sentinel below the reduced letters
+    for frm, to, _, letter, inverse in path:
+        if frm != cur:
+            raise ComplexError(f"steps do not compose as a path at vertex {cur}")
+        cur = to
+        if letter is not None:
+            if out[-1] is inverse:
+                out.pop()
+            else:
+                out.append(letter)
+    if start != basepoint or cur != basepoint:
+        raise ComplexError("word is not a closed path at the basepoint")
+    return tuple(out[1:])
 
 
 def loop_to_generator_word(c: BaseComplex, t: SpanningTreeData, w: EdgeWord) -> Word:
     """Rewrite a loop at the basepoint as a reduced word in the non-tree
     edge generators."""
-    verts = c.path_vertices(w)
-    if verts[0] != c.basepoint or verts[-1] != c.basepoint:
-        raise ComplexError("word is not a closed path at the basepoint")
-    return _generator_word({eid: i for i, eid in enumerate(t.generators)}, w)
+    letters = t.letters
+    path = [(*c.step_endpoints(step), step, *letters.get(step, _NO_LETTER)) for step in w]
+    return _closed_loop_word(path, c.basepoint)
 
 
 @dataclass(frozen=True)
@@ -256,6 +284,6 @@ def pi1_presentation(c: BaseComplex, t: SpanningTreeData) -> Presentation:
     only tree letters, which vanish.
     """
     validate_complex(c)
-    gen_index = {eid: i for i, eid in enumerate(t.generators)}
-    relators = tuple(_generator_word(gen_index, w) for w in c.relators if w)
+    letters = t.letters
+    relators = tuple(reduce_word(tuple(letters[s][0] for s in w if s in letters)) for w in c.relators if w)
     return Presentation(generators=t.generators, relators=relators)

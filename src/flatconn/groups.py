@@ -74,6 +74,24 @@ def cycle_label(p: Sequence[int]) -> str:
     return "".join("(" + sep.join(str(x) for x in c) + ")" for c in cycles)
 
 
+def _parse_cycles(text: str, degree: int) -> Optional[Perm]:
+    """The permutation a cycle-notation string spells, read leniently, or
+    None: a caller accepts it only if its :func:`cycle_label` is ``text``."""
+    if text == "e":
+        return tuple(range(degree))
+    if not (text.startswith("(") and text.endswith(")")):
+        return None
+    images = list(range(degree))
+    for body in text[1:-1].split(")("):
+        try:
+            points = [int(x) for x in (body.split(",") if degree > 10 else body)]
+            for x, y in zip(points, points[1:] + points[:1]):
+                images[x] = y
+        except (ValueError, IndexError):
+            return None
+    return tuple(images)
+
+
 class _Columns(dict):
     """Element w -> its column, the tuple x -> x * w, kept once built.  A
     missing column is built from the nearest ancestor of w in the closure
@@ -110,11 +128,13 @@ class GroupTable:
     inverses) and becomes its right-regular permutation group: element a
     acts as column a of the table, and every element is a generator.
     ``product`` is the full table, computed when first read; the library
-    never reads it.
+    never reads it.  Without caller labels an element's label is its
+    :func:`cycle_label`, made when first read and kept.
     """
 
     __slots__ = (
-        "order", "perms", "index", "inverse", "labels", "name", "parent", "via", "_columns", "column", "_product"
+        "order", "perms", "index", "inverse", "_labels", "_made", "name", "parent", "via", "_columns", "column",
+        "_product",
     )
 
     def __init__(
@@ -147,10 +167,13 @@ class GroupTable:
         perms = columns if perms is None else _check_perms(perms, table)
         index = {p: i for i, p in enumerate(perms)}
         inverse = tuple(row.index(0) for row in table)
+        if labels is None:
+            labels = tuple(map(str, range(order)))
         self._store(perms, index, inverse, (0,) * order, tuple(range(order)), columns, labels, name)
 
     def _store(self, perms: tuple, index: dict, inverse: tuple, parent, via, gens, labels, name) -> None:
-        """Keep a valid group, its closure tree and generator columns; check the caller's labels."""
+        """Keep a valid group, its closure tree and generator columns; check
+        the caller's labels, or keep None for cycle labels made when read."""
         self.order = order = len(perms)
         self.perms = perms
         self.index = index
@@ -160,15 +183,24 @@ class GroupTable:
         self._columns = _Columns(gens, parent, via)
         self.column = self._columns.__getitem__
         self._product = None
-        if labels is not None:
+        self._labels = self._made = None
+        if labels is None:
+            self._made = {}  # element -> its cycle label, once read; distinct by construction
+        else:
             if len(labels) != order:
                 raise ValueError("labels length does not match group order")
-            self.labels = tuple(str(x) for x in labels)
-        else:
-            self.labels = tuple(str(i) for i in range(order))
-        if len(set(self.labels)) != order:
-            raise ValueError("element labels must be distinct")
+            self._labels = tuple(str(x) for x in labels)
+            if len(set(self._labels)) != order:
+                raise ValueError("element labels must be distinct")
         self.name = name
+
+    @property
+    def labels(self) -> tuple:
+        """Every element's label, in element order; cycle labels are all
+        made on the first read of this tuple."""
+        if self._labels is None:
+            self._labels = tuple(map(self.label, range(self.order)))
+        return self._labels
 
     @property
     def product(self) -> tuple:
@@ -193,7 +225,25 @@ class GroupTable:
         return self.mul(self.mul(x, a), self.inverse[x])
 
     def label(self, a: int) -> str:
-        return self.labels[a]
+        if self._labels is not None:
+            return self._labels[a]
+        text = self._made.get(a)
+        if text is None:
+            text = self._made[a] = cycle_label(self.perms[a])
+        return text
+
+    def labelled(self, text: str) -> Optional[int]:
+        """The element whose label is exactly ``text``, or None.  A cycle
+        label is parsed into its permutation, which is looked up and then
+        accepted only if ``text`` is that element's label: no other
+        spelling of a permutation names it."""
+        if self._made is None:
+            try:
+                return self._labels.index(text)
+            except ValueError:
+                return None
+        a = self.index.get(_parse_cycles(text, len(self.perms[0])))
+        return a if a is not None and self.label(a) == text else None
 
     def evaluate_word(self, images: Sequence[int], w: Word) -> int:
         """Evaluate a free word left-to-right through generator ``images``."""
@@ -326,8 +376,6 @@ def group_from_permutations(
                 parent.append(i)
                 via.append(k)
             columns[k].append(j)
-    if labels is None:
-        labels = [cycle_label(p) for p in elements]
     g = GroupTable.__new__(GroupTable)
     inverse = tuple([index[invert_perm(p)] for p in elements])
     g._store(tuple(elements), index, inverse, tuple(parent), tuple(via), tuple(map(tuple, columns)), labels, name)

@@ -13,10 +13,12 @@ import re
 from typing import Any, Mapping, Optional
 
 from .complexes import (
+    _NO_LETTER,
     BaseComplex,
     Edge,
     EdgeWord,
-    loop_to_generator_word,
+    SpanningTreeData,
+    _closed_loop_word,
     pi1_presentation,
     spanning_tree,
     validate_complex,
@@ -26,31 +28,65 @@ from .errors import ComplexError, FlatConnError, InputError
 from .groups import GroupTable, _is_int, catalog_group, group_from_permutations
 from .subgroups import SubgroupSpec, check_quotient_images
 from .theorems import Instance
+from .words import Word
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?P<inv>\^-1)?$")
 
 
-def parse_word_string(
-    text: str, aliases: Mapping[str, int], known_edges: set, location: str
-) -> EdgeWord:
-    """Parse "e3 a^-1 b" into an edge word using aliases and eNN tokens."""
-    steps = []
-    for tok in text.split():
+class _WordReader(dict):
+    """A document's alias table (name -> edge id) and the reader of its word
+    strings, relators and covering words alike.  A token is matched only on
+    its first sight and kept, for as long as the parse that built the
+    reader, as (from, to, step, letter, inverse): its signed step (edge id,
+    sign), the step's endpoints and, once a spanning tree is given, the
+    step's generator letter and that letter's inverse (None on tree edges)."""
+
+    __slots__ = ("_edges", "_tokens", "_letters")
+
+    def __init__(self, aliases: Mapping[str, int], edges: Mapping[int, Edge]):
+        super().__init__(aliases)
+        self._edges = edges
+        self._tokens: dict = {}
+        self._letters: dict = {}
+
+    def _entry(self, tok: str, location: str) -> tuple:
+        """Match a token seen for the first time, resolve it and keep it."""
         m = _TOKEN_RE.match(tok)
         if not m:
             raise InputError(f"cannot parse word token {tok!r}", location)
         name = m.group("name")
         sign = -1 if m.group("inv") else 1
-        if name in aliases:
-            eid = aliases[name]
+        if name in self:
+            eid = self[name]
         elif name.startswith("e") and name[1:].isdigit():
             eid = int(name[1:])
         else:
             raise InputError(f"unknown edge or alias {name!r} in word", location)
-        if eid not in known_edges:
+        e = self._edges.get(eid)
+        if e is None:
             raise InputError(f"word references unknown edge {eid}", location)
-        steps.append((eid, sign))
-    return tuple(steps)
+        step = (eid, sign)
+        ends = (e.tail, e.head) if sign > 0 else (e.head, e.tail)
+        entry = self._tokens[tok] = (*ends, step, *self._letters.get(step, _NO_LETTER))
+        return entry
+
+    def _entries(self, text: str, location: str) -> list:
+        """The entry of every token of a word string, all checked in order."""
+        known = self._tokens.get
+        return [known(tok) or self._entry(tok, location) for tok in text.split()]
+
+    def edge_word(self, text: str, location: str) -> EdgeWord:
+        """Parse "e3 a^-1 b" into an edge word using aliases and eNN tokens."""
+        return tuple(entry[2] for entry in self._entries(text, location))
+
+    def loop_word(self, text: str, location: str, tree: SpanningTreeData) -> Word:
+        """A word string's loop at the basepoint as a reduced generator word.
+        Its tokens are all checked (InputError) before its path
+        (ComplexError)."""
+        if self._letters is not tree.letters:  # tokens kept before the tree was known get its letters
+            letters = self._letters = tree.letters
+            self._tokens = {tok: (*e[:3], *letters.get(e[2], _NO_LETTER)) for tok, e in self._tokens.items()}
+        return _closed_loop_word(self._entries(text, location), tree.complex.basepoint)
 
 
 def word_to_string(w: EdgeWord) -> str:
@@ -66,10 +102,10 @@ def resolve_element(g: GroupTable, ref: Any, location: str) -> int:
             raise InputError(f"element index {ref} out of range 0..{g.order - 1}", location)
         return ref
     if isinstance(ref, str):
-        try:
-            return g.labels.index(ref)
-        except ValueError:
-            raise InputError(f"no element labelled {ref!r}", location) from None
+        a = g.labelled(ref)
+        if a is None:
+            raise InputError(f"no element labelled {ref!r}", location)
+        return a
     raise InputError(f"element reference must be an index or label, got {ref!r}", location)
 
 
@@ -115,7 +151,8 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
 
 
 def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, dict]:
-    """Returns (validated complex, alias table)."""
+    """Returns (validated complex, alias table); the alias table also reads
+    the document's word strings (see :class:`_WordReader`)."""
     if not isinstance(data, dict):
         raise InputError("complex must be an object", location)
     if "vertices" not in data:
@@ -142,7 +179,7 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
                 raise InputError(f"{key} vertex {rec[key]} out of range 0..{vertices - 1}", f"{loc}/{key}")
         known.add(rec["id"])
         edges.append(Edge(rec["id"], rec["tail"], rec["head"]))
-    aliases = {}
+    aliases = _WordReader({}, {e.id: e for e in edges})
     raw_aliases = data.get("aliases") or {}
     if not isinstance(raw_aliases, dict):
         raise InputError("'aliases' must be an object of name: edge id", f"{location}/aliases")
@@ -159,7 +196,7 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, d
         loc = f"{location}/relators/{k}"
         if not isinstance(text, str):
             raise InputError("relator must be a word string", loc)
-        relators.append(parse_word_string(text, aliases, known, loc))
+        relators.append(aliases.edge_word(text, loc))
     basepoint = data.get("basepoint", 0)
     if not _is_int(basepoint):
         raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint")
@@ -216,7 +253,8 @@ def parse_covering(
     kind = data["kind"]
     if kind == "words":
         tree = spanning_tree(c)
-        known = {e.id for e in c.edges}
+        if not isinstance(aliases, _WordReader):
+            aliases = _WordReader(aliases, {e.id: e for e in c.edges})
         words = []
         raw_words = data.get("words", [])
         _require_list(raw_words, "'words' must be a list of word strings", f"{location}/words")
@@ -224,9 +262,8 @@ def parse_covering(
             loc = f"{location}/words/{k}"
             if not isinstance(text, str):
                 raise InputError("covering word must be a word string", loc)
-            ew = parse_word_string(text, aliases, known, loc)
             try:
-                words.append(loop_to_generator_word(c, tree, ew))
+                words.append(aliases.loop_word(text, loc, tree))
             except ComplexError as exc:
                 raise InputError(f"covering word must be a closed loop at the basepoint: {exc}", loc) from None
         return SubgroupSpec(kind="words", words=tuple(words))

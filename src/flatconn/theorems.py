@@ -292,8 +292,9 @@ def verify_theorem_1_1(inst: Instance) -> VerificationReport:
     aut = inst.subgroup_aut
     hyp = (HypothesisCheck("automaton-complete", aut.complete, f"index {aut.state_count}"),)
     restricted, induced = inst.restricted_image, inst.induced_image
-    witnesses = (_subgroup_witness("h(H)", restricted), _subgroup_witness("Im(h-induced)", induced))
-    return _verdict("theorem_1_1", hyp, restricted.members == induced.members, witnesses)
+    ok = restricted.members == induced.members
+    witnesses = () if ok else (_subgroup_witness("h(H)", restricted), _subgroup_witness("Im(h-induced)", induced))
+    return _verdict("theorem_1_1", hyp, ok, witnesses)
 
 
 def verify_functoriality(

@@ -5,11 +5,15 @@ lookup structure with the library, so the tests that use them stay
 independent oracles.  The reference loops compute lifted relators and
 Schreier generators the long way: every lift traced step by step, and
 every Schreier word, over a transversal built here, freely reduced or
-spelled out, evaluated and traced letter by letter.
+spelled out, evaluated and traced letter by letter.  Word strings are read
+the long way too: every token matched, and every covering word walked
+vertex by vertex before it is rewritten.
 """
 
+import re
+
 from flatconn.complexes import spanning_tree
-from flatconn.errors import ComplexError
+from flatconn.errors import ComplexError, InputError
 from flatconn.groups import subgroup_closure
 from flatconn.subgroups import membership
 from flatconn.words import invert_word, reduce_word
@@ -159,3 +163,54 @@ def word_path_outside(a, b):
     """The first spelled-out Schreier generator of a that b does not accept,
     traced letter by letter; None if there is none."""
     return next((w for w in spelled_schreier_words(a) if not membership(b, w)), None)
+
+
+_TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?P<inv>\^-1)?$")
+
+
+def parse_word_string(text, aliases, known_edges, location):
+    """Parse "e3 a^-1 b" into an edge word, matching every token."""
+    steps = []
+    for tok in text.split():
+        m = _TOKEN_RE.match(tok)
+        if not m:
+            raise InputError(f"cannot parse word token {tok!r}", location)
+        name = m.group("name")
+        sign = -1 if m.group("inv") else 1
+        if name in aliases:
+            eid = aliases[name]
+        elif name.startswith("e") and name[1:].isdigit():
+            eid = int(name[1:])
+        else:
+            raise InputError(f"unknown edge or alias {name!r} in word", location)
+        if eid not in known_edges:
+            raise InputError(f"word references unknown edge {eid}", location)
+        steps.append((eid, sign))
+    return tuple(steps)
+
+
+def reference_loop_word(c, t, w):
+    """A loop at the basepoint as a reduced generator word: the vertex
+    itinerary first, then the non-tree letters, then free reduction."""
+    verts = c.path_vertices(w)
+    if verts[0] != c.basepoint or verts[-1] != c.basepoint:
+        raise ComplexError("word is not a closed path at the basepoint")
+    gen_index = {eid: i for i, eid in enumerate(t.generators)}
+    return reduce_word(tuple((gen_index[eid], sign) for eid, sign in w if eid in gen_index))
+
+
+def reference_covering_words(texts, c, aliases, location="/covering/words"):
+    """The generator words of a covering's word strings, each parsed by
+    :func:`parse_word_string` and rewritten by :func:`reference_loop_word`,
+    with the document reader's error texts and locations."""
+    tree = spanning_tree(c)
+    known = {e.id for e in c.edges}
+    words = []
+    for k, text in enumerate(texts):
+        loc = f"{location}/{k}"
+        ew = parse_word_string(text, aliases, known, loc)
+        try:
+            words.append(reference_loop_word(c, tree, ew))
+        except ComplexError as exc:
+            raise InputError(f"covering word must be a closed loop at the basepoint: {exc}", loc) from None
+    return tuple(words)

@@ -14,7 +14,6 @@ from flatconn.io import (
     parse_complex,
     parse_instance,
     parse_instance_data,
-    parse_word_string,
     word_to_string,
 )
 from flatconn.theorems import FAILS, standard_reports
@@ -57,14 +56,17 @@ def test_parse_running_example():
 
 
 def test_parse_word_strings():
-    aliases = {"a": 0, "b": 1}
-    w = parse_word_string("a b^-1 e0", aliases, {0, 1}, "/x")
-    assert w == ((0, 1), (1, -1), (0, 1))
+    def relators(*texts):
+        edges = [{"id": 0, "tail": 0, "head": 0}, {"id": 1, "tail": 0, "head": 0}]
+        c, _ = parse_complex({"vertices": 1, "edges": edges, "aliases": {"a": 0, "b": 1}, "relators": list(texts)})
+        return c.relators
+
+    assert relators("a b^-1 e0") == (((0, 1), (1, -1), (0, 1)),)
     assert word_to_string(((0, 1), (1, -1))) == "e0 e1^-1"
     with pytest.raises(InputError, match="unknown edge or alias"):
-        parse_word_string("c", aliases, {0, 1}, "/x")
+        relators("c")
     with pytest.raises(InputError, match="unknown edge"):
-        parse_word_string("e7", aliases, {0, 1}, "/x")
+        relators("e7")
 
 
 def test_missing_voltage_names_edge():

@@ -1,8 +1,9 @@
-"""Smoke test of the growth ladder: one small row of two families, in process.
+"""Smoke test of the growth ladder: the smallest row of each kind, in process.
 
 ``ladder/run.py`` times each row in its own subprocess; here ``time_row``
-runs directly on the smallest torus row and on S4 over the wedge, and only
-its shape and verdicts are checked, not its timings.
+runs directly on the smallest torus row, on S4 over the wedge and on the
+shortest Stallings word, and only its shape and verdicts are checked, not
+its timings.
 """
 
 import importlib.util
@@ -29,6 +30,7 @@ def ladder():
         ("torus", 6, 64, [HOLDS, HOLDS, GATE]),
         ("sym_kernel", 4, 24, [HOLDS, HOLDS, HOLDS]),
         ("sym_quotient", 4, 12, [HOLDS, HOLDS, HOLDS]),
+        ("stallings", 4, 120, [HOLDS, HOLDS, GATE]),
     ],
 )
 def test_time_row_reports_every_stage(ladder, family, k, index, verdicts):
@@ -38,3 +40,13 @@ def test_time_row_reports_every_stage(ladder, family, k, index, verdicts):
     assert row["verdicts"] == verdicts
     assert list(row["seconds"]) == list(ladder.STAGES)
     assert all(t >= 0 for t in row["seconds"].values())
+
+
+def test_stallings_rows_grow_by_their_random_word(ladder):
+    """Every Stallings row covers by the same index-120 kernel; its letters
+    are the Schreier generators' plus a random word of 10^(k/2) letters."""
+    rows = {k: ladder.stallings_document(k)["covering"]["words"] for k in (4, 8)}
+    schreier = rows[4][:-1]
+    assert len(schreier) == 121 and rows[8][:-1] == schreier
+    assert len(rows[4][-1].split()) >= 100 and len(rows[8][-1].split()) >= 10_000
+    assert ladder.AXIS["stallings"] == "letters"

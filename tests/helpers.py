@@ -199,7 +199,7 @@ def reference_loop_word(c, t, w):
     return reduce_word(tuple((gen_index[eid], sign) for eid, sign in w if eid in gen_index))
 
 
-def reference_covering_words(texts, c, aliases, location="/covering/words"):
+def reference_covering_words(texts, c, aliases):
     """The generator words of a covering's word strings, each parsed by
     :func:`parse_word_string` and rewritten by :func:`reference_loop_word`,
     with the document reader's error texts and locations."""
@@ -207,7 +207,7 @@ def reference_covering_words(texts, c, aliases, location="/covering/words"):
     known = {e.id for e in c.edges}
     words = []
     for k, text in enumerate(texts):
-        loc = f"{location}/{k}"
+        loc = f"/covering/words/{k}"
         ew = parse_word_string(text, aliases, known, loc)
         try:
             words.append(reference_loop_word(c, tree, ew))

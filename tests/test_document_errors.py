@@ -67,6 +67,8 @@ def assert_rejected(doc, location, message, tmp_path, capsys):
 
 
 NOT_CLOSED = "covering word must be a closed loop at the basepoint: "
+BREAK_AT_1 = NOT_CLOSED + "steps do not compose as a path at vertex 1"
+OPEN = NOT_CLOSED + "word is not a closed path at the basepoint"
 
 TOKEN_ERRORS = [
     ("a b^-2", "cannot parse word token 'b^-2'"),
@@ -134,7 +136,7 @@ def test_a_bad_token_after_a_path_break_is_reported(tmp_path, capsys):
 def test_errors_are_reported_in_word_order(tmp_path, capsys):
     # a path break in an earlier covering word beats a bad token in a later one
     doc = path_document(words=["a a", "zz"])
-    assert_rejected(doc, "/covering/words/0", NOT_CLOSED + "steps do not compose as a path at vertex 1", tmp_path, capsys)
+    assert_rejected(doc, "/covering/words/0", BREAK_AT_1, tmp_path, capsys)
     # every relator's tokens are read before any relator's path is checked
     doc = path_document(relators=["a a", "zz"])
     assert_rejected(doc, "/complex/relators/1", "unknown edge or alias 'zz' in word", tmp_path, capsys)
@@ -147,7 +149,7 @@ def test_an_alias_named_like_an_edge_beats_the_edge(tmp_path, capsys):
     assert inst.covering_spec.words == same.covering_spec.words
     # edge 3 (1 -> 0) would break the path after b; the alias (edge 2) only leaves it open
     doc = path_document(words=["b e3"])
-    assert_rejected(doc, "/covering/words/0", NOT_CLOSED + "word is not a closed path at the basepoint", tmp_path, capsys)
+    assert_rejected(doc, "/covering/words/0", OPEN, tmp_path, capsys)
 
 
 NOT_A_LABEL = ["(10)", "(0 1)", "(01)(01)", "()", "(0,1)", "(0)", "(01", "01", "1", " (01)", "(01) ", "E", ""]

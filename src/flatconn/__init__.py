@@ -54,7 +54,6 @@ from .groups import (
     catalog_group,
     enumerate_subgroups,
     group_from_permutations,
-    is_normal,
     subgroup_closure,
 )
 from .subgroups import (

@@ -110,6 +110,10 @@ def _cmd_verify(args, out) -> int:
     if args.samples < 0:
         raise FlatConnError(f"--samples must be non-negative, got {args.samples}")
     if args.all_random is not None:
+        if args.all_random < 0:
+            raise FlatConnError(f"--all-random must be non-negative, got {args.all_random}")
+        if args.document is not None:
+            raise FlatConnError("verify takes a document or --all-random N, not both")
         return _verify_random(args, out)
     if args.document is None:
         raise FlatConnError("verify needs a document or --all-random N")

@@ -117,62 +117,26 @@ class _Columns(dict):
 
 
 class GroupTable:
-    """A finite permutation group with right-multiplication columns.
+    """A finite permutation group with right-multiplication columns, as
+    :func:`group_from_permutations` closes it.
 
     ``perms[i]`` is element i's permutation and ``index`` maps it back;
     ``parent[i]`` and ``via[i]`` say that i = parent[i] * generator via[i]
     in the closure's breadth-first tree.  ``column(w)`` is the tuple
     x -> x * w, a plain lookup once built (see :class:`_Columns`), and
-    ``mul(a, b)`` any product, composed from the two permutations.  A table
-    given to the public constructor is checked (entries, identity, two-sided
-    inverses) and becomes its right-regular permutation group: element a
-    acts as column a of the table, and every element is a generator.
-    ``product`` is the full table, computed when first read; the library
-    never reads it.  Without caller labels an element's label is its
-    :func:`cycle_label`, made when first read and kept.
+    ``mul(a, b)`` any product, composed from the two permutations.  Without
+    caller labels an element's label is its :func:`cycle_label`, made when
+    first read and kept.
     """
 
     __slots__ = (
         "order", "perms", "index", "inverse", "_labels", "_made", "name", "parent", "via", "_columns", "column",
-        "_product",
     )
 
     def __init__(
-        self,
-        product: Sequence[Sequence[int]],
-        labels: Optional[Sequence[str]] = None,
-        name: Optional[str] = None,
-        perms: Optional[Sequence[Perm]] = None,
+        self, perms: tuple, index: dict, inverse: tuple, parent: tuple, via: tuple, gens: tuple, labels, name
     ):
-        table = tuple(tuple(row) for row in product)
-        order = len(table)
-        if order == 0:
-            raise ValueError("group order must be positive")
-        for i, row in enumerate(table):
-            if len(row) != order:
-                raise ValueError(f"product row {i} has length {len(row)}, expected {order}")
-            for x in row:
-                if not _is_int(x):
-                    raise ValueError(f"product entry {x!r} is not an integer")
-                if not 0 <= x < order:
-                    raise ValueError(f"product entry {x} out of range 0..{order - 1}")
-        if table[0] != tuple(range(order)) or any(table[i][0] != i for i in range(order)):
-            raise ValueError("element 0 must act as the identity")
-        for i, row in enumerate(table):
-            if 0 not in row:
-                raise ValueError(f"element {i} has no inverse")
-            if table[row.index(0)][i] != 0:
-                raise ValueError(f"one-sided inverse at element {i}")
-        columns = tuple(zip(*table))  # column a is x -> x * a, element a's right-regular permutation
-        perms = columns if perms is None else _check_perms(perms, table)
-        index = {p: i for i, p in enumerate(perms)}
-        inverse = tuple(row.index(0) for row in table)
-        if labels is None:
-            labels = tuple(map(str, range(order)))
-        self._store(perms, index, inverse, (0,) * order, tuple(range(order)), columns, labels, name)
-
-    def _store(self, perms: tuple, index: dict, inverse: tuple, parent, via, gens, labels, name) -> None:
-        """Keep a valid group, its closure tree and generator columns; check
+        """Keep a closed group, its closure tree and generator columns; check
         the caller's labels, or keep None for cycle labels made when read."""
         self.order = order = len(perms)
         self.perms = perms
@@ -182,7 +146,6 @@ class GroupTable:
         self.via = via
         self._columns = _Columns(gens, parent, via)
         self.column = self._columns.__getitem__
-        self._product = None
         self._labels = self._made = None
         if labels is None:
             self._made = {}  # element -> its cycle label, once read; distinct by construction
@@ -194,35 +157,12 @@ class GroupTable:
                 raise ValueError("element labels must be distinct")
         self.name = name
 
-    @property
-    def labels(self) -> tuple:
-        """Every element's label, in element order; cycle labels are all
-        made on the first read of this tuple."""
-        if self._labels is None:
-            self._labels = tuple(map(self.label, range(self.order)))
-        return self._labels
-
-    @property
-    def product(self) -> tuple:
-        """The full table, ``product[a][b]`` = a * b, built from every
-        column on first read (|G|^2 entries, for tests and small groups)."""
-        if self._product is None:
-            self._product = tuple(zip(*map(self.column, range(self.order))))
-        return self._product
-
     def mul(self, a: int, b: int) -> int:
         return self.index[compose_perms(self.perms[a], self.perms[b])]
 
     def mul_inv(self, a: int, b: int) -> int:
         """a * b^-1, the identity without composing when a == b."""
         return 0 if a == b else self.index[compose_perms(self.perms[a], self.perms[self.inverse[b]])]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conjugate(self, x: int, a: int) -> int:
-        """x * a * x^-1."""
-        return self.mul(self.mul(x, a), self.inverse[x])
 
     def label(self, a: int) -> str:
         if self._labels is not None:
@@ -253,39 +193,9 @@ class GroupTable:
             acc = self.column(g if sign > 0 else self.inverse[g])[acc]
         return acc
 
-    def check_associativity(self) -> None:
-        """Exhaustive associativity check; refuses orders above 64."""
-        if self.order > SUBGROUP_ENUM_MAX_ORDER:
-            raise ValueError(f"exhaustive associativity check limited to order {SUBGROUP_ENUM_MAX_ORDER}")
-        col = self.column
-        n = self.order
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if col(c)[col(b)[a]] != col(col(c)[b])[a]:
-                        raise ValueError(f"product is not associative at ({a}, {b}, {c})")
-
     def __repr__(self) -> str:
         name = self.name or "group"
         return f"GroupTable({name}, order={self.order})"
-
-
-def _check_perms(perms: Sequence[Perm], table: tuple) -> tuple:
-    """The caller's permutations, if they are distinct and multiply as the table."""
-    perms = tuple(tuple(p) for p in perms)
-    if len(perms) != len(table):
-        raise ValueError("perms length does not match group order")
-    degree = len(perms[0])
-    for i, p in enumerate(perms):
-        if not is_permutation(p, degree):
-            raise ValueError(f"perm {i} is not a permutation of 0..{degree - 1}")
-    if len(set(perms)) != len(perms):
-        raise ValueError("perms must be distinct")
-    for a, row in enumerate(table):
-        for b, ab in enumerate(row):
-            if compose_perms(perms[a], perms[b]) != perms[ab]:
-                raise ValueError(f"perms do not multiply as the table at ({a}, {b})")
-    return perms
 
 
 @dataclass(frozen=True)
@@ -376,10 +286,9 @@ def group_from_permutations(
                 parent.append(i)
                 via.append(k)
             columns[k].append(j)
-    g = GroupTable.__new__(GroupTable)
     inverse = tuple([index[invert_perm(p)] for p in elements])
-    g._store(tuple(elements), index, inverse, tuple(parent), tuple(via), tuple(map(tuple, columns)), labels, name)
-    return g
+    columns = tuple(map(tuple, columns))
+    return GroupTable(tuple(elements), index, inverse, tuple(parent), tuple(via), columns, labels, name)
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
@@ -406,12 +315,6 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
                 members.add(b)
                 orbit.append(b)
     return SubgroupSet._from_closure(g, orbit)
-
-
-def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
-    """True iff x * m * x^-1 lies in ``s`` for all x in g, m in s."""
-    memberset = set(s.members)
-    return all(g.conjugate(x, m) in memberset for x in range(g.order) for m in s.members)
 
 
 def enumerate_subgroups(g: GroupTable) -> list[SubgroupSet]:

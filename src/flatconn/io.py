@@ -150,7 +150,7 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
         raise InputError(str(exc), location) from None
 
 
-def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, dict]:
+def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, _WordReader]:
     """Returns (validated complex, alias table); the alias table also reads
     the document's word strings (see :class:`_WordReader`)."""
     if not isinstance(data, dict):
@@ -245,7 +245,7 @@ def parse_covering(
     data: Any,
     c: BaseComplex,
     g: GroupTable,
-    aliases: Mapping[str, int],
+    aliases: _WordReader,
     location: str = "/covering",
 ) -> SubgroupSpec:
     if not isinstance(data, dict) or "kind" not in data:
@@ -253,8 +253,6 @@ def parse_covering(
     kind = data["kind"]
     if kind == "words":
         tree = spanning_tree(c)
-        if not isinstance(aliases, _WordReader):
-            aliases = _WordReader(aliases, {e.id: e for e in c.edges})
         words = []
         raw_words = data.get("words", [])
         _require_list(raw_words, "'words' must be a list of word strings", f"{location}/words")

@@ -7,14 +7,15 @@ Schreier generators the long way: every lift traced step by step, and
 every Schreier word, over a transversal built here, freely reduced or
 spelled out, evaluated and traced letter by letter.  Word strings are read
 the long way too: every token matched, and every covering word walked
-vertex by vertex before it is rewritten.
+vertex by vertex before it is rewritten.  A closed permutation group is
+checked against composition of its own permutations and its generators.
 """
 
 import re
 
 from flatconn.complexes import spanning_tree
 from flatconn.errors import ComplexError, InputError
-from flatconn.groups import subgroup_closure
+from flatconn.groups import compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import membership
 from flatconn.words import invert_word, reduce_word
 
@@ -47,8 +48,33 @@ def left_translation(d, g):
     """Vertex permutation (v, x) -> (v, g * x) of a derived bundle; an
     automorphism over the base."""
     n = d.group.order
-    row = d.group.product[g]
+    row = [d.group.mul(g, x) for x in range(n)]
     return tuple((idx // n) * n + row[idx % n] for idx in range(d.graph.vertex_count))
+
+
+def check_permutation_group(g, gens, labels=None):
+    """The group oracle for a group closed from ``gens``: its permutations
+    are distinct, the identity first, and ``index`` inverts them; each
+    generator's column is composition and the group is closed under the
+    generators; the closure tree and the inverses hold by composition; and
+    caller labels are kept, or else each label is the cycle label."""
+    n = g.order
+    gens = [tuple(p) for p in gens]
+    identity = tuple(range(len(g.perms[0])))
+    assert len(g.perms) == n and g.perms[0] == identity
+    assert all(sorted(p) == list(identity) for p in g.perms)
+    assert len(set(g.perms)) == n == len(g.index)
+    assert all(g.index[p] == a for a, p in enumerate(g.perms))
+    for gen in gens:
+        # a product outside the group is a KeyError here
+        assert g.column(g.index[gen]) == tuple(g.index[compose_perms(p, gen)] for p in g.perms)
+    for i in range(1, n):
+        assert g.perms[i] == compose_perms(g.perms[g.parent[i]], gens[g.via[i]])
+    for a in range(n):
+        p, q = g.perms[a], g.perms[g.inverse[a]]
+        assert compose_perms(p, q) == identity == compose_perms(q, p)
+    expected = [str(x) for x in labels] if labels is not None else [cycle_label(p) for p in g.perms]
+    assert [g.label(a) for a in range(n)] == expected
 
 
 def graph_diameter(c):

@@ -63,7 +63,7 @@ def test_word_holonomy_reversal(wedge_s3_voltage, s3):
     for _ in range(50):
         w = tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(0, 10)))
         val = word_holonomy(wedge_s3_voltage, w)
-        assert word_holonomy(wedge_s3_voltage, invert_word(w)) == s3.inv(val)
+        assert word_holonomy(wedge_s3_voltage, invert_word(w)) == s3.inverse[val]
 
 
 def test_word_holonomy_homomorphism(wedge_s3_voltage, s3):
@@ -90,11 +90,11 @@ def test_holonomy_morphism_tree_conjugation(s3):
     v = Voltage(c, s3, {1: g1, 2: g2})
     t = spanning_tree(c)
     h = holonomy_morphism(v, t)
-    assert h.images == (s3.mul(g2, s3.inv(g1)),)
+    assert h.images == (s3.mul(g2, s3.inverse[g1]),)
     loop = ((1, 1), (2, -1))
     gen_word = loop_to_generator_word(c, t, loop)
     assert h.evaluate(gen_word) == word_holonomy(v, loop)
-    assert word_holonomy(v, loop) == s3.mul(g1, s3.inv(g2))
+    assert word_holonomy(v, loop) == s3.mul(g1, s3.inverse[g2])
 
 
 def test_holonomy_morphism_trivial_voltage(wedge, s3):
@@ -127,7 +127,7 @@ def test_gauge_constant_conjugates(wedge, s3, wedge_s3_voltage):
     t = GaugeTransform((1,))  # constant (01)
     out = apply_gauge(wedge_s3_voltage, t)
     for eid in (0, 1):
-        expected = s3.mul(s3.mul(s3.inv(1), wedge_s3_voltage.on_edge(eid)), 1)
+        expected = s3.mul(s3.mul(s3.inverse[1], wedge_s3_voltage.on_edge(eid)), 1)
         assert out.on_edge(eid) == expected
     h = holonomy_morphism(out, spanning_tree(wedge))
     assert [s3.label(x) for x in h.images] == ["(01)", "(021)"]
@@ -145,7 +145,7 @@ def test_gauge_covariance_random():
         h2 = holonomy_morphism(apply_gauge(v, gauge), tree)
         t0 = gauge.at(c.basepoint)
         for before, after in zip(h.images, h2.images):
-            assert after == g.mul(g.mul(g.inv(t0), before), t0)
+            assert after == g.mul(g.mul(g.inverse[t0], before), t0)
 
 
 def test_gauge_preserves_flatness(torus, z4):
@@ -160,7 +160,7 @@ def _conjugator_between(g, members_a, members_b):
     """Explicit search for x with x^-1 * A * x == B."""
     set_b = set(members_b)
     for x in range(g.order):
-        if {g.mul(g.mul(g.inv(x), a), x) for a in members_a} == set_b:
+        if {g.mul(g.mul(g.inverse[x], a), x) for a in members_a} == set_b:
             return x
     return None
 

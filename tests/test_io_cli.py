@@ -627,3 +627,26 @@ def test_cli_explicit_quotient_images_are_validated(tmp_path, capsys, verb, imag
     code, out, err = run_cli([verb[0], str(path)] + verb[1:], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: /covering/images: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--all-random", "-1", "--seed", "1"], "--all-random must be non-negative, got -1"),
+        (
+            ["verify", doc_path("wedge_s3_a3.json"), "--all-random", "2", "--seed", "1"],
+            "verify takes a document or --all-random N, not both",
+        ),
+    ],
+    ids=["negative", "with-document"],
+)
+def test_cli_all_random_misuse_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_cli_zero_all_random_verifies_nothing(capsys):
+    code, out, err = run_cli(["verify", "--all-random", "0", "--seed", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "summary: instances=0 skipped=0 holds=0 fails=0 gates-not-met=0\n"

@@ -5,8 +5,9 @@ closure and one right-multiplication column per generator; any other column
 is built from the tree when first read, and any other product composes two
 permutations.  Here columns, products, quotients and inverses are checked
 against ``compose_perms`` over ``perms`` on the catalog, S5, S6, random
-groups and the right-regular groups of explicit tables, and an S6 document
-over the wedge of two circles is shown to build no |G|^2 structure.
+groups and the right-regular groups their columns generate, and an S6
+document over the wedge of two circles is shown to build no |G|^2
+structure.
 """
 
 import random
@@ -15,7 +16,6 @@ import pytest
 
 from flatconn.groups import (
     CATALOG_GROUP_NAMES,
-    GroupTable,
     catalog_group,
     compose_perms,
     cycle_label,
@@ -83,36 +83,12 @@ def test_right_regular_groups_of_tables_match_composition():
     for _, g in closures():
         if g.order > 24:  # a right-regular permutation has degree |G|
             continue
-        table = [list(row) for row in g.product]
-        cayley = GroupTable(table)
-        assert cayley.perms == tuple(zip(*g.product))  # element a acts as column a
-        assert cayley.product == g.product
+        columns = [g.column(a) for a in range(g.order)]
+        cayley = group_from_permutations(g.order, columns)  # every element a generator
+        assert cayley.perms == tuple(columns)  # element a acts as column a
         assert cayley.inverse == g.inverse
-        assert cayley.labels == tuple(str(i) for i in range(g.order))
         check_against_composition(cayley, rng)
-        assert all(cayley.mul(a, b) == table[a][b] for a in range(g.order) for b in range(g.order))
-
-
-def test_product_is_the_transposed_columns():
-    g = group_from_permutations(5, S5_GENERATORS)
-    assert g._product is None
-    assert all(g.product[x][w] == g.column(w)[x] for w in range(g.order) for x in range(g.order))
-
-
-@pytest.mark.parametrize(
-    "change,message",
-    [
-        (lambda perms: perms[:5], "perms length does not match group order"),
-        (lambda perms: perms[:1] + ((0, 0, 1),) + perms[2:], "perm 1 is not a permutation of 0..2"),
-        (lambda perms: perms[:2] + perms[1:2] + perms[3:], "perms must be distinct"),
-        (lambda perms: perms[:1] + (perms[2], perms[1]) + perms[3:], "perms do not multiply as the table at (1, 1)"),
-    ],
-)
-def test_table_with_perms_that_disagree_is_refused(change, message):
-    s3 = catalog_group("S3")
-    with pytest.raises(ValueError) as err:
-        GroupTable(s3.product, perms=change(s3.perms))
-    assert str(err.value) == message
+        assert all(cayley.mul(a, b) == g.mul(a, b) for a in range(g.order) for b in range(g.order))
 
 
 def s6_document(kernel: bool) -> dict:
@@ -142,10 +118,8 @@ def test_s6_document_builds_no_square_table(kernel):
     assert g.order == 720
     # parsing keeps at most the generator columns, 2 x 720 entries
     assert set(g._columns) <= {g.index[p] for p in S6_GENERATORS}
-    assert g._product is None
     reports = standard_reports(inst, seed=3)
     assert inst.subgroup_aut.state_count == (720 if kernel else 360)
     assert reports[0].verdict == reports[1].verdict == HOLDS
     # verifying reads the columns of a few elements, not of all 720
     assert len(g._columns) <= 16
-    assert g._product is None

@@ -1,15 +1,17 @@
 """The library's builders hand over what they build without re-checking it.
 
-Group tables from ``group_from_permutations``, subgroups from
+Groups from ``group_from_permutations``, subgroups from
 ``subgroup_closure``, the total space of ``build_cover``, the components of
 ``component_complex``, the pulled-back voltage and the maps of
 ``CoveringComplex.projection``, ``component_complex`` and
 ``compose_complex_maps`` are valid by construction, so the library does not
-run the public validators on them.  These oracles run the public validators
-on fresh copies of those outputs instead: every table passes ``GroupTable``,
-every closure passes ``SubgroupSet``, every complex passes
-``validate_complex``, every pullback is flat and every map passes
-``ComplexMap`` and ``check_incidence``.
+run the public validators on them.  These oracles check those outputs
+instead.  A group has no public validator, since the closure is its only
+construction, so every group passes the group oracle of ``tests/helpers.py``
+(composition of its own permutations and generators).  Fresh copies of the
+other outputs go through the public validators: every closure passes
+``SubgroupSet``, every complex passes ``validate_complex``, every pullback
+is flat and every map passes ``ComplexMap`` and ``check_incidence``.
 """
 
 import os
@@ -24,14 +26,16 @@ from flatconn.covers import ComplexMap, check_incidence
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import (
     CATALOG_GROUP_NAMES,
-    GroupTable,
     SubgroupSet,
+    _catalog_specs,
     catalog_group,
     enumerate_subgroups,
     group_from_permutations,
     subgroup_closure,
 )
 from flatconn.io import parse_instance
+
+from helpers import check_permutation_group
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -40,29 +44,26 @@ S5_GENERATORS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
 S6_GENERATORS = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
 
 
-def _random_groups(count, seed=0):
+def _random_closures(count, seed=0):
+    """(generators, labels, group) for seeded random groups of degree 1 to 5."""
     rng = random.Random(seed)
-    groups = []
+    out = []
     for _ in range(count):
         degree = rng.randint(1, 5)
         gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(0, 3))]
-        groups.append(group_from_permutations(degree, gens))
-    return groups
+        out.append((gens, None, group_from_permutations(degree, gens)))
+    return out
 
 
-def test_built_tables_pass_the_public_constructor():
-    groups = [catalog_group(name) for name in CATALOG_GROUP_NAMES]
-    groups.append(group_from_permutations(5, S5_GENERATORS))
-    groups.append(group_from_permutations(6, S6_GENERATORS))
-    groups.extend(_random_groups(100))
-    assert max(g.order for g in groups) == 720
-    for g in groups:
-        checked = GroupTable(g.product, labels=g.labels, name=g.name, perms=g.perms)
-        assert checked.order == g.order
-        assert checked.product == g.product
-        assert checked.inverse == g.inverse
-        assert checked.labels == g.labels
-        assert checked.perms == g.perms
+def test_built_groups_pass_the_group_oracle():
+    specs = _catalog_specs()
+    closures = [(specs[name][1], specs[name][2], catalog_group(name)) for name in CATALOG_GROUP_NAMES]
+    for gens in (S5_GENERATORS, S6_GENERATORS):
+        closures.append((gens, None, group_from_permutations(len(gens[0]), gens)))
+    closures.extend(_random_closures(100))
+    assert max(g.order for _, _, g in closures) == 720
+    for gens, labels, g in closures:
+        check_permutation_group(g, gens, labels)
 
 
 def test_closures_pass_the_public_constructor():

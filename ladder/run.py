@@ -32,7 +32,10 @@ is what it adds once the earlier stages are cached:
 * ``cover``: the covering complex;
 * ``induced_image``: pullback, cover spanning tree and induced holonomy;
 * ``restricted_image``: h(H), the base holonomy image of H;
-* ``theorem_1_1``, ``triviality``, ``cor_2_2``: the claim checks.
+* ``theorem_1_1``, ``triviality``, ``cor_2_2``, ``functoriality``,
+  ``prop_2_1``, ``prop_2_3``, ``prop_2_4``: the claim checks.  The last
+  four come after ``cor_2_2`` so that the earlier stages time as they did
+  before they were added.
 
 ``theorem_1_1+triviality`` sums ``restricted_image``, ``theorem_1_1`` and
 ``triviality``: what the two claims cost once the cover and its induced
@@ -86,6 +89,10 @@ STAGES = (
     "theorem_1_1",
     "triviality",
     "cor_2_2",
+    "functoriality",
+    "prop_2_1",
+    "prop_2_3",
+    "prop_2_4",
 )
 COMBINED = ("restricted_image", "theorem_1_1", "triviality")
 REPEAT = 5  # fresh instances per row
@@ -205,6 +212,10 @@ def time_row(family: str, k: int) -> dict:
         lambda: theorems.verify_theorem_1_1(inst),
         lambda: theorems.is_induced_trivial(inst),
         lambda: theorems.verify_cor_2_2(inst),
+        lambda: theorems.verify_functoriality(inst),
+        lambda: theorems.verify_prop_2_1(inst),
+        lambda: theorems.verify_prop_2_3(inst),
+        lambda: theorems.verify_prop_2_4(inst),
     )
     seconds["parse"] = perf_counter() - t0
     verdicts = []

@@ -27,6 +27,7 @@ from .connections import Voltage, _require_flat
 from .covers import ComplexMap, CoveringComplex, is_covering_map
 from .errors import ComplexError
 from .groups import GroupTable
+from .subgroups import CosetAutomaton
 
 
 class LiftedEdges(Sequence):
@@ -193,8 +194,9 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     s * gamma(p), gamma(p) = shift[t]^-1 * w(p) * shift[h] (e on tree edges).
     The component of sheet 0 is the subgroup H the gammas generate, and the
     components are its cosets s * H.  Only the lifted-edge rule is read,
-    never the holonomy morphism, so the claim checks compare two
-    independent computations.
+    never the holonomy morphism, so the claim checks, which read the
+    basepoint component's subgroup and sheet count off this bundle without
+    extracting it, compare two independent computations.
     """
     if v.complex is not c:  # the voltage validated its complex
         raise ValueError("voltage is not defined on the given complex")
@@ -246,6 +248,60 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         sheet_counts=(g.order // count,) * count,
         base_lift=graph.basepoint,
     )
+
+
+def _basepoint_subgroup(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> CosetAutomaton:
+    """The subgroup of pi1 that the basepoint component of ``d`` defines as a
+    covering of the base, read off the bundle without extracting it.  With a
+    cover, ``d`` is the bundle of the pulled-back voltage and the covering is
+    the composite through the cover.
+
+    A point over the basepoint is (cover state s, element x), s * |G| + x
+    (s = 0 without a cover).  Base edge p moves it along the cover's edge
+    s * E + p and then by that edge's fiber map.  Fiber maps are right
+    multiplications, so the tree paths are found once per base vertex and
+    state; each generator loop is its tree path out, its edge and its tree
+    path back.  No gamma, holonomy morphism or automaton of H is read.
+    """
+    n, column, inverse, fiber_map = d.group.order, d.group.column, d.group.inverse, d.graph._fiber_map
+    base, k = (d.base, 1) if cover is None else (cover.base, cover.degree)
+    V, E = base.vertex_count, len(base.edges)
+
+    def moves(p: int, sign: int) -> list:
+        """State s -> (the state reached, the fiber map) along base edge p."""
+        if cover is None:
+            return [(0, fiber_map(p, sign))]
+        heads = [cover.total.edges[s * E + p].head // V for s in range(k)]
+        if sign > 0:
+            return [(t, fiber_map(s * E + p)) for s, t in enumerate(heads)]
+        into = [None] * k  # a -1 step runs the lift that ends at state t backwards
+        for s, t in enumerate(heads):
+            into[t] = (s, fiber_map(s * E + p, -1))
+        return into
+
+    tree = spanning_tree(base)
+    reach = [None] * V  # reach[u][s]: the (t, y) that the tree path to u carries (s, e) to
+    reach[base.basepoint] = [(s, 0) for s in range(k)]
+    for u in tree.order[1:]:
+        eid, sign = tree.parent[u]
+        step = moves(base.edge_pos(eid), sign)
+        reach[u] = [(step[s][0], step[s][1][y]) for s, y in reach[base.step_endpoints((eid, sign))[0]]]
+    out = [[(t, column(y)) for t, y in row] for row in reach]
+    back = [[None] * k for _ in reach]  # back[u][t]: the tree path from u back, as out's inverse
+    for u, row in enumerate(reach):
+        for s, (t, y) in enumerate(row):
+            back[u][t] = (s, column(inverse[y]))
+    loops = [(out[e.tail], moves(base.edge_pos(e.id), 1), back[e.head]) for e in map(base.edge, tree.generators)]
+
+    def act(point: int, i: int) -> int:
+        s, x = divmod(point, n)
+        there, edge, home = loops[i]
+        s, a = there[s]
+        s, b = edge[s]
+        s, c = home[s]
+        return s * n + c[b[a[x]]]
+
+    return CosetAutomaton.from_action(len(loops), 0, act)
 
 
 @dataclass(frozen=True, eq=False)

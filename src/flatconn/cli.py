@@ -94,7 +94,7 @@ def _cmd_bundle(args, out) -> int:
     out.write(f"bundle_vertices: {bundle.graph.vertex_count}\n")
     out.write(f"bundle_edges: {len(bundle.graph.edges)}\n")
     out.write(f"components: {len(bundle.components)}\n")
-    out.write(f"holonomy_bundle_degree: {inst.base_nx.degree}\n")
+    out.write(f"holonomy_bundle_degree: {bundle.sheet_counts[bundle._sheet_component[0]]}\n")
     return 0
 
 

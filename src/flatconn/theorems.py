@@ -30,6 +30,7 @@ from typing import Optional
 from .bundles import (
     DerivedBundle,
     HolonomyBundle,
+    _basepoint_subgroup,
     derived_bundle,
     holonomy_bundle,
     induced_bundle_map,
@@ -56,8 +57,6 @@ from .covers import (
     CoveringComplex,
     build_cover,
     check_incidence,
-    compose_complex_maps,
-    subgroup_of_cover,
 )
 from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .subgroups import (
@@ -230,15 +229,11 @@ class Instance:
 
     @cached_property
     def base_nx_subgroup(self) -> CosetAutomaton:
-        return subgroup_of_cover(self.base_nx.projection, self.base_nx.base_lift)
+        return _basepoint_subgroup(self.base_bundle)
 
     @cached_property
     def cover_bundle(self) -> DerivedBundle:
         return derived_bundle(self.cover.total, self.group, self.pullback)
-
-    @cached_property
-    def cover_nx(self) -> HolonomyBundle:
-        return holonomy_bundle(self.cover_bundle)
 
     @cached_property
     def bundle_map(self) -> ComplexMap:
@@ -246,13 +241,8 @@ class Instance:
         return induced_bundle_map(self.cover_bundle, self.base_bundle, self.cover)
 
     @cached_property
-    def composite_map(self) -> ComplexMap:
-        """The covering N(basepoint lift upstairs) -> base, through the cover."""
-        return compose_complex_maps(self.cover_nx.projection, self.cover.projection())
-
-    @cached_property
     def composite_subgroup(self) -> CosetAutomaton:
-        return subgroup_of_cover(self.composite_map, self.cover_nx.base_lift)
+        return _basepoint_subgroup(self.cover_bundle, self.cover)
 
     def holonomy_spans_group(self) -> bool:
         return len(self.image) == self.group.order
@@ -549,7 +539,8 @@ def verify_prop_2_4(inst: Instance) -> VerificationReport:
     if not inst.complex.relators:
         index = inst.kernel_aut.state_count
         expected = index * (inst.presentation.rank - 1) + 1
-        actual = inst.base_nx.complex.free_rank
+        d, c = inst.base_bundle, inst.complex  # the bundle is k sheets of V vertices and E edges
+        actual = d.sheet_counts[d._sheet_component[0]] * (len(c.edges) - c.vertex_count) + 1
         rank_ok = actual == expected
         notes.append(f"rank pi1(holonomy bundle) = {actual}, expected {expected}")
     witnesses = (("bundle-subgroup-equals-kernel", str(sub_ok)), ("rank-formula", str(rank_ok)))

@@ -9,11 +9,16 @@ spelled out, evaluated and traced letter by letter.  Word strings are read
 the long way too: every token matched, and every covering word walked
 vertex by vertex before it is rewritten.  A closed permutation group is
 checked against composition of its own permutations and its generators.
+The holonomy bundle upstairs and the composite covering through the cover
+are extracted as their own complexes and maps, the long way round that the
+claim checks do not take.
 """
 
 import re
 
+from flatconn.bundles import holonomy_bundle
 from flatconn.complexes import spanning_tree
+from flatconn.covers import compose_complex_maps
 from flatconn.errors import ComplexError, InputError
 from flatconn.groups import compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import membership
@@ -37,6 +42,18 @@ def lift_path(m, w, start):
         lifted.append((src_edge, sign))
         cur = m.source.step_endpoints((src_edge, sign))[1]
     return tuple(lifted)
+
+
+def cover_nx(inst):
+    """The holonomy bundle upstairs: the basepoint component of the
+    pulled-back bundle, extracted as its own complex."""
+    return holonomy_bundle(inst.cover_bundle)
+
+
+def composite_map(inst, nx=None):
+    """The covering N(basepoint lift upstairs) -> base, through the cover;
+    ``nx`` is :func:`cover_nx` of the instance, if already extracted."""
+    return compose_complex_maps((nx or cover_nx(inst)).projection, inst.cover.projection())
 
 
 def covering_degree(m):

@@ -1,0 +1,156 @@
+"""The bundle subgroups read off the derived bundles, against the extracted complexes.
+
+``Instance.base_nx_subgroup`` and ``composite_subgroup`` lift each pi1
+generator loop through the fiber maps of the derived bundle (through the
+cover's own edges for the composite).  The oracle extracts the basepoint
+component as its own complex with ``holonomy_bundle``, composes its
+projection with the cover's by ``compose_complex_maps`` and reads the
+subgroup with ``subgroup_of_cover``.  Both must give the same automaton on
+corpus seeds 0-7, on every parsable document, on the S4-S6 symmetric
+ladder documents and on a base whose spanning tree runs edges backwards
+and whose generators start and end off the basepoint (the catalog bases
+have neither); prop 2.4's rank, read from the sheet count, must be the
+extracted component's free rank; and the claim checks must extract nothing.
+"""
+
+import importlib.util
+import os
+import random
+
+import pytest
+
+from flatconn import bundles, covers, theorems
+from flatconn.bundles import holonomy_bundle
+from flatconn.complexes import BaseComplex, Edge, spanning_tree
+from flatconn.connections import Voltage
+from flatconn.corpus import generate_corpus
+from flatconn.covers import subgroup_of_cover
+from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
+from flatconn.groups import catalog_group
+from flatconn.io import parse_instance, parse_instance_data
+from flatconn.subgroups import SubgroupSpec, automata_equal
+from flatconn.theorems import GATE, Instance, standard_reports, verify_prop_2_4
+from helpers import composite_map, cover_nx
+
+HERE = os.path.dirname(__file__)
+DOCUMENTS = [os.path.join(HERE, os.pardir, "instances"), os.path.join(HERE, "documents")]
+LADDER = os.path.join(HERE, os.pardir, "ladder", "run.py")
+CORPUS_COUNT = 250
+SOURCES = [*range(8), "documents", "ladder", "backward_tree"]
+
+
+def backward_tree_instances():
+    """Three vertices, the basepoint 0 reached from nowhere: the tree takes
+    edges 0 (1 -> 0) and 3 (2 -> 0) backwards, and the generators 1 (2 -> 1),
+    2 (1 -> 2) and 4 (a loop at 1) all lie off the basepoint.  Seeded voltages
+    into S3 and S4, covered by the holonomy kernel, by the preimage of a
+    two-element subgroup and by random words."""
+    c = BaseComplex(3, [Edge(0, 1, 0), Edge(1, 2, 1), Edge(2, 1, 2), Edge(3, 2, 0), Edge(4, 1, 1)])
+    assert {step[1] for step in spanning_tree(c).parent[1:]} == {-1}
+    rng = random.Random(5)
+    out = []
+    for name in ("S3", "S4"):
+        g = catalog_group(name)
+        for _ in range(4):
+            v = Voltage(c, g, {e.id: rng.randrange(g.order) for e in c.edges})
+            words = tuple(tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(3)) for _ in range(2))
+            for spec in (
+                SubgroupSpec(kind="quotient"),
+                SubgroupSpec(kind="quotient", subgroup=(0, v.as_tuple()[4])),
+                SubgroupSpec(kind="words", words=words),
+            ):
+                out.append(Instance(c, g, v, spec, name=f"backward-{name}-{len(out)}", tc_cap=4096))
+    return out
+
+
+def source_instances(source):
+    """Corpus seed ``source``, the parsable documents, the S4-S6
+    ``sym_kernel`` and ``sym_quotient`` ladder documents, or the backward
+    tree instances."""
+    if source == "backward_tree":
+        return backward_tree_instances()
+    if source == "documents":
+        out = []
+        for folder in DOCUMENTS:
+            for name in sorted(os.listdir(folder)):
+                try:
+                    out.append(parse_instance(os.path.join(folder, name)))
+                except InputError:
+                    continue
+        return out
+    if source == "ladder":
+        spec = importlib.util.spec_from_file_location("ladder_run", LADDER)
+        ladder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ladder)
+        return [
+            parse_instance_data(ladder.document(family, k), name=f"{family}-{k}")
+            for family in ("sym_kernel", "sym_quotient")
+            for k in (4, 5, 6)
+        ]
+    return [item.instance for item in generate_corpus(source, CORPUS_COUNT)]
+
+
+def has_finite_cover(inst):
+    try:
+        return inst.subgroup_aut.complete
+    except (EnumerationCapError, IncompleteAutomatonError):
+        return False
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_walked_subgroups_match_the_extracted_components(source):
+    found = source_instances(source)
+    covered = 0
+    for inst in found:
+        hb = holonomy_bundle(inst.base_bundle)
+        assert automata_equal(inst.base_nx_subgroup, subgroup_of_cover(hb.projection, hb.base_lift)), inst.name
+        if not has_finite_cover(inst):
+            continue
+        covered += 1
+        nx = cover_nx(inst)
+        want = subgroup_of_cover(composite_map(inst, nx), nx.base_lift)
+        assert automata_equal(inst.composite_subgroup, want), inst.name
+    assert found and covered > len(found) // 2
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_rank_formula_reads_the_extracted_free_rank(source):
+    """On a relator-free base the holonomy bundle is k sheets, one vertex
+    over each base vertex and one edge over each base edge, so its free rank
+    is k (E - V) + 1; prop 2.4 reports that rank without extracting it."""
+    checked = 0
+    for inst in source_instances(source):
+        if inst.complex.relators:
+            continue
+        hb = holonomy_bundle(inst.base_bundle)
+        c = inst.complex
+        assert hb.complex.free_rank == hb.degree * (len(c.edges) - c.vertex_count) + 1, inst.name
+        report = verify_prop_2_4(inst)
+        if report.verdict != GATE:
+            assert f"rank pi1(holonomy bundle) = {hb.complex.free_rank}" in report.notes[1], inst.name
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("source", ["documents", "ladder", "backward_tree", 3])
+def test_claim_checks_extract_no_component(monkeypatch, source):
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (bundles, covers, theorems):  # every module that holds one of the names
+        for name in ("component_complex", "holonomy_bundle", "subgroup_of_cover"):
+            if hasattr(module, name):
+                counting(module, name)
+    reports = 0
+    for inst in source_instances(source):
+        if has_finite_cover(inst):
+            reports += len(standard_reports(inst, seed=0))
+    assert reports and calls == []

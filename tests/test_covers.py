@@ -33,7 +33,7 @@ from flatconn.subgroups import (
     stallings_core,
 )
 from flatconn.theorems import Instance, _product_form, standard_reports
-from helpers import covering_degree, left_translation, lift_path
+from helpers import cover_nx, covering_degree, left_translation, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -280,7 +280,7 @@ def test_extracted_components_match_bfs_over_edges(seed):
 
 def test_verify_path_never_builds_component_of():
     inst = next(wedge_s4_instances())  # the kernel cover: 24 one-sheet components upstairs
-    inst.cover_nx
+    cover_nx(inst)
     assert "component_of" not in inst.cover_bundle.__dict__
     standard_reports(inst, seed=0)
     assert "component_of" not in inst.base_bundle.__dict__

@@ -27,10 +27,11 @@ def ladder():
 @pytest.mark.parametrize(
     "family,k,index,verdicts",
     [
-        ("torus", 6, 64, [HOLDS, HOLDS, GATE]),
-        ("sym_kernel", 4, 24, [HOLDS, HOLDS, HOLDS]),
-        ("sym_quotient", 4, 12, [HOLDS, HOLDS, HOLDS]),
-        ("stallings", 4, 120, [HOLDS, HOLDS, GATE]),
+        # theorem_1_1, triviality, cor_2_2, functoriality, prop_2_1, prop_2_3, prop_2_4
+        ("torus", 6, 64, [HOLDS, HOLDS, GATE, HOLDS, GATE, GATE, HOLDS]),
+        ("sym_kernel", 4, 24, [HOLDS] * 7),
+        ("sym_quotient", 4, 12, [HOLDS, HOLDS, HOLDS, HOLDS, GATE, GATE, HOLDS]),
+        ("stallings", 4, 120, [HOLDS, HOLDS, GATE, HOLDS, GATE, GATE, HOLDS]),
     ],
 )
 def test_time_row_reports_every_stage(ladder, family, k, index, verdicts):

@@ -27,7 +27,7 @@ from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, Input
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance
 from flatconn.subgroups import CosetAutomaton
-from helpers import lift_path
+from helpers import composite_map, cover_nx, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -130,7 +130,8 @@ def test_subgroup_of_cover_matches_lifted_loops(instances):
         assert automaton_key(got) == automaton_key(want), inst.name
     for inst in covered:
         got = inst.composite_subgroup
-        want = lifted_loop_automaton(inst.composite_map, inst.cover_nx.base_lift, inst.tree)
+        nx = cover_nx(inst)
+        want = lifted_loop_automaton(composite_map(inst, nx), nx.base_lift, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
         got = subgroup_of_cover(inst.cover.projection(), inst.cover.base_lift)
         want = lifted_loop_automaton(inst.cover.projection(), inst.cover.base_lift, inst.tree)

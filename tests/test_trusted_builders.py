@@ -35,7 +35,7 @@ from flatconn.groups import (
 )
 from flatconn.io import parse_instance
 
-from helpers import check_permutation_group
+from helpers import check_permutation_group, composite_map, cover_nx
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -116,7 +116,7 @@ def covered_instances():
 
 def test_built_complexes_pass_validate_complex(covered_instances):
     for inst in covered_instances:
-        for c in (inst.cover.total, inst.base_nx.complex, inst.cover_nx.complex):
+        for c in (inst.cover.total, inst.base_nx.complex, cover_nx(inst).complex):
             fresh = _fresh_copy(c)
             assert not fresh._validated
             assert validate_complex(fresh) is fresh, inst.name
@@ -134,7 +134,8 @@ def test_built_maps_pass_the_public_constructor(covered_instances):
     for inst in covered_instances:
         cover_map = inst.cover.projection()
         assert inst.cover.projection() is cover_map  # built once per cover
-        for m in (cover_map, inst.base_nx.projection, inst.cover_nx.projection, inst.composite_map):
+        nx = cover_nx(inst)
+        for m in (cover_map, inst.base_nx.projection, nx.projection, composite_map(inst, nx)):
             fresh = ComplexMap(m.source, m.target, tuple(m.vertex_map), dict(m.edge_map))
             check_incidence(fresh)
             assert fresh.vertex_map == m.vertex_map and fresh.edge_map == m.edge_map, inst.name

@@ -21,6 +21,9 @@ from flatconn.theorems import FAILS, standard_reports
 HERE = os.path.dirname(__file__)
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
 GOLDEN = os.path.join(HERE, "golden")
+# three components, the basepoint lift in the last: the holonomy-bundle
+# export must keep only the basepoint component's vertices and lifts
+OFFBASE = os.path.join(HERE, "documents", "offbase_s3_components.json")
 
 
 def doc_path(name):
@@ -180,6 +183,11 @@ def test_complex_json_round_trip(torus):
         (["verify", "--all-random", "200", "--seed", "7"], "verify_all_random_200_seed7.txt"),
         (["export-dot", doc_path("wedge_s3_a3.json"), "--what", "cover"], "dot_wedge_s3_a3_cover.txt"),
         (["export-dot", doc_path("torus_z4.json"), "--what", "cover"], "dot_torus_z4_cover.txt"),
+        (["bundle", OFFBASE], "bundle_offbase_s3_components.txt"),
+        (
+            ["export-dot", OFFBASE, "--what", "holonomy-bundle"],
+            "dot_offbase_s3_components_holonomy_bundle.txt",
+        ),
     ],
 )
 def test_cli_golden(argv, golden_name, capsys):

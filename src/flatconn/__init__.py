@@ -43,9 +43,7 @@ from .covers import (
 )
 from .bundles import (
     DerivedBundle,
-    HolonomyBundle,
     derived_bundle,
-    holonomy_bundle,
     induced_bundle_map,
 )
 from .groups import (

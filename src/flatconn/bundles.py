@@ -15,16 +15,14 @@ x * shift[u], and a non-tree edge maps sheet s to s * gamma.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 from typing import Optional
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .connections import Voltage, _require_flat
-from .covers import ComplexMap, CoveringComplex, is_covering_map
+from .covers import ComplexMap, CoveringComplex
 from .errors import ComplexError
 from .groups import GroupTable
 from .subgroups import CosetAutomaton
@@ -162,13 +160,6 @@ class DerivedBundle:
     def components(self) -> BundleComponents:
         return BundleComponents(self)
 
-    @cached_property
-    def component_of(self) -> tuple:
-        """The component of every vertex, |G| * V entries, built when first
-        read: (u, x) lies on sheet x * shift[u]."""
-        column, sheet_component = self.group.column, self._sheet_component.__getitem__
-        return tuple(chain.from_iterable(map(sheet_component, column(t)) for t in self._shift))
-
     def edge_pair(self, eid: int) -> tuple[int, int]:
         """(base edge position, group element) of a lifted edge id."""
         return divmod(eid, self.group.order)
@@ -302,86 +293,6 @@ def _basepoint_subgroup(d: DerivedBundle, cover: Optional[CoveringComplex] = Non
         return s * n + c[b[a[x]]]
 
     return CosetAutomaton.from_action(len(loops), 0, act)
-
-
-@dataclass(frozen=True, eq=False)
-class HolonomyBundle:
-    """One component of a derived bundle as its own based complex.
-
-    Local vertex and edge i are ``global_vertices[i]`` and ``global_edges[i]``
-    (both ascending); the basepoint-lift component is the holonomy bundle."""
-
-    bundle: DerivedBundle
-    complex: BaseComplex
-    projection: ComplexMap
-    base_lift: int
-    global_vertices: tuple
-    global_edges: tuple
-
-    @property
-    def fiber_elements(self) -> tuple:
-        """The elements g with (basepoint, g) in the component, ascending."""
-        n, b = self.bundle.group.order, self.bundle.base.basepoint
-        return tuple(x % n for x in self.global_vertices if x // n == b)
-
-    @property
-    def degree(self) -> int:
-        return len(self.fiber_elements)
-
-    def to_local_vertex(self, global_idx: int) -> int:
-        i = bisect_left(self.global_vertices, global_idx)
-        if i == len(self.global_vertices) or self.global_vertices[i] != global_idx:
-            raise KeyError(global_idx)
-        return i
-
-
-def component_complex(d: DerivedBundle, comp_index: int, basepoint: Optional[int] = None) -> HolonomyBundle:
-    """Extract a component as a connected complex with projection to the base.
-
-    Only the component's own edges are visited: the lifts leaving (v, x) are
-    p * |G| + x for the base edges p with tail v.  Listing them base edge by
-    base edge, and x ascending, keeps them in ascending global id.
-    """
-    verts = d.components[comp_index]
-    local = {g: i for i, g in enumerate(verts)}
-    n = d.group.order
-    fibers: list[list[int]] = [[] for _ in range(d.base.vertex_count)]
-    for g in verts:
-        fibers[g // n].append(g % n)
-    global_edges: list[int] = []
-    edges = []
-    for p, e in enumerate(d.base.edges):
-        ends = d.graph._fiber_map(p)
-        for x in fibers[e.tail]:
-            global_edges.append(p * n + x)
-            edges.append(Edge(len(edges), local[e.tail * n + x], local[e.head * n + ends[x]]))
-    base_lift = local[verts[0] if basepoint is None else basepoint]
-    sub = BaseComplex(vertex_count=len(verts), edges=edges, basepoint=base_lift, relators=())
-    sub._validated = True  # a component is connected and has no relators
-    vertex_map = tuple(g // n for g in verts)
-    edge_map = {i: d.base.edges[eid // n].id for i, eid in enumerate(global_edges)}
-    proj = ComplexMap._trusted(sub, d.base, vertex_map, edge_map)
-    return HolonomyBundle(
-        bundle=d,
-        complex=sub,
-        projection=proj,
-        base_lift=base_lift,
-        global_vertices=verts,
-        global_edges=tuple(global_edges),
-    )
-
-
-def holonomy_bundle(d: DerivedBundle) -> HolonomyBundle:
-    """Extract the holonomy bundle: the component of sheet 0, the sheet of
-    the basepoint lift (basepoint, e).
-
-    Its fiber elements over the basepoint form the holonomy group of the
-    voltage.  The restricted projection is verified to be a covering map.
-    """
-    hb = component_complex(d, d._sheet_component[0], basepoint=d.base_lift)
-    if not is_covering_map(hb.projection):
-        raise AssertionError("holonomy bundle projection failed the covering check")
-    return hb
 
 
 def induced_bundle_map(

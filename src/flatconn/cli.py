@@ -168,7 +168,7 @@ def _cmd_export_dot(args, out) -> int:
     elif what == "bundle":
         out.write(dot_export.bundle_dot(inst.base_bundle))
     else:  # holonomy-bundle
-        out.write(dot_export.holonomy_bundle_dot(inst.base_nx))
+        out.write(dot_export.holonomy_bundle_dot(inst.base_bundle))
     return 0
 
 

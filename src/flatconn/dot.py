@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bundles import DerivedBundle, HolonomyBundle
+from .bundles import DerivedBundle
 from .complexes import BaseComplex
 from .connections import Voltage
 from .covers import CoveringComplex
@@ -55,19 +55,19 @@ def _lift_label(d: DerivedBundle, eid: int) -> str:
     return f"e{base_edge.id} {d.group.label(d.voltage.on_edge(base_edge.id))}"
 
 
+def _bundle_digraph(d: DerivedBundle, name: str, vertices) -> str:
+    """The given bundle vertices (ascending) and the lifts whose tail lies
+    among them, in lifted-edge id order."""
+    n = d.group.order
+    nodes = {idx: f"p{idx // n}_{idx % n}" for idx in vertices}
+    edges = [(nodes[e.tail], nodes[e.head], _lift_label(d, e.id)) for e in d.graph.edges if e.tail in nodes]
+    return _digraph(name, list(nodes.values()), edges)
+
+
 def bundle_dot(d: DerivedBundle, name: str = "bundle") -> str:
-    n = d.group.order
-    nodes = [f"p{idx // n}_{idx % n}" for idx in range(d.graph.vertex_count)]
-    edges = [(nodes[e.tail], nodes[e.head], _lift_label(d, e.id)) for e in d.graph.edges]
-    return _digraph(name, nodes, edges)
+    return _bundle_digraph(d, name, range(d.graph.vertex_count))
 
 
-def holonomy_bundle_dot(hb: HolonomyBundle, name: str = "holonomy_bundle") -> str:
-    d = hb.bundle
-    n = d.group.order
-    nodes = [f"p{idx // n}_{idx % n}" for idx in hb.global_vertices]
-    edges = [
-        (nodes[e.tail], nodes[e.head], _lift_label(d, eid))
-        for e, eid in zip(hb.complex.edges, hb.global_edges)
-    ]
-    return _digraph(name, nodes, edges)
+def holonomy_bundle_dot(d: DerivedBundle, name: str = "holonomy_bundle") -> str:
+    """The component of the basepoint lift: the holonomy bundle."""
+    return _bundle_digraph(d, name, d.components[d._sheet_component[0]])

@@ -525,6 +525,21 @@ def todd_coxeter(
     return aut
 
 
+def _check_images(images: Sequence[int], group: GroupTable, relators: Iterable[Word]) -> None:
+    """Raise ValueError unless every image is an element of the group and
+    every relator word maps to the identity."""
+    for k, x in enumerate(images):
+        if not 0 <= x < group.order:
+            raise ValueError(f"image {k} out of range for group of order {group.order}")
+    for k, rel in enumerate(relators):
+        val = group.evaluate_word(images, rel)
+        if val != 0:
+            raise ValueError(
+                f"relator {k} maps to {group.label(val)}, not the identity; "
+                "the quotient morphism is not well defined"
+            )
+
+
 def automaton_from_quotient(
     images: Sequence[int],
     group: GroupTable,
@@ -537,17 +552,7 @@ def automaton_from_quotient(
     right multiplication with h(g).  Relator words must map to the identity
     for h to be well defined on the presented group.
     """
-    rank = len(images)
-    for k, x in enumerate(images):
-        if not 0 <= x < group.order:
-            raise ValueError(f"image {k} out of range for group of order {group.order}")
-    for k, rel in enumerate(relators):
-        val = group.evaluate_word(images, rel)
-        if val != 0:
-            raise ValueError(
-                f"relator {k} maps to {group.label(val)}, not the identity; "
-                "the quotient morphism is not well defined"
-            )
+    _check_images(images, group, relators)
     image = subgroup_closure(group, images)
     others = sorted(set(subgroup.members) & set(image.members))[1:]  # T without the identity
     columns, mul = [group.column(x) for x in images], group.mul
@@ -561,7 +566,7 @@ def automaton_from_quotient(
             name.update(dict.fromkeys(coset, min(coset)))
         return name[x]
 
-    return CosetAutomaton.from_action(rank, 0, act)
+    return CosetAutomaton.from_action(len(images), 0, act)
 
 
 def automaton_from_spec(
@@ -601,5 +606,4 @@ def check_quotient_images(images: Sequence[int], group: GroupTable, presentation
         raise ValueError(
             f"quotient spec has {len(images)} images for {presentation.rank} generators"
         )
-    # the one-state automaton of the whole image, built only for its checks
-    automaton_from_quotient(images, group, subgroup_closure(group, images), presentation.relators)
+    _check_images(images, group, presentation.relators)

@@ -29,10 +29,8 @@ from typing import Optional
 
 from .bundles import (
     DerivedBundle,
-    HolonomyBundle,
     _basepoint_subgroup,
     derived_bundle,
-    holonomy_bundle,
     induced_bundle_map,
 )
 from .complexes import (
@@ -222,10 +220,6 @@ class Instance:
     @cached_property
     def base_bundle(self) -> DerivedBundle:
         return derived_bundle(self.complex, self.group, self.voltage)
-
-    @cached_property
-    def base_nx(self) -> HolonomyBundle:
-        return holonomy_bundle(self.base_bundle)
 
     @cached_property
     def base_nx_subgroup(self) -> CosetAutomaton:

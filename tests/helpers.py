@@ -9,16 +9,16 @@ spelled out, evaluated and traced letter by letter.  Word strings are read
 the long way too: every token matched, and every covering word walked
 vertex by vertex before it is rewritten.  A closed permutation group is
 checked against composition of its own permutations and its generators.
-The holonomy bundle upstairs and the composite covering through the cover
-are extracted as their own complexes and maps, the long way round that the
-claim checks do not take.
+A component of a derived bundle, or any vertex set of it, is extracted as
+its own complex with its projection to the base, both made by the public,
+validating constructors: the long way round that the claim checks, which
+read the basepoint component off the bundle's sheets, do not take.
 """
 
 import re
 
-from flatconn.bundles import holonomy_bundle
-from flatconn.complexes import spanning_tree
-from flatconn.covers import compose_complex_maps
+from flatconn.complexes import BaseComplex, Edge, spanning_tree
+from flatconn.covers import ComplexMap, compose_complex_maps
 from flatconn.errors import ComplexError, InputError
 from flatconn.groups import compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import membership
@@ -44,16 +44,38 @@ def lift_path(m, w, start):
     return tuple(lifted)
 
 
+def induced_projection(d, vertices, basepoint):
+    """The subcomplex of the derived graph of ``d`` induced on the ascending
+    vertex ids ``vertices``, and its projection to the base.  Local vertex i
+    is vertices[i], local edge j is the j-th lift, in id order, with both
+    ends in the set, and the basepoint is the local vertex of ``basepoint``.
+    Returns the projection and the lifted edge ids."""
+    n, graph = d.group.order, d.graph
+    local = {v: i for i, v in enumerate(vertices)}
+    out = sorted(eid for v in vertices for eid, sign in graph.star(v) if sign > 0)
+    lifts = [e for e in map(graph.edge, out) if e.head in local]
+    edges = [Edge(j, local[e.tail], local[e.head]) for j, e in enumerate(lifts)]
+    sub = BaseComplex(len(vertices), edges, basepoint=local[basepoint])
+    edge_map = {j: d.base.edges[e.id // n].id for j, e in enumerate(lifts)}
+    return ComplexMap(sub, d.base, tuple(v // n for v in vertices), edge_map), tuple(e.id for e in lifts)
+
+
+def holonomy_projection(d):
+    """The holonomy bundle of ``d``, the component of the basepoint lift,
+    as the projection of its own complex, based at that lift."""
+    return induced_projection(d, d.components[d._sheet_component[0]], d.base_lift)[0]
+
+
 def cover_nx(inst):
     """The holonomy bundle upstairs: the basepoint component of the
-    pulled-back bundle, extracted as its own complex."""
-    return holonomy_bundle(inst.cover_bundle)
+    pulled-back bundle, as :func:`holonomy_projection`."""
+    return holonomy_projection(inst.cover_bundle)
 
 
 def composite_map(inst, nx=None):
     """The covering N(basepoint lift upstairs) -> base, through the cover;
     ``nx`` is :func:`cover_nx` of the instance, if already extracted."""
-    return compose_complex_maps((nx or cover_nx(inst)).projection, inst.cover.projection())
+    return compose_complex_maps(nx or cover_nx(inst), inst.cover.projection())
 
 
 def covering_degree(m):

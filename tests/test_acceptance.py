@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from flatconn.bundles import derived_bundle, holonomy_bundle
+from flatconn.bundles import derived_bundle
 from flatconn.complexes import spanning_tree
 from flatconn.connections import holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
@@ -32,7 +32,7 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
-from helpers import graph_diameter
+from helpers import graph_diameter, holonomy_projection
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200
@@ -170,8 +170,8 @@ def test_criterion_7_structural_identities(corpus):
         seen.add(key)
         bundle = derived_bundle(inst.complex, inst.group, inst.voltage)
         assert len(bundle.components) == inst.group.order // len(inst.image), item.name
-        hb = holonomy_bundle(bundle)
-        sub = subgroup_of_cover(hb.projection, hb.base_lift)
+        hb = holonomy_projection(bundle)
+        sub = subgroup_of_cover(hb, hb.source.basepoint)
         assert automata_equal(sub, inst.kernel_aut), item.name
     for item in complete:
         inst = item.instance
@@ -207,7 +207,7 @@ def test_criterion_8_regression_vector(s3, wedge, wedge_s3_voltage):
     assert is_induced_trivial(ker).verdict == HOLDS
     assert ker.induced_image.members == (0,)
     assert automata_equal(ker.composite_subgroup, ker.kernel_aut)
-    assert ker.base_nx.complex.free_rank == 7
+    assert holonomy_projection(ker.base_bundle).source.free_rank == 7
     _announce("criterion-8 fixed regression vector (wedge / S3): PASS")
 
 

@@ -2,15 +2,17 @@
 
 ``Instance.base_nx_subgroup`` and ``composite_subgroup`` lift each pi1
 generator loop through the fiber maps of the derived bundle (through the
-cover's own edges for the composite).  The oracle extracts the basepoint
-component as its own complex with ``holonomy_bundle``, composes its
-projection with the cover's by ``compose_complex_maps`` and reads the
-subgroup with ``subgroup_of_cover``.  Both must give the same automaton on
+cover's own edges for the composite).  The oracle builds the basepoint
+component as its own complex with the public constructors
+(``helpers.holonomy_projection``), composes its projection with the
+cover's by ``compose_complex_maps`` and reads the subgroup with
+``subgroup_of_cover``.  Both must give the same automaton on
 corpus seeds 0-7, on every parsable document, on the S4-S6 symmetric
 ladder documents and on a base whose spanning tree runs edges backwards
 and whose generators start and end off the basepoint (the catalog bases
 have neither); prop 2.4's rank, read from the sheet count, must be the
-extracted component's free rank; and the claim checks must extract nothing.
+extracted component's free rank; and the claim checks must read no subgroup
+off a covering map.
 """
 
 import importlib.util
@@ -20,7 +22,6 @@ import random
 import pytest
 
 from flatconn import bundles, covers, theorems
-from flatconn.bundles import holonomy_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
@@ -30,7 +31,7 @@ from flatconn.groups import catalog_group
 from flatconn.io import parse_instance, parse_instance_data
 from flatconn.subgroups import SubgroupSpec, automata_equal
 from flatconn.theorems import GATE, Instance, standard_reports, verify_prop_2_4
-from helpers import composite_map, cover_nx
+from helpers import composite_map, cover_nx, covering_degree, holonomy_projection
 
 HERE = os.path.dirname(__file__)
 DOCUMENTS = [os.path.join(HERE, os.pardir, "instances"), os.path.join(HERE, "documents")]
@@ -102,13 +103,13 @@ def test_walked_subgroups_match_the_extracted_components(source):
     found = source_instances(source)
     covered = 0
     for inst in found:
-        hb = holonomy_bundle(inst.base_bundle)
-        assert automata_equal(inst.base_nx_subgroup, subgroup_of_cover(hb.projection, hb.base_lift)), inst.name
+        hb = holonomy_projection(inst.base_bundle)
+        assert automata_equal(inst.base_nx_subgroup, subgroup_of_cover(hb, hb.source.basepoint)), inst.name
         if not has_finite_cover(inst):
             continue
         covered += 1
         nx = cover_nx(inst)
-        want = subgroup_of_cover(composite_map(inst, nx), nx.base_lift)
+        want = subgroup_of_cover(composite_map(inst, nx), nx.source.basepoint)
         assert automata_equal(inst.composite_subgroup, want), inst.name
     assert found and covered > len(found) // 2
 
@@ -122,12 +123,12 @@ def test_rank_formula_reads_the_extracted_free_rank(source):
     for inst in source_instances(source):
         if inst.complex.relators:
             continue
-        hb = holonomy_bundle(inst.base_bundle)
+        hb = holonomy_projection(inst.base_bundle)
         c = inst.complex
-        assert hb.complex.free_rank == hb.degree * (len(c.edges) - c.vertex_count) + 1, inst.name
+        assert hb.source.free_rank == covering_degree(hb) * (len(c.edges) - c.vertex_count) + 1, inst.name
         report = verify_prop_2_4(inst)
         if report.verdict != GATE:
-            assert f"rank pi1(holonomy bundle) = {hb.complex.free_rank}" in report.notes[1], inst.name
+            assert f"rank pi1(holonomy bundle) = {hb.source.free_rank}" in report.notes[1], inst.name
             checked += 1
     assert checked
 
@@ -146,7 +147,7 @@ def test_claim_checks_extract_no_component(monkeypatch, source):
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (bundles, covers, theorems):  # every module that holds one of the names
-        for name in ("component_complex", "holonomy_bundle", "subgroup_of_cover"):
+        for name in ("subgroup_of_cover", "is_covering_map"):
             if hasattr(module, name):
                 counting(module, name)
     reports = 0

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from flatconn.bundles import component_complex, derived_bundle, holonomy_bundle
+from flatconn.bundles import derived_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from flatconn.connections import Voltage, holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
@@ -32,8 +32,8 @@ from flatconn.subgroups import (
     SubgroupSpec,
     stallings_core,
 )
-from flatconn.theorems import Instance, _product_form, standard_reports
-from helpers import cover_nx, covering_degree, left_translation, lift_path
+from flatconn.theorems import Instance, _product_form
+from helpers import covering_degree, holonomy_projection, induced_projection, left_translation, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -210,6 +210,26 @@ def components_by_bfs(vertex_count, edges):
     return tuple(components), tuple(component_of)
 
 
+def component_ids(d):
+    """The component of every bundle vertex, read from ``d.components``."""
+    ids = [None] * d.graph.vertex_count
+    for i, comp in enumerate(d.components):
+        for v in comp:
+            ids[v] = i
+    return tuple(ids)
+
+
+def fiber_elements(d, comp):
+    """The elements x with (basepoint, x) in a component, ascending."""
+    n, b = d.group.order, d.base.basepoint
+    return tuple(v % n for v in comp if v // n == b)
+
+
+def holonomy_component(d):
+    """The vertex ids of the component of the basepoint lift."""
+    return d.components[component_ids(d)[d.base_lift]]
+
+
 def has_finite_cover(inst):
     try:
         return inst.subgroup_aut.complete
@@ -260,7 +280,7 @@ def test_bundle_components_match_bfs_over_edges(seed):
             assert len(d.graph.edges) == len(edges) == n * len(d.base.edges)
             assert [e.id for e in edges] == list(range(len(edges)))
             expected = components_by_bfs(d.graph.vertex_count, edges)
-            assert (tuple(d.components), d.component_of) == expected
+            assert tuple(d.components) == expected[0]
             assert d.sheet_counts == tuple(len(comp) // d.base.vertex_count for comp in expected[0])
 
 
@@ -272,22 +292,12 @@ def test_extracted_components_match_bfs_over_edges(seed):
             edges = list(d.graph.edges)
             components, component_of = components_by_bfs(d.graph.vertex_count, edges)
             for i, comp in enumerate(components):
-                part = component_complex(d, i)
-                assert part.global_vertices == comp
-                assert part.global_edges == tuple(e.id for e in edges if component_of[e.tail] == i)
-            assert holonomy_bundle(d).global_vertices == components[component_of[d.base_lift]]
-
-
-def test_verify_path_never_builds_component_of():
-    inst = next(wedge_s4_instances())  # the kernel cover: 24 one-sheet components upstairs
-    cover_nx(inst)
-    assert "component_of" not in inst.cover_bundle.__dict__
-    standard_reports(inst, seed=0)
-    assert "component_of" not in inst.base_bundle.__dict__
-    assert "component_of" not in inst.cover_bundle.__dict__
-    # read on demand, it is built once and kept
-    assert len(inst.cover_bundle.component_of) == inst.group.order * inst.cover.total.vertex_count
-    assert "component_of" in inst.cover_bundle.__dict__
+                assert d.components[i] == comp
+                part, lifts = induced_projection(d, comp, comp[0])
+                assert lifts == tuple(e.id for e in edges if component_of[e.tail] == i)
+                assert is_covering_map(part)
+                assert covering_degree(part) == d.sheet_counts[i]
+            assert holonomy_component(d) == components[component_of[d.base_lift]]
 
 
 def test_bundle_sequences_slice_like_lists():
@@ -371,7 +381,7 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
             assert d.graph.star(idx) == flat.star(idx)
         with pytest.raises(ComplexError, match="unknown edge id"):
             d.graph.edge(len(d.graph.edges))
-        assert (tuple(d.components), d.component_of) == components_by_bfs(d.graph.vertex_count, flat.edges)
+        assert tuple(d.components) == components_by_bfs(d.graph.vertex_count, flat.edges)[0]
 
 
 def test_component_count_is_holonomy_index(wedge, s3):
@@ -400,11 +410,12 @@ def test_left_translation_permutes_components(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})  # Hol = <(01)>
     d = derived_bundle(wedge, s3, v)
     hol = {0, 1}
-    base_comp = set(d.components[d.component_of[d.base_lift]])
+    ids = component_ids(d)
+    base_comp = set(d.components[ids[d.base_lift]])
     for g in range(s3.order):
         perm = left_translation(d, g)
         image = {perm[idx] for idx in base_comp}
-        cids = {d.component_of[idx] for idx in image}
+        cids = {ids[idx] for idx in image}
         assert len(cids) == 1
         if g in hol:
             assert image == base_comp
@@ -412,71 +423,65 @@ def test_left_translation_permutes_components(wedge, s3):
 
 def test_holonomy_bundle_full(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge, s3, wedge_s3_voltage)
-    hb = holonomy_bundle(d)
-    assert hb.degree == 6
-    assert hb.complex.vertex_count == d.graph.vertex_count
-    assert hb.fiber_elements == tuple(range(6))
+    hb = holonomy_component(d)
+    assert d.sheet_counts == (6,)
+    assert len(hb) == d.graph.vertex_count
+    assert fiber_elements(d, hb) == tuple(range(6))
 
 
 def test_holonomy_bundle_trivial(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
-    hb = holonomy_bundle(derived_bundle(wedge, s3, v))
-    assert hb.degree == 1
-    assert hb.complex.vertex_count == wedge.vertex_count
-    assert len(hb.complex.edges) == len(wedge.edges)
+    d = derived_bundle(wedge, s3, v)
+    hb = holonomy_component(d)
+    assert d.sheet_counts[component_ids(d)[d.base_lift]] == 1
+    assert len(hb) == wedge.vertex_count
+    assert sum(e.tail in hb for e in d.graph.edges) == len(wedge.edges)
 
 
 def test_holonomy_bundle_proper_subgroup(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})
-    hb = holonomy_bundle(derived_bundle(wedge, s3, v))
-    assert hb.degree == 2
-    assert hb.fiber_elements == (0, 1)  # e and (01)
+    d = derived_bundle(wedge, s3, v)
+    hb = holonomy_component(d)
+    assert d.sheet_counts[component_ids(d)[d.base_lift]] == 2
+    assert fiber_elements(d, hb) == (0, 1)  # e and (01)
     # (vertex 0, e), (vertex 0, (01)) and the a- and b-lifts through them
-    assert hb.global_vertices == (0, 1)
-    assert hb.global_edges == (0, 1, 6, 7)
-    assert [(e.tail, e.head) for e in hb.complex.edges] == [(0, 1), (1, 0), (0, 0), (1, 1)]
-    assert hb.base_lift == 0
-    assert [hb.to_local_vertex(x) for x in hb.global_vertices] == [0, 1]
-    with pytest.raises(KeyError):
-        hb.to_local_vertex(2)
+    assert hb == (0, 1)
+    assert [(e.id, e.tail, e.head) for e in d.graph.edges if e.tail in hb] == [(0, 0, 1), (1, 1, 0), (6, 0, 0), (7, 1, 1)]
+    assert d.base_lift == 0
     # another component of the same bundle, with a gap in its vertex ids
-    other = component_complex(hb.bundle, 1)
-    assert other.global_vertices == (2, 4)
-    assert other.global_edges == (2, 4, 8, 10)
-    assert other.base_lift == 0
-    assert other.to_local_vertex(4) == 1
-    with pytest.raises(KeyError):
-        other.to_local_vertex(3)
+    other = d.components[1]
+    assert other == (2, 4)
+    assert tuple(e.id for e in d.graph.edges if e.tail in other) == (2, 4, 8, 10)
 
 
 def test_component_complex_off_the_basepoint_lift(s3):
     # Hol = <(12)>: three components; the basepoint lift (1, e) = 6 lies in component 2
     base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)], basepoint=1)
     d = derived_bundle(base, s3, Voltage(base, s3, {0: 2, 3: 3, 5: 0}))
-    assert d.component_of == (0, 0, 1, 2, 1, 2, 2, 1, 0, 0, 2, 1)
+    assert component_ids(d) == (0, 0, 1, 2, 1, 2, 2, 1, 0, 0, 2, 1)
     assert d.sheet_counts == (2, 2, 2)
-    part = component_complex(d, 1)
-    assert part.global_vertices == (2, 4, 7, 11)
-    assert part.global_edges == (2, 4, 7, 11, 13, 17)
-    assert [(e.tail, e.head) for e in part.complex.edges] == [(0, 3), (1, 2), (2, 0), (3, 1), (2, 2), (3, 3)]
-    assert part.base_lift == 0
-    assert part.fiber_elements == (1, 5)
-    assert part.projection.vertex_map == (0, 0, 1, 1)
-    assert part.projection.edge_map == {0: 0, 1: 0, 2: 3, 3: 3, 4: 5, 5: 5}
-    assert is_covering_map(part.projection)
-    hb = holonomy_bundle(d)
-    assert hb.global_vertices == (3, 5, 6, 10)
-    assert hb.base_lift == 2
-    assert hb.fiber_elements == (0, 4)
+    part = d.components[1]
+    assert part == (2, 4, 7, 11)
+    assert fiber_elements(d, part) == (1, 5)
+    lifts = [(e.id, e.tail, e.head) for e in d.graph.edges if e.tail in part]
+    assert lifts == [(2, 2, 11), (4, 4, 7), (7, 7, 2), (11, 11, 4), (13, 7, 7), (17, 11, 11)]
+    projection, _ = induced_projection(d, part, part[0])
+    assert projection.vertex_map == (0, 0, 1, 1)
+    assert projection.edge_map == {0: 0, 1: 0, 2: 3, 3: 3, 4: 5, 5: 5}
+    assert is_covering_map(projection)
+    hb = holonomy_component(d)
+    assert hb == (3, 5, 6, 10)
+    assert hb.index(d.base_lift) == 2
+    assert fiber_elements(d, hb) == (0, 4)
 
 
 def test_holonomy_bundle_fiber_is_holonomy_group(wedge, s3):
     for assignment in ({0: 1, 1: 2}, {0: 1, 1: 0}, {0: 2, 1: 2}, {0: 0, 1: 0}):
         v = Voltage(wedge, s3, assignment)
-        hb = holonomy_bundle(derived_bundle(wedge, s3, v))
+        d = derived_bundle(wedge, s3, v)
         h = holonomy_morphism(v, spanning_tree(wedge))
-        assert hb.fiber_elements == holonomy_group(h).members
-        assert hb.degree == len(holonomy_group(h))
+        assert fiber_elements(d, holonomy_component(d)) == holonomy_group(h).members
+        assert d.sheet_counts[component_ids(d)[d.base_lift]] == len(holonomy_group(h))
 
 
 def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
@@ -488,8 +493,8 @@ def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
     for base, group, assignment in cases:
         v = Voltage(base, group, assignment)
         tree = spanning_tree(base)
-        hb = holonomy_bundle(derived_bundle(base, group, v))
-        sub = subgroup_of_cover(hb.projection, hb.base_lift)
+        hb = holonomy_projection(derived_bundle(base, group, v))
+        sub = subgroup_of_cover(hb, hb.source.basepoint)
         assert automata_equal(sub, kernel_automaton(holonomy_morphism(v, tree)))
 
 
@@ -518,18 +523,15 @@ def test_bundle_map_component_restrictions_are_coverings(wedge, s3, wedge_s3_vol
     inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
     qhat = inst.bundle_map
     upper, lower = inst.cover_bundle, inst.base_bundle
-    for ci in range(len(upper.components)):
-        part = component_complex(upper, ci)
-        targets = {lower.component_of[qhat.vertex_map[gv]] for gv in part.global_vertices}
+    lower_ids = component_ids(lower)
+    for comp in upper.components:
+        part, lifts = induced_projection(upper, comp, comp[0])
+        targets = {lower_ids[qhat.vertex_map[gv]] for gv in comp}
         assert len(targets) == 1
-        target_part = component_complex(lower, targets.pop())
-        vmap = tuple(
-            target_part.to_local_vertex(qhat.vertex_map[gv]) for gv in part.global_vertices
-        )
-        target_edge_local = {geid: i for i, geid in enumerate(target_part.global_edges)}
-        emap = {
-            i: target_edge_local[qhat.edge_map[geid]]
-            for i, geid in enumerate(part.global_edges)
-        }
-        restricted = ComplexMap(part.complex, target_part.complex, vmap, emap)
+        target_comp = lower.components[targets.pop()]
+        target_part, target_lifts = induced_projection(lower, target_comp, target_comp[0])
+        vmap = tuple(target_comp.index(qhat.vertex_map[gv]) for gv in comp)
+        target_edge_local = {geid: i for i, geid in enumerate(target_lifts)}
+        emap = {i: target_edge_local[qhat.edge_map[geid]] for i, geid in enumerate(lifts)}
+        restricted = ComplexMap(part.source, target_part.source, vmap, emap)
         assert is_covering_map(restricted)

@@ -79,7 +79,5 @@ def test_each_map_checks_its_incidence_once(monkeypatch):
         monkeypatch.setattr(module, "check_incidence", counting)
     inst = parse_instance(os.path.join(INSTANCES, "wedge_s3_kernel.json"))
     standard_reports(inst, seed=0)
-    # the bundle subgroups are read off the derived bundles: no component is extracted as a complex
-    assert "base_nx" not in inst.__dict__
     # functoriality projects words through the cover, whose projection is checked once
     assert checked == {id(inst.cover.projection()): 1}

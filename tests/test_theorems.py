@@ -23,7 +23,7 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
-from helpers import lift_path
+from helpers import holonomy_projection, lift_path
 
 A = (0, 1)
 B = (1, 1)
@@ -272,7 +272,7 @@ def test_prop_2_4_circle(circle, z2):
     inst = Instance(circle, z2, v, KERNEL_SPEC)
     report = verify_prop_2_4(inst)
     assert report.verdict == HOLDS
-    assert inst.base_nx.complex.free_rank == 1
+    assert holonomy_projection(inst.base_bundle).source.free_rank == 1
 
 
 def test_prop_2_4_trivial_group():
@@ -442,5 +442,5 @@ def test_gate_misses_compute_no_gated_artifact(inst_a3, wedge, s3):
     assert verify_prop_2_4(partial).verdict == GATE
     assert verify_cor_2_2(partial).verdict == GATE
     for inst in (inst_a3, partial):
-        for artifact in ("base_nx", "base_nx_subgroup", "cover_bundle", "composite_subgroup"):
+        for artifact in ("base_nx_subgroup", "cover_bundle", "composite_subgroup"):
             assert artifact not in inst.__dict__

@@ -27,7 +27,7 @@ from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, Input
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance
 from flatconn.subgroups import CosetAutomaton
-from helpers import composite_map, cover_nx, lift_path
+from helpers import composite_map, cover_nx, holonomy_projection, lift_path
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -125,13 +125,14 @@ def test_holonomy_images_match_walked_loops_on_a_non_bfs_tree():
 def test_subgroup_of_cover_matches_lifted_loops(instances):
     found, covered = instances
     for inst in found:
-        got = subgroup_of_cover(inst.base_nx.projection, inst.base_nx.base_lift)
-        want = lifted_loop_automaton(inst.base_nx.projection, inst.base_nx.base_lift, inst.tree)
+        hb = holonomy_projection(inst.base_bundle)
+        got = subgroup_of_cover(hb, hb.source.basepoint)
+        want = lifted_loop_automaton(hb, hb.source.basepoint, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
     for inst in covered:
         got = inst.composite_subgroup
         nx = cover_nx(inst)
-        want = lifted_loop_automaton(composite_map(inst, nx), nx.base_lift, inst.tree)
+        want = lifted_loop_automaton(composite_map(inst, nx), nx.source.basepoint, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
         got = subgroup_of_cover(inst.cover.projection(), inst.cover.base_lift)
         want = lifted_loop_automaton(inst.cover.projection(), inst.cover.base_lift, inst.tree)

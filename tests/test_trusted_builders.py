@@ -1,17 +1,18 @@
 """The library's builders hand over what they build without re-checking it.
 
 Groups from ``group_from_permutations``, subgroups from
-``subgroup_closure``, the total space of ``build_cover``, the components of
-``component_complex``, the pulled-back voltage and the maps of
-``CoveringComplex.projection``, ``component_complex`` and
+``subgroup_closure``, the total space of ``build_cover``, the pulled-back
+voltage and the maps of ``CoveringComplex.projection`` and
 ``compose_complex_maps`` are valid by construction, so the library does not
 run the public validators on them.  These oracles check those outputs
-instead.  A group has no public validator, since the closure is its only
-construction, so every group passes the group oracle of ``tests/helpers.py``
-(composition of its own permutations and generators).  Fresh copies of the
-other outputs go through the public validators: every closure passes
-``SubgroupSet``, every complex passes ``validate_complex``, every pullback
-is flat and every map passes ``ComplexMap`` and ``check_incidence``.
+instead, along with the holonomy bundles, upstairs and down, built as
+complexes in ``tests/helpers.py``.  A group has no public validator, since
+the closure is its only construction, so every group passes the group
+oracle of ``tests/helpers.py`` (composition of its own permutations and
+generators).  Fresh copies of the other outputs go through the public
+validators: every closure passes ``SubgroupSet``, every complex passes
+``validate_complex``, every pullback is flat and every map passes
+``ComplexMap`` and ``check_incidence``.
 """
 
 import os
@@ -35,7 +36,7 @@ from flatconn.groups import (
 )
 from flatconn.io import parse_instance
 
-from helpers import check_permutation_group, composite_map, cover_nx
+from helpers import check_permutation_group, composite_map, cover_nx, holonomy_projection
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -116,7 +117,7 @@ def covered_instances():
 
 def test_built_complexes_pass_validate_complex(covered_instances):
     for inst in covered_instances:
-        for c in (inst.cover.total, inst.base_nx.complex, cover_nx(inst).complex):
+        for c in (inst.cover.total, holonomy_projection(inst.base_bundle).source, cover_nx(inst).source):
             fresh = _fresh_copy(c)
             assert not fresh._validated
             assert validate_complex(fresh) is fresh, inst.name
@@ -135,7 +136,7 @@ def test_built_maps_pass_the_public_constructor(covered_instances):
         cover_map = inst.cover.projection()
         assert inst.cover.projection() is cover_map  # built once per cover
         nx = cover_nx(inst)
-        for m in (cover_map, inst.base_nx.projection, nx.projection, composite_map(inst, nx)):
+        for m in (cover_map, holonomy_projection(inst.base_bundle), nx, composite_map(inst, nx)):
             fresh = ComplexMap(m.source, m.target, tuple(m.vertex_map), dict(m.edge_map))
             check_incidence(fresh)
             assert fresh.vertex_map == m.vertex_map and fresh.edge_map == m.edge_map, inst.name

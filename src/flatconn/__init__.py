@@ -23,23 +23,17 @@ from .complexes import (
     validate_complex,
 )
 from .connections import (
-    GaugeTransform,
     HolonomyMorphism,
     Voltage,
-    apply_gauge,
     check_flatness,
     holonomy_group,
     holonomy_morphism,
     kernel_automaton,
-    word_holonomy,
 )
 from .covers import (
     ComplexMap,
     CoveringComplex,
     build_cover,
-    compose_complex_maps,
-    is_covering_map,
-    subgroup_of_cover,
 )
 from .bundles import (
     DerivedBundle,
@@ -61,8 +55,6 @@ from .subgroups import (
     automaton_from_quotient,
     automaton_from_spec,
     is_normal_subgroup,
-    membership,
-    reidemeister_schreier,
     stallings_core,
     todd_coxeter,
 )

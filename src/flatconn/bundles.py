@@ -164,16 +164,6 @@ class DerivedBundle:
         """(base edge position, group element) of a lifted edge id."""
         return divmod(eid, self.group.order)
 
-    def projection(self) -> ComplexMap:
-        n = self.group.order
-        vertex_map = tuple(idx // n for idx in range(self.graph.vertex_count))
-        edge_map = {
-            eid: self.base.edges[eid // n].id for eid in range(len(self.graph.edges))
-        }
-        return ComplexMap(
-            source=self.graph, target=self.base, vertex_map=vertex_map, edge_map=edge_map
-        )
-
 
 def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     """Build the derived graph of a flat voltage and its components.

@@ -50,13 +50,17 @@ def _cmd_cover(args, out) -> int:
     inst = parse_instance(args.document)
     _require_covering(inst)
     cov = inst.cover
+    if args.emit_complex:  # written before any stdout, so a write error leaves stdout empty
+        try:
+            with open(args.emit_complex, "w", encoding="utf-8") as fh:
+                json.dump({"complex": complex_to_json(cov.total)}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise FlatConnError(f"cannot write --emit-complex file: {exc}") from None
     out.write(f"degree: {cov.degree}\n")
     out.write(f"rank: {cov.total.free_rank}\n")
     out.write(f"regular: {'yes' if inst.subgroup_normal else 'no'}\n")
     if args.emit_complex:
-        with open(args.emit_complex, "w", encoding="utf-8") as fh:
-            json.dump({"complex": complex_to_json(cov.total)}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         out.write(f"emitted: {args.emit_complex}\n")
     return 0
 

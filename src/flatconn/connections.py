@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional
 
-from .complexes import BaseComplex, EdgeWord, SpanningTreeData, validate_complex
+from .complexes import BaseComplex, SpanningTreeData, validate_complex
 from .errors import FlatnessError
 from .groups import GroupTable, SubgroupSet, _is_int, subgroup_closure
 from .subgroups import CosetAutomaton, automaton_from_quotient
@@ -103,12 +103,6 @@ def _require_flat(v: Voltage) -> None:
         raise FlatnessError(v._violations)
 
 
-def word_holonomy(v: Voltage, w: EdgeWord, start: Optional[int] = None) -> int:
-    """Left-to-right product of edge voltages along a path."""
-    v.complex.path_vertices(w, start=start)  # validates that w is a path
-    return v.group.evaluate_word(v.assignment, w)
-
-
 @dataclass(frozen=True)
 class HolonomyMorphism:
     """The holonomy homomorphism on the fundamental group.
@@ -157,32 +151,6 @@ def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
 def holonomy_group(h: HolonomyMorphism) -> SubgroupSet:
     """The holonomy group: closure of the generator images."""
     return subgroup_closure(h.group, h.images)
-
-
-@dataclass(frozen=True)
-class GaugeTransform:
-    """A vertex -> group element change of fiber trivialization."""
-
-    values: tuple
-
-    def at(self, v: int) -> int:
-        return self.values[v]
-
-
-def apply_gauge(v: Voltage, t: GaugeTransform) -> Voltage:
-    """Transformed voltage t(tail)^-1 * w(e) * t(head).
-
-    Loop products telescope, so the holonomy morphism is conjugated by the
-    gauge value at the basepoint; flatness is preserved.
-    """
-    if len(t.values) != v.complex.vertex_count:
-        raise ValueError("gauge transform must assign a value to every vertex")
-    g = v.group
-    new = {}
-    for e in v.complex.edges:
-        val = g.mul(g.mul(g.inverse[t.at(e.tail)], v.on_edge(e.id)), t.at(e.head))
-        new[e.id] = val
-    return Voltage(v.complex, g, new)
 
 
 def kernel_automaton(h: HolonomyMorphism) -> CosetAutomaton:

@@ -1,4 +1,4 @@
-"""Covering complexes: construction from coset automata and verification.
+"""Covering complexes: construction from coset automata.
 
 A covering built from a coset automaton is the derived graph of a
 permutation voltage: it has vertex set (state, base vertex), a tree edge
@@ -6,7 +6,7 @@ stays within a sheet, and a non-tree edge's lifts move sheets by its
 automaton column, which is read once per lift.  Lifted relators are traced
 through the same columns to check that they close, and are listed only
 when read.  Every cover carries an explicit base lift, the vertex
-(state 0, basepoint), and all subgroup extraction is basepointed.
+(state 0, basepoint), at which its subgroup is based.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
@@ -60,26 +60,6 @@ class ComplexMap:
         eid, sign = step
         return (self.edge_map[eid], sign)
 
-    @cached_property
-    def _lift_index(self) -> Optional[list]:
-        """Per source vertex: the target edge-end 2 t (out of target edge t)
-        or 2 t + 1 (into it), one int rather than a (t, sign) tuple -> the
-        source edge whose end there lifts it; None unless the edge-ends at
-        every source vertex map one to one (no key is taken twice) and onto
-        (as many keys as ends at the image vertex).  Incidence is checked
-        first, so every key is such an end.  A map is immutable, so this is
-        built once per map."""
-        check_incidence(self)
-        idx: list[dict] = [{} for _ in range(self.source.vertex_count)]
-        for e in self.source.edges:
-            out = 2 * self.edge_map[e.id]
-            if idx[e.tail].setdefault(out, e.id) != e.id or idx[e.head].setdefault(out + 1, e.id) != e.id:
-                return None
-        for v, ends in enumerate(idx):
-            if len(ends) != len(self.target.star(self.vertex_map[v])):
-                return None
-        return idx
-
 
 def check_incidence(m: ComplexMap) -> None:
     """Raise IncidenceError unless the map respects tails and heads."""
@@ -90,27 +70,6 @@ def check_incidence(m: ComplexMap) -> None:
                 f"edge {e.id} -> {img.id} does not respect incidences: "
                 f"({m.vertex_map[e.tail]}, {m.vertex_map[e.head]}) vs ({img.tail}, {img.head})"
             )
-
-
-def compose_complex_maps(f: ComplexMap, g: ComplexMap) -> ComplexMap:
-    """g after f; requires f.target is g.source.  Two maps compose to a map,
-    so the result is not checked again."""
-    if f.target is not g.source:
-        raise ValueError("maps do not compose: target/source mismatch")
-    return ComplexMap._trusted(
-        f.source,
-        g.target,
-        tuple(g.vertex_map[v] for v in f.vertex_map),
-        {eid: g.edge_map[t] for eid, t in f.edge_map.items()},
-    )
-
-
-def is_covering_map(m: ComplexMap) -> bool:
-    """Star bijectivity at every source vertex (loops count twice).
-
-    Incidence violations raise; a failed bijection returns False.
-    """
-    return m._lift_index is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,41 +194,3 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         edge_to_base=edge_to_base,
         base_lift=c.basepoint,
     )
-
-
-def subgroup_of_cover(m: ComplexMap, base_lift: int) -> CosetAutomaton:
-    """The subgroup of base loops whose lift at the base lift is closed.
-
-    The lifts of the base's spanning tree at the fiber points are the sheets,
-    labelled in one pass down the tree; generator i moves sheet(tail) to
-    sheet(head) along each lift of its edge.  States are the sheets reached
-    from the base lift's: for a connected source, every sheet.
-    """
-    end_index = m._lift_index
-    if end_index is None:
-        raise IncidenceError("subgroup extraction requires a covering map")
-    base, source = m.target, m.source
-    if m.vertex_map[base_lift] != base.basepoint:
-        raise ValueError("base lift does not sit over the basepoint")
-    tree = spanning_tree(base)
-    lifts = [()] * base.vertex_count  # lifts[u][k]: the vertex over u on sheet k
-    lifts[base.basepoint] = [x for x, u in enumerate(m.vertex_map) if u == base.basepoint]
-    for u in tree.order[1:]:
-        step = tree.parent[u]
-        end = 2 * step[0] + (step[1] < 0)
-        lifts[u] = [
-            source.step_endpoints((end_index[x][end], step[1]))[1]
-            for x in lifts[base.step_endpoints(step)[0]]
-        ]
-    sheet = [0] * source.vertex_count
-    for row in lifts:
-        for k, x in enumerate(row):
-            sheet[x] = k
-
-    ends = [(base.edge(eid).tail, 2 * eid) for eid in tree.generators]
-
-    def act(k: int, i: int) -> int:
-        tail, out = ends[i]
-        return sheet[source.edge(end_index[lifts[tail][k]][out]).head]
-
-    return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)

@@ -330,8 +330,12 @@ def parse_instance(path: str) -> Instance:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read document: {exc}", "/") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"document is not UTF-8 text: {exc}", "/") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}", "/") from None
+    except RecursionError:
+        raise InputError("document nests too deeply to read", "/") from None
     return parse_instance_data(data, name=path)
 
 

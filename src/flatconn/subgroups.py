@@ -153,11 +153,6 @@ class SubgroupSpec:
             raise ValueError(f"unknown subgroup spec kind {self.kind!r}")
 
 
-def membership(a: CosetAutomaton, w: Word) -> bool:
-    """True iff the word traces from state 0 back to state 0."""
-    return a.trace(tuple(w)) == 0
-
-
 def automata_equal(x: CosetAutomaton, y: CosetAutomaton) -> bool:
     """Based-subgroup equality: identical canonical transition tables."""
     if not (x.complete and y.complete):
@@ -219,23 +214,12 @@ def _schreier_points(a: CosetAutomaton, forward, backward):
         yield s, g, None if x is None else forward[g][x], pot[t]
 
 
-def reidemeister_schreier(a: CosetAutomaton, presentation: Presentation) -> list[Word]:
-    """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped,
-    in the (state, generator) order of :func:`_schreier_steps`."""
-    steps = list(_schreier_steps(a))  # an incomplete automaton raises before the rank check
-    if presentation.rank != a.rank:
-        raise ValueError("presentation rank does not match automaton alphabet")
-    reps = [_rep_word(a, t) for t in range(a.state_count)]
-    inverses = [invert_word(w) for w in reps]
-    return [reps[s] + ((g, 1),) + inverses[t] for s, g, t in steps]
-
-
 def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[int, int]]:
     """The step (s, g) of the first Schreier generator of a's subgroup that
     b's does not contain; None when a's subgroup lies inside b's.
 
     b may be partial: a generator whose path leaves b's table is outside, as
-    :func:`membership` decides.
+    ``b.trace(w) == 0`` decides.
     """
     points = _schreier_points(a, b.forward, b.backward)
     return next(((s, g) for s, g, x, y in points if x is None or x != y), None)
@@ -390,6 +374,14 @@ class _CosetTable:
         return CosetAutomaton(self.rank, columns[0::2], columns[1::2])
 
 
+def _check_letters(words: Iterable[Word], rank: int) -> None:
+    """Raise ValueError unless every letter of every word names a generator."""
+    for w in words:
+        for sym, _ in w:
+            if not 0 <= sym < rank:
+                raise ValueError(f"word letter {sym} outside generator range 0..{rank - 1}")
+
+
 def stallings_core(generators: Sequence[Word], rank: int) -> CosetAutomaton:
     """Folded core graph of the subgroup generated by free words.
 
@@ -398,10 +390,7 @@ def stallings_core(generators: Sequence[Word], rank: int) -> CosetAutomaton:
     base coset, defining at most one coset per letter.  The result is
     complete exactly when the subgroup has finite index.
     """
-    for w in generators:
-        for sym, sign in w:
-            if not 0 <= sym < rank:
-                raise ValueError(f"word letter {sym} outside generator range 0..{rank - 1}")
+    _check_letters(generators, rank)
     table = _CosetTable(rank)
     table.scan_words(generators)
     return table.automaton()
@@ -496,6 +485,7 @@ def todd_coxeter(
     cannot be told from an insufficient cap.
     """
     rank = presentation.rank
+    _check_letters(subgroup_words, rank)
     if cap is None:
         cap = max(1, DEFAULT_TABLE_CELL_CAP // max(1, 2 * rank))
     if cap < 1:

@@ -2,7 +2,14 @@
 
 They are written against the public complex and map interfaces and share no
 lookup structure with the library, so the tests that use them stay
-independent oracles.  The reference loops compute lifted relators and
+independent oracles.  The general route of Gross & Tucker's derived graphs
+lives here: a path's holonomy walked edge by edge (``word_holonomy``), gauge
+moves (``GaugeTransform``, ``apply_gauge``), the Schreier generators spelled
+out over the library's transversal (``reidemeister_schreier``), and, for any
+``ComplexMap``, the star-bijection covering check (``lift_index``,
+``is_covering_map``), the subgroup read off its sheets
+(``subgroup_of_cover``) and composition (``compose_complex_maps``, through
+the public constructor).  The reference loops compute lifted relators and
 Schreier generators the long way: every lift traced step by step, and
 every Schreier word, over a transversal built here, freely reduced or
 spelled out, evaluated and traced letter by letter.  Word strings are read
@@ -16,13 +23,131 @@ read the basepoint component off the bundle's sheets, do not take.
 """
 
 import re
+from dataclasses import dataclass
 
 from flatconn.complexes import BaseComplex, Edge, spanning_tree
-from flatconn.covers import ComplexMap, compose_complex_maps
-from flatconn.errors import ComplexError, InputError
+from flatconn.connections import Voltage
+from flatconn.covers import ComplexMap, check_incidence
+from flatconn.errors import ComplexError, IncidenceError, InputError
 from flatconn.groups import compose_perms, cycle_label, subgroup_closure
-from flatconn.subgroups import membership
+from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
 from flatconn.words import invert_word, reduce_word
+
+
+def word_holonomy(v, w, start=None):
+    """Left-to-right product of edge voltages along a path."""
+    v.complex.path_vertices(w, start=start)  # validates that w is a path
+    return v.group.evaluate_word(v.assignment, w)
+
+
+@dataclass(frozen=True)
+class GaugeTransform:
+    """A vertex -> group element change of fiber trivialization."""
+
+    values: tuple
+
+    def at(self, v):
+        return self.values[v]
+
+
+def apply_gauge(v, t):
+    """Transformed voltage t(tail)^-1 * w(e) * t(head).
+
+    Loop products telescope, so the holonomy morphism is conjugated by the
+    gauge value at the basepoint; flatness is preserved.
+    """
+    if len(t.values) != v.complex.vertex_count:
+        raise ValueError("gauge transform must assign a value to every vertex")
+    g = v.group
+    new = {e.id: g.mul(g.mul(g.inverse[t.at(e.tail)], v.on_edge(e.id)), t.at(e.head)) for e in v.complex.edges}
+    return Voltage(v.complex, g, new)
+
+
+def reidemeister_schreier(a, presentation):
+    """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped,
+    in the (state, generator) order of the library's Schreier steps."""
+    steps = list(_schreier_steps(a))  # an incomplete automaton raises before the rank check
+    if presentation.rank != a.rank:
+        raise ValueError("presentation rank does not match automaton alphabet")
+    reps = [_rep_word(a, t) for t in range(a.state_count)]
+    inverses = [invert_word(w) for w in reps]
+    return [reps[s] + ((g, 1),) + inverses[t] for s, g, t in steps]
+
+
+def lift_index(m):
+    """Per source vertex: the target edge-end 2 t (out of target edge t) or
+    2 t + 1 (into it) -> the source edge whose end there lifts it; None
+    unless the edge-ends at every source vertex map one to one (no key is
+    taken twice) and onto (as many keys as ends at the image vertex).
+    Incidence is checked first, so every key is such an end."""
+    check_incidence(m)
+    idx = [{} for _ in range(m.source.vertex_count)]
+    for e in m.source.edges:
+        out = 2 * m.edge_map[e.id]
+        if idx[e.tail].setdefault(out, e.id) != e.id or idx[e.head].setdefault(out + 1, e.id) != e.id:
+            return None
+    for v, ends in enumerate(idx):
+        if len(ends) != len(m.target.star(m.vertex_map[v])):
+            return None
+    return idx
+
+
+def is_covering_map(m):
+    """Star bijectivity at every source vertex (loops count twice).
+
+    Incidence violations raise; a failed bijection returns False.
+    """
+    return lift_index(m) is not None
+
+
+def subgroup_of_cover(m, base_lift):
+    """The subgroup of base loops whose lift at the base lift is closed.
+
+    The lifts of the base's spanning tree at the fiber points are the sheets,
+    labelled in one pass down the tree; generator i moves sheet(tail) to
+    sheet(head) along each lift of its edge.  States are the sheets reached
+    from the base lift's: for a connected source, every sheet.
+    """
+    end_index = lift_index(m)
+    if end_index is None:
+        raise IncidenceError("subgroup extraction requires a covering map")
+    base, source = m.target, m.source
+    if m.vertex_map[base_lift] != base.basepoint:
+        raise ValueError("base lift does not sit over the basepoint")
+    tree = spanning_tree(base)
+    lifts = [()] * base.vertex_count  # lifts[u][k]: the vertex over u on sheet k
+    lifts[base.basepoint] = [x for x, u in enumerate(m.vertex_map) if u == base.basepoint]
+    for u in tree.order[1:]:
+        step = tree.parent[u]
+        end = 2 * step[0] + (step[1] < 0)
+        lifts[u] = [
+            source.step_endpoints((end_index[x][end], step[1]))[1]
+            for x in lifts[base.step_endpoints(step)[0]]
+        ]
+    sheet = [0] * source.vertex_count
+    for row in lifts:
+        for k, x in enumerate(row):
+            sheet[x] = k
+
+    ends = [(base.edge(eid).tail, 2 * eid) for eid in tree.generators]
+
+    def act(k, i):
+        tail, out = ends[i]
+        return sheet[source.edge(end_index[lifts[tail][k]][out]).head]
+
+    return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)
+
+
+def compose_complex_maps(f, g):
+    """g after f; requires f.target is g.source."""
+    if f.target is not g.source:
+        raise ValueError("maps do not compose: target/source mismatch")
+    return ComplexMap(
+        f.source,
+        g.target,
+        tuple(g.vertex_map[v] for v in f.vertex_map),
+        {eid: g.edge_map[t] for eid, t in f.edge_map.items()},
+    )
 
 
 def lift_path(m, w, start):
@@ -227,7 +352,7 @@ def word_path_image(a, morphism):
 def word_path_outside(a, b):
     """The first spelled-out Schreier generator of a that b does not accept,
     traced letter by letter; None if there is none."""
-    return next((w for w in spelled_schreier_words(a) if not membership(b, w)), None)
+    return next((w for w in spelled_schreier_words(a) if b.trace(w) != 0), None)
 
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?P<inv>\^-1)?$")

@@ -17,9 +17,8 @@ from flatconn.bundles import derived_bundle
 from flatconn.complexes import spanning_tree
 from flatconn.connections import holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
-from flatconn.covers import is_covering_map, subgroup_of_cover
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
-from flatconn.subgroups import automata_equal, reidemeister_schreier
+from flatconn.subgroups import automata_equal
 from flatconn.theorems import (
     FAILS,
     HOLDS,
@@ -32,7 +31,7 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
-from helpers import graph_diameter, holonomy_projection
+from helpers import graph_diameter, holonomy_projection, is_covering_map, reidemeister_schreier, subgroup_of_cover
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200

@@ -5,14 +5,14 @@ generator loop through the fiber maps of the derived bundle (through the
 cover's own edges for the composite).  The oracle builds the basepoint
 component as its own complex with the public constructors
 (``helpers.holonomy_projection``), composes its projection with the
-cover's by ``compose_complex_maps`` and reads the subgroup with
-``subgroup_of_cover``.  Both must give the same automaton on
+cover's (``helpers.compose_complex_maps``) and reads the subgroup off the
+sheets (``helpers.subgroup_of_cover``).  Both must give the same automaton on
 corpus seeds 0-7, on every parsable document, on the S4-S6 symmetric
 ladder documents and on a base whose spanning tree runs edges backwards
 and whose generators start and end off the basepoint (the catalog bases
 have neither); prop 2.4's rank, read from the sheet count, must be the
-extracted component's free rank; and the claim checks must read no subgroup
-off a covering map.
+extracted component's free rank; and the claim checks must build no map of
+complexes but each cover's own projection.
 """
 
 import importlib.util
@@ -21,17 +21,16 @@ import random
 
 import pytest
 
-from flatconn import bundles, covers, theorems
 from flatconn.complexes import BaseComplex, Edge, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
-from flatconn.covers import subgroup_of_cover
+from flatconn.covers import ComplexMap
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance, parse_instance_data
 from flatconn.subgroups import SubgroupSpec, automata_equal
 from flatconn.theorems import GATE, Instance, standard_reports, verify_prop_2_4
-from helpers import composite_map, cover_nx, covering_degree, holonomy_projection
+from helpers import composite_map, cover_nx, covering_degree, holonomy_projection, subgroup_of_cover
 
 HERE = os.path.dirname(__file__)
 DOCUMENTS = [os.path.join(HERE, os.pardir, "instances"), os.path.join(HERE, "documents")]
@@ -135,23 +134,26 @@ def test_rank_formula_reads_the_extracted_free_rank(source):
 
 @pytest.mark.parametrize("source", ["documents", "ladder", "backward_tree", 3])
 def test_claim_checks_extract_no_component(monkeypatch, source):
-    calls = []
+    """No component, composite or bundle map is built as a map of complexes:
+    the only map the claim checks make is each cover's own projection."""
+    built, checked = [], []
+    trusted, check = ComplexMap._trusted.__func__, ComplexMap.__post_init__
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting_trusted(cls, *args):
+        m = trusted(cls, *args)
+        built.append(m)
+        return m
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+    def counting_check(m):
+        checked.append(m)
+        check(m)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (bundles, covers, theorems):  # every module that holds one of the names
-        for name in ("subgroup_of_cover", "is_covering_map"):
-            if hasattr(module, name):
-                counting(module, name)
-    reports = 0
+    monkeypatch.setattr(ComplexMap, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(ComplexMap, "__post_init__", counting_check)
+    reports, projections = 0, set()
     for inst in source_instances(source):
         if has_finite_cover(inst):
             reports += len(standard_reports(inst, seed=0))
-    assert reports and calls == []
+            projections.add(id(inst.cover.projection()))
+    assert reports and checked == []
+    assert {id(m) for m in built} == projections

@@ -4,18 +4,16 @@ import pytest
 
 from flatconn.complexes import BaseComplex, Edge, loop_to_generator_word, spanning_tree
 from flatconn.connections import (
-    GaugeTransform,
     Voltage,
-    apply_gauge,
     check_flatness,
     holonomy_group,
     holonomy_morphism,
     kernel_automaton,
-    word_holonomy,
 )
 from flatconn.errors import FlatnessError
 from flatconn.groups import catalog_group
 from flatconn.words import invert_word
+from helpers import GaugeTransform, apply_gauge, word_holonomy
 
 
 def test_voltage_requires_every_edge(wedge, s3):

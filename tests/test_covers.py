@@ -9,13 +9,7 @@ from flatconn.bundles import derived_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from flatconn.connections import Voltage, holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
-from flatconn.covers import (
-    ComplexMap,
-    build_cover,
-    compose_complex_maps,
-    is_covering_map,
-    subgroup_of_cover,
-)
+from flatconn.covers import ComplexMap, build_cover
 from flatconn.errors import (
     ComplexError,
     EnumerationCapError,
@@ -33,7 +27,16 @@ from flatconn.subgroups import (
     stallings_core,
 )
 from flatconn.theorems import Instance, _product_form
-from helpers import covering_degree, holonomy_projection, induced_projection, left_translation, lift_path
+from helpers import (
+    compose_complex_maps,
+    covering_degree,
+    holonomy_projection,
+    induced_projection,
+    is_covering_map,
+    left_translation,
+    lift_path,
+    subgroup_of_cover,
+)
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -178,7 +181,7 @@ def test_derived_bundle_wedge_connected(wedge, s3, wedge_s3_voltage):
     assert d.graph.vertex_count == 6
     assert len(d.graph.edges) == 12
     assert len(d.components) == 1
-    assert is_covering_map(d.projection())
+    assert is_covering_map(induced_projection(d, range(d.graph.vertex_count), d.base_lift)[0])
 
 
 def test_derived_bundle_circle_z2(circle, z2):
@@ -501,7 +504,7 @@ def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
 def test_full_bundle_subgroup_equals_kernel_when_connected(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge, s3, wedge_s3_voltage)
     tree = spanning_tree(wedge)
-    sub = subgroup_of_cover(d.projection(), d.base_lift)
+    sub = subgroup_of_cover(induced_projection(d, range(d.graph.vertex_count), d.base_lift)[0], d.base_lift)
     h = holonomy_morphism(wedge_s3_voltage, tree)
     assert automata_equal(sub, kernel_automaton(h))
 

@@ -18,12 +18,8 @@ from flatconn.complexes import BaseComplex, Edge, pi1_presentation, spanning_tre
 from flatconn.corpus import CORPUS_TC_CAP, generate_corpus
 from flatconn.errors import EnumerationCapError, InputError
 from flatconn.io import parse_complex, parse_instance, parse_instance_data
-from flatconn.subgroups import (
-    _CosetTable,
-    _proves_infinite_index,
-    reidemeister_schreier,
-    todd_coxeter,
-)
+from flatconn.subgroups import _CosetTable, _proves_infinite_index, todd_coxeter
+from helpers import reidemeister_schreier
 
 A, A_, B, B_ = (0, 1), (0, -1), (1, 1), (1, -1)
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")

@@ -24,6 +24,8 @@ GOLDEN = os.path.join(HERE, "golden")
 # three components, the basepoint lift in the last: the holonomy-bundle
 # export must keep only the basepoint component's vertices and lifts
 OFFBASE = os.path.join(HERE, "documents", "offbase_s3_components.json")
+# the bytes ff fe { }: a UTF-16 byte-order mark, not UTF-8 text
+NOT_UTF8 = os.path.join(HERE, "documents", "not_utf8.txt")
 
 
 def doc_path(name):
@@ -226,6 +228,36 @@ def test_cli_trivial_no_is_exit_0(capsys):
 def test_cli_missing_covering_section(capsys):
     code, out, err = run_cli(["cover", doc_path("torus_s3_nonflat.json")], capsys)
     assert code == 2  # flatness error fires first
+
+
+def test_document_that_is_not_utf8_is_an_input_error(capsys):
+    with pytest.raises(InputError) as err:
+        parse_instance(NOT_UTF8)
+    assert err.value.location == "/"
+    code, out, err = run_cli(["verify", NOT_UTF8, "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: /: document is not UTF-8 text: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+def test_document_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        parse_instance(str(path))
+    assert err.value.location == "/"
+    code, out, err = run_cli(["verify", str(path), "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: /: document nests too deeply to read\n")
+
+
+def test_cli_unwritable_emit_complex_path_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "c.json"
+    code, out, err = run_cli(["cover", doc_path("torus_z4.json"), "--emit-complex", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --emit-complex file: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize(

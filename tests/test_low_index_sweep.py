@@ -31,8 +31,9 @@ import pytest
 from flatconn.complexes import BaseComplex, Edge
 from flatconn.connections import Voltage
 from flatconn.groups import catalog_group
-from flatconn.subgroups import CosetAutomaton, SubgroupSpec, automata_equal, reidemeister_schreier
+from flatconn.subgroups import CosetAutomaton, SubgroupSpec, automata_equal
 from flatconn.theorems import FAILS, Instance, standard_reports
+from helpers import reidemeister_schreier
 
 
 def hall(n, r):

@@ -12,9 +12,9 @@ import pytest
 from flatconn.complexes import pi1_presentation, spanning_tree
 from flatconn.corpus import base_catalog, generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
-from flatconn.subgroups import reidemeister_schreier, todd_coxeter
+from flatconn.subgroups import todd_coxeter
 from flatconn.words import reduce_word
-from helpers import reduced_schreier_words
+from helpers import reduced_schreier_words, reidemeister_schreier
 from test_low_index_sweep import CASES, based_subgroups
 
 A, B = (0, 1), (1, 1)

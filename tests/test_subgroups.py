@@ -14,12 +14,11 @@ from flatconn.subgroups import (
     automaton_from_quotient,
     automaton_from_spec,
     is_normal_subgroup,
-    membership,
-    reidemeister_schreier,
     stallings_core,
     todd_coxeter,
 )
 from flatconn.words import reduce_word
+from helpers import reidemeister_schreier
 
 FREE2 = Presentation(generators=(0, 1), relators=())
 
@@ -86,15 +85,15 @@ def test_stallings_partial_tables_pinned(words, forward, backward):
 
 def test_membership_examples():
     aut = stallings_core(INDEX2, 2)
-    assert membership(aut, (A, A))
-    assert not membership(aut, (A, B))
-    assert membership(aut, ())
+    assert aut.trace((A, A)) == 0
+    assert aut.trace((A, B)) != 0
+    assert aut.trace(()) == 0
 
 
 def test_membership_incomplete_core():
     aut = stallings_core([(A,)], 2)
-    assert membership(aut, (A,))
-    assert not membership(aut, (B,))  # undefined transition: not a member
+    assert aut.trace((A,)) == 0
+    assert aut.trace((B,)) is None  # undefined transition: not a member
 
 
 def test_membership_invariant_under_free_reduction():
@@ -105,8 +104,8 @@ def test_membership_invariant_under_free_reduction():
         k = rng.randint(0, len(w))
         sym, sign = rng.randrange(2), rng.choice((1, -1))
         padded = w[:k] + ((sym, sign), (sym, -sign)) + w[k:]
-        assert membership(aut, padded) == membership(aut, w)
-        assert membership(aut, reduce_word(w)) == membership(aut, w)
+        assert aut.trace(padded) == aut.trace(w)
+        assert aut.trace(reduce_word(w)) == aut.trace(w)
 
 
 def test_automata_equal_reflexive():
@@ -294,7 +293,7 @@ def test_schreier_generators_are_members(s3):
     for sub_seed in ((), (1,), (2,)):
         aut = automaton_from_quotient([1, 2], s3, subgroup_closure(s3, sub_seed))
         for w in reidemeister_schreier(aut, FREE2):
-            assert membership(aut, w)
+            assert aut.trace(w) == 0
 
 
 def test_schreier_index_consistency(s3):
@@ -394,3 +393,15 @@ def test_stallings_kernel_of_z3_map():
     quot = automaton_from_quotient([1, 0], z3, subgroup_closure(z3, ()))
     assert core.state_count == 3
     assert automata_equal(core, quot)
+
+
+@pytest.mark.parametrize("letter", [5, 2, -1])
+@pytest.mark.parametrize("builder", ["todd_coxeter", "stallings_core"])
+def test_builders_reject_letters_outside_the_generators(builder, letter):
+    torus = Presentation(generators=(0, 1), relators=((A, B, A_, B_),))
+    words = [(A, B), (A, (letter, 1))]
+    with pytest.raises(ValueError, match=rf"^word letter {letter} outside generator range 0\.\.1$"):
+        if builder == "todd_coxeter":
+            todd_coxeter(torus, words)
+        else:
+            stallings_core(words, torus.rank)

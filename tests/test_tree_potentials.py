@@ -20,14 +20,13 @@ from flatconn.complexes import (
     pi1_presentation,
     spanning_tree,
 )
-from flatconn.connections import Voltage, holonomy_morphism, word_holonomy
+from flatconn.connections import Voltage, holonomy_morphism
 from flatconn.corpus import generate_corpus
-from flatconn.covers import subgroup_of_cover
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance
 from flatconn.subgroups import CosetAutomaton
-from helpers import composite_map, cover_nx, holonomy_projection, lift_path
+from helpers import composite_map, cover_nx, holonomy_projection, lift_path, subgroup_of_cover, word_holonomy
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)

@@ -2,11 +2,10 @@
 
 Groups from ``group_from_permutations``, subgroups from
 ``subgroup_closure``, the total space of ``build_cover``, the pulled-back
-voltage and the maps of ``CoveringComplex.projection`` and
-``compose_complex_maps`` are valid by construction, so the library does not
-run the public validators on them.  These oracles check those outputs
-instead, along with the holonomy bundles, upstairs and down, built as
-complexes in ``tests/helpers.py``.  A group has no public validator, since
+voltage and the map of ``CoveringComplex.projection`` are valid by
+construction, so the library does not run the public validators on them.
+These oracles check those outputs instead, along with the holonomy bundles,
+upstairs and down, and their composite map, built in ``tests/helpers.py``.  A group has no public validator, since
 the closure is its only construction, so every group passes the group
 oracle of ``tests/helpers.py`` (composition of its own permutations and
 generators).  Fresh copies of the other outputs go through the public

@@ -404,3 +404,78 @@ def reference_covering_words(texts, c, aliases):
         except ComplexError as exc:
             raise InputError(f"covering word must be a closed loop at the basepoint: {exc}", loc) from None
     return tuple(words)
+
+
+def automaton_fields(a):
+    """Every field of a coset automaton, in the order the oracles below
+    return them."""
+    return a.rank, a.forward, a.backward, a.complete, a.parent, a.column
+
+
+def renumbered_fields(rank, forward, backward):
+    """The breadth-first normal form of a coset table the long way: check
+    that the columns are mutually inverse at every state, walk from state 0
+    taking letters in the order g0, g0^-1, g1, ..., and renumber every
+    column through the map that walk built.  Returns the fields of
+    :func:`automaton_fields`."""
+    state_count = len(forward[0]) if rank else 1
+    fwd = [list(col) for col in forward]
+    bwd = [list(col) for col in backward]
+    if rank and any(len(col) != state_count for col in fwd + bwd):
+        raise ValueError("transition columns have inconsistent lengths")
+    for g in range(rank):
+        for s in range(state_count):
+            t, u = fwd[g][s], bwd[g][s]
+            if (t is not None and bwd[g][t] != s) or (u is not None and fwd[g][u] != s):
+                raise ValueError(f"transitions for generator {g} are not mutually inverse")
+    letters = list(enumerate(col for g in range(rank) for col in (fwd[g], bwd[g])))
+    order, remap, parent, column = [0], {0: 0}, [0], [-1]
+    for new, old in enumerate(order):
+        for c, col in letters:
+            t = col[old]
+            if t is not None and t not in remap:
+                remap[t] = len(order)
+                order.append(t)
+                parent.append(new)
+                column.append(c)
+
+    def renumber(cols):
+        return tuple(tuple(None if col[old] is None else remap[col[old]] for old in order) for col in cols)
+
+    forward, backward = renumber(fwd), renumber(bwd)
+    complete = all(t is not None for col in forward + backward for t in col)
+    return rank, forward, backward, complete, tuple(parent), tuple(column)
+
+
+def discover_then_renumber(rank, start, act):
+    """The automaton of a permutation action the long way: the orbit of
+    start found over the forward generators alone (``act(x, g)`` for
+    generator g), the backward columns filled by inverting the forward
+    ones, then :func:`renumbered_fields`."""
+    index, points = {start: 0}, [start]
+    forward = [[] for _ in range(rank)]
+    for x in points:
+        for g in range(rank):
+            y = act(x, g)
+            if y not in index:
+                index[y] = len(points)
+                points.append(y)
+            forward[g].append(index[y])
+    backward = [[None] * len(points) for _ in range(rank)]
+    for g in range(rank):
+        for s, t in enumerate(forward[g]):
+            backward[g][t] = s
+    return renumbered_fields(rank, forward, backward)
+
+
+def compact_then_renumber(table):
+    """The automaton of a finished coset table the long way: the live
+    cosets compacted in number order, every entry read through the
+    union-find and the compaction, then :func:`renumbered_fields`."""
+    live = [x for x, px in enumerate(table.parent) if px == x]
+    remap = {x: i for i, x in enumerate(live)}
+    columns = [
+        [None if table.table[x][c] is None else remap[table.find(table.table[x][c])] for x in live]
+        for c in range(2 * table.rank)
+    ]
+    return renumbered_fields(table.rank, columns[0::2], columns[1::2])

@@ -405,3 +405,24 @@ def test_builders_reject_letters_outside_the_generators(builder, letter):
             todd_coxeter(torus, words)
         else:
             stallings_core(words, torus.rank)
+
+
+def test_constructor_rejects_columns_inconsistent_only_off_the_reachable_states():
+    # only state 0 is reachable; generator 0 sends 1 to 2, its inverse sends 1 to 1
+    with pytest.raises(ValueError, match="^transitions for generator 0 are not mutually inverse$"):
+        CosetAutomaton(1, [[0, 2, 1]], [[0, 1, 1]])
+
+
+def test_from_action_rejects_an_action_that_is_not_a_permutation():
+    # both 0 and 1 go to 1, whatever the letter
+    with pytest.raises(ValueError, match="^transitions for generator 0 are not mutually inverse$"):
+        CosetAutomaton.from_action(1, 0, lambda x, letter: 1)
+
+
+def test_quotient_automaton_of_a_subgroup_outside_the_image(s3):
+    # h maps onto A3, and S = <(01)> meets A3 in the identity: h^-1(S) is the kernel
+    s = subgroup_closure(s3, [1])
+    assert s.members == (0, 1)
+    kernel = automaton_from_quotient([2, 5], s3, subgroup_closure(s3, ()))
+    assert kernel.state_count == 3
+    assert automaton_from_quotient([2, 5], s3, s).key() == kernel.key()

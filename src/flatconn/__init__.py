@@ -17,7 +17,6 @@ from .complexes import (
     Edge,
     Presentation,
     SpanningTreeData,
-    loop_to_generator_word,
     pi1_presentation,
     spanning_tree,
     validate_complex,

@@ -242,7 +242,7 @@ def _basepoint_subgroup(d: DerivedBundle, cover: Optional[CoveringComplex] = Non
     s * E + p and then by that edge's fiber map.  Fiber maps are right
     multiplications, so the tree paths are found once per base vertex and
     state; each generator loop is its tree path out, its edge and its tree
-    path back.  No gamma, holonomy morphism or automaton of H is read.
+    path back, and its inverse runs the edge backwards.  No gamma, holonomy morphism or automaton of H is read.
     """
     n, column, inverse, fiber_map = d.group.order, d.group.column, d.group.inverse, d.graph._fiber_map
     base, k = (d.base, 1) if cover is None else (cover.base, cover.degree)
@@ -272,17 +272,20 @@ def _basepoint_subgroup(d: DerivedBundle, cover: Optional[CoveringComplex] = Non
     for u, row in enumerate(reach):
         for s, (t, y) in enumerate(row):
             back[u][t] = (s, column(inverse[y]))
-    loops = [(out[e.tail], moves(base.edge_pos(e.id), 1), back[e.head]) for e in map(base.edge, tree.generators)]
+    loops = []  # letter c: generator loop c // 2, run backwards when c is odd
+    for e in map(base.edge, tree.generators):
+        p = base.edge_pos(e.id)
+        loops += [(out[e.tail], moves(p, 1), back[e.head]), (out[e.head], moves(p, -1), back[e.tail])]
 
-    def act(point: int, i: int) -> int:
+    def act(point: int, letter: int) -> int:
         s, x = divmod(point, n)
-        there, edge, home = loops[i]
+        there, edge, home = loops[letter]
         s, a = there[s]
         s, b = edge[s]
         s, c = home[s]
         return s * n + c[b[a[x]]]
 
-    return CosetAutomaton.from_action(len(loops), 0, act)
+    return CosetAutomaton.from_action(len(tree.generators), 0, act)
 
 
 def induced_bundle_map(

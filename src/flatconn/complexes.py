@@ -222,7 +222,8 @@ def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
                 queue.append(u)
     if len(order) != c.vertex_count:
         missing = [u for u in range(c.vertex_count) if not visited[u]]
-        raise ComplexError(f"graph is disconnected; unreachable vertices {missing}")
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise ComplexError(f"graph is disconnected; unreachable vertices {missing[:10]}{more}")
     generators = tuple(e.id for e in c.edges if e.id not in tree)
     return SpanningTreeData(
         complex=c,
@@ -253,14 +254,6 @@ def _closed_loop_word(path: Sequence[tuple], basepoint: int) -> Word:
     if start != basepoint or cur != basepoint:
         raise ComplexError("word is not a closed path at the basepoint")
     return tuple(out[1:])
-
-
-def loop_to_generator_word(c: BaseComplex, t: SpanningTreeData, w: EdgeWord) -> Word:
-    """Rewrite a loop at the basepoint as a reduced word in the non-tree
-    edge generators."""
-    letters = t.letters
-    path = [(*c.step_endpoints(step), step, *letters.get(step, _NO_LETTER)) for step in w]
-    return _closed_loop_word(path, c.basepoint)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,11 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, _
     known = set()
     raw_edges = data.get("edges", [])
     _require_list(raw_edges, "'edges' must be a list", f"{location}/edges")
+    if vertices > len(raw_edges) + 1:
+        raise InputError(
+            f"{vertices} vertices cannot be connected by {len(raw_edges)} edges (at most {len(raw_edges) + 1})",
+            f"{location}/vertices",
+        )
     for k, rec in enumerate(raw_edges):
         loc = f"{location}/edges/{k}"
         if not isinstance(rec, dict):

@@ -22,15 +22,25 @@ DEFAULT_TABLE_CELL_CAP = 1_000_000
 _CAP_MESSAGE = "enumeration did not complete within cap ({} cosets)"
 
 
+def _check_mutually_inverse(forward, backward) -> None:
+    """Raise ValueError unless each generator's forward and backward columns
+    are mutually inverse partial maps."""
+    for g, (fwd, bwd) in enumerate(zip(forward, backward)):
+        if any(t is not None and bwd[t] != s for s, t in enumerate(fwd)) or any(
+            u is not None and fwd[u] != s for s, u in enumerate(bwd)
+        ):
+            raise ValueError(f"transitions for generator {g} are not mutually inverse")
+
+
 class CosetAutomaton:
     """Right-coset transition system over a free generating set.
 
     ``forward[g][s]`` is the state reached from s by generator g, and
     ``backward[g][s]`` the state reached by its inverse; the two are mutually
-    inverse partial bijections.  States are renumbered at construction into
-    breadth-first discovery order from state 0, visiting letters in the
-    order g0, g0^-1, g1, g1^-1, ...; so two automata describe the same
-    based subgroup exactly when their tables are equal.
+    inverse partial bijections.  States are numbered in breadth-first
+    discovery order from state 0, visiting letters in the order g0, g0^-1,
+    g1, g1^-1, ...; so two automata describe the same based subgroup exactly
+    when their tables are equal.
 
     The tree of that walk is the coset transversal: state t > 0 was
     discovered from state ``parent[t]`` < t by the letter in ``column[t]``,
@@ -42,72 +52,52 @@ class CosetAutomaton:
 
     def __init__(self, rank: int, forward, backward):
         state_count = len(forward[0]) if rank else 1
-        fwd = [list(col) for col in forward]
-        bwd = [list(col) for col in backward]
-        if rank and any(len(col) != state_count for col in fwd + bwd):
+        if rank and any(len(col) != state_count for col in (*forward, *backward)):
             raise ValueError("transition columns have inconsistent lengths")
-        # Consistency: forward and backward are mutually inverse partials.
-        for g in range(rank):
-            for s in range(state_count):
-                t = fwd[g][s]
-                if t is not None and bwd[g][t] != s:
-                    raise ValueError(f"transitions for generator {g} are not mutually inverse")
-                u = bwd[g][s]
-                if u is not None and fwd[g][u] != s:
-                    raise ValueError(f"transitions for generator {g} are not mutually inverse")
-        letters = list(enumerate(col for g in range(rank) for col in (fwd[g], bwd[g])))
-        order = [0]
-        remap = {0: 0}
-        parent = [0]
-        column = [-1]
-        for new, old in enumerate(order):
-            for c, col in letters:
-                t = col[old]
-                if t is not None and t not in remap:
-                    remap[t] = len(order)
-                    order.append(t)
-                    parent.append(new)
-                    column.append(c)
-
-        def renumber(cols) -> tuple:
-            # the states reached from reachable states are all reachable
-            return tuple(
-                tuple(None if col[old] is None else remap[col[old]] for old in order)
-                for col in cols
-            )
-
-        self.rank = rank
-        self.forward = renumber(fwd)
-        self.backward = renumber(bwd)
-        self.complete = all(t is not None for col in self.forward + self.backward for t in col)
-        self.parent = tuple(parent)
-        self.column = tuple(column)
+        _check_mutually_inverse(forward, backward)  # at every state, reachable or not
+        moves = [col for g in range(rank) for col in (forward[g], backward[g])]
+        self._walk(rank, 0, lambda s, c: moves[c][s])
 
     @classmethod
     def from_action(cls, rank: int, start, act) -> "CosetAutomaton":
         """The automaton of a finite permutation action on the orbit of start.
 
-        ``act(x, g)`` is the image of point x under generator g.  One
-        breadth-first walk over the forward generators finds the whole
-        orbit, since the inverse of a permutation of a finite set is one of
-        its powers; the backward columns are read off by inversion.
+        ``act(x, c)`` is the image of point x under letter c, 2g for
+        generator g and 2g+1 for its inverse, or None where undefined.
         """
+        a = cls.__new__(cls)
+        a._walk(rank, start, act)
+        return a
+
+    def _walk(self, rank: int, start, step) -> None:
+        """Number the points reached from start in one breadth-first walk,
+        taking letters c = 0 ... 2 rank - 1 as ``step(x, c)`` gives them
+        (None: undefined), and fill every field on the way.  The columns
+        numbered are then checked to be mutually inverse."""
         index = {start: 0}
         points = [start]
-        forward: list[list[int]] = [[] for _ in range(rank)]
-        for x in points:
-            for g in range(rank):
-                y = act(x, g)
-                k = index.get(y)
-                if k is None:
-                    k = index[y] = len(points)
+        columns: list[list[Optional[int]]] = [[] for _ in range(2 * rank)]
+        parent, column = [0], [-1]
+        for s, x in enumerate(points):
+            for c, col in enumerate(columns):
+                y = step(x, c)
+                if y is None:
+                    col.append(None)
+                    continue
+                t = index.get(y)
+                if t is None:
+                    t = index[y] = len(points)
                     points.append(y)
-                forward[g].append(k)
-        backward: list[list[Optional[int]]] = [[None] * len(points) for _ in range(rank)]
-        for g in range(rank):
-            for s, t in enumerate(forward[g]):
-                backward[g][t] = s
-        return cls(rank, forward, backward)
+                    parent.append(s)
+                    column.append(c)
+                col.append(t)
+        self.rank = rank
+        self.forward = tuple(map(tuple, columns[0::2]))
+        self.backward = tuple(map(tuple, columns[1::2]))
+        _check_mutually_inverse(self.forward, self.backward)
+        self.complete = all(None not in col for col in columns)
+        self.parent = tuple(parent)
+        self.column = tuple(column)
 
     @property
     def state_count(self) -> int:
@@ -364,14 +354,13 @@ class _CosetTable:
                 self.scan_and_fill(0, self.columns(w))
 
     def automaton(self) -> CosetAutomaton:
-        live = [x for x, px in enumerate(self.parent) if px == x]
-        remap = {x: i for i, x in enumerate(live)}
-        find = self.find
-        columns = [
-            [None if self.table[x][c] is None else remap[find(self.table[x][c])] for x in live]
-            for c in range(2 * self.rank)
-        ]
-        return CosetAutomaton(self.rank, columns[0::2], columns[1::2])
+        table, find = self.table, self.find
+
+        def step(x: int, c: int) -> Optional[int]:
+            y = table[x][c]
+            return None if y is None else find(y)
+
+        return CosetAutomaton.from_action(self.rank, 0, step)
 
 
 def _check_letters(words: Iterable[Word], rank: int) -> None:
@@ -538,19 +527,20 @@ def automaton_from_quotient(
 ) -> CosetAutomaton:
     """Coset automaton of h^-1(S) for h given by generator images.
 
-    States are the right cosets of S ∩ Im(h) in Im(h); generator g acts by
-    right multiplication with h(g).  Relator words must map to the identity
-    for h to be well defined on the presented group.
+    States are the right cosets S x met by Im(h), each named by its least
+    element; generator g acts by right multiplication with h(g).  For x
+    and y in Im(h), S x = S y exactly when x y^-1 lies in S ∩ Im(h), so
+    these are the cosets of S ∩ Im(h) in Im(h).  Relator words must map to
+    the identity for h to be well defined on the presented group.
     """
     _check_images(images, group, relators)
-    image = subgroup_closure(group, images)
-    others = sorted(set(subgroup.members) & set(image.members))[1:]  # T without the identity
-    columns, mul = [group.column(x) for x in images], group.mul
-    name: dict = {}  # element -> the smallest element of its coset, listed one coset at a time
+    others = subgroup.members[1:]  # S without the identity
+    columns = [group.column(y) for x in images for y in (x, group.inverse[x])]
+    mul = group.mul
+    name: dict = {}  # element -> the least element of its coset, listed one coset at a time
 
-    def act(rep: int, g: int) -> int:
-        # A coset T x is named by its smallest element.
-        x = columns[g][rep]
+    def act(rep: int, c: int) -> int:
+        x = columns[c][rep]
         if x not in name:
             coset = [x, *(mul(t, x) for t in others)]
             name.update(dict.fromkeys(coset, min(coset)))

@@ -19,19 +19,30 @@ checked against composition of its own permutations and its generators.
 A component of a derived bundle, or any vertex set of it, is extracted as
 its own complex with its projection to the base, both made by the public,
 validating constructors: the long way round that the claim checks, which
-read the basepoint component off the bundle's sheets, do not take.
+read the basepoint component off the bundle's sheets, do not take.  A
+coset automaton's normal form is reached the long way too: an action's
+orbit over the forward generators or a coset table's live cosets,
+compacted, then checked and renumbered by a second walk.
 """
 
 import re
 from dataclasses import dataclass
 
-from flatconn.complexes import BaseComplex, Edge, spanning_tree
+from flatconn.complexes import _NO_LETTER, BaseComplex, Edge, _closed_loop_word, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.covers import ComplexMap, check_incidence
 from flatconn.errors import ComplexError, IncidenceError, InputError
 from flatconn.groups import compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
 from flatconn.words import invert_word, reduce_word
+
+
+def loop_to_generator_word(c, t, w):
+    """Rewrite a loop at the basepoint as a reduced word in the non-tree
+    edge generators, through the document reader's one-pass rewrite."""
+    letters = t.letters
+    path = [(*c.step_endpoints(step), step, *letters.get(step, _NO_LETTER)) for step in w]
+    return _closed_loop_word(path, c.basepoint)
 
 
 def word_holonomy(v, w, start=None):
@@ -105,8 +116,9 @@ def subgroup_of_cover(m, base_lift):
 
     The lifts of the base's spanning tree at the fiber points are the sheets,
     labelled in one pass down the tree; generator i moves sheet(tail) to
-    sheet(head) along each lift of its edge.  States are the sheets reached
-    from the base lift's: for a connected source, every sheet.
+    sheet(head) along each lift of its edge, and its inverse moves back.
+    States are the sheets reached from the base lift's: for a connected
+    source, every sheet.
     """
     end_index = lift_index(m)
     if end_index is None:
@@ -129,11 +141,17 @@ def subgroup_of_cover(m, base_lift):
         for k, x in enumerate(row):
             sheet[x] = k
 
-    ends = [(base.edge(eid).tail, 2 * eid) for eid in tree.generators]
+    # letter 2i leaves the tail of generator i's edge by its end 2 t, letter
+    # 2i + 1 leaves the head by its end 2 t + 1
+    ends = [
+        (base.step_endpoints((eid, sign))[0], 2 * eid + (sign < 0), sign)
+        for eid in tree.generators
+        for sign in (1, -1)
+    ]
 
-    def act(k, i):
-        tail, out = ends[i]
-        return sheet[source.edge(end_index[lifts[tail][k]][out]).head]
+    def act(k, c):
+        at, end, sign = ends[c]
+        return sheet[source.step_endpoints((end_index[lifts[at][k]][end], sign))[1]]
 
     return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)
 

@@ -5,13 +5,13 @@ import pytest
 from flatconn.complexes import (
     BaseComplex,
     Edge,
-    loop_to_generator_word,
     pi1_presentation,
     spanning_tree,
     validate_complex,
 )
 from flatconn.errors import ComplexError
 from flatconn.words import invert_word, reduce_word
+from helpers import loop_to_generator_word
 
 
 def test_wedge_valid(wedge):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flatconn.complexes import BaseComplex, Edge, loop_to_generator_word, spanning_tree
+from flatconn.complexes import BaseComplex, Edge, spanning_tree
 from flatconn.connections import (
     Voltage,
     check_flatness,
@@ -13,7 +13,7 @@ from flatconn.connections import (
 from flatconn.errors import FlatnessError
 from flatconn.groups import catalog_group
 from flatconn.words import invert_word
-from helpers import GaugeTransform, apply_gauge, word_holonomy
+from helpers import GaugeTransform, apply_gauge, loop_to_generator_word, word_holonomy
 
 
 def test_voltage_requires_every_edge(wedge, s3):

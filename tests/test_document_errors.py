@@ -204,3 +204,28 @@ def test_bad_label_document_of_the_ci_error_step(capsys):
     code = main(["verify", path, "--seed", "1"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", "error: /voltage/0/element: no element labelled '(10)'\n")
+
+
+def test_more_vertices_than_the_edges_can_connect(tmp_path, capsys):
+    doc = wedge_document()
+    doc["complex"]["vertices"] = 50
+    message = "50 vertices cannot be connected by 2 edges (at most 3)"
+    assert_rejected(doc, "/complex/vertices", message, tmp_path, capsys)
+    doc["complex"]["vertices"] = 3
+    doc["complex"]["edges"] = [{"id": 0, "tail": 0, "head": 1}, {"id": 1, "tail": 1, "head": 2}]
+    assert parse_instance_data(doc).complex.vertex_count == 3
+
+
+def test_oversized_document_of_the_ci_error_step(capsys):
+    path = os.path.join(os.path.dirname(__file__), "documents", "wedge_s3_50_vertices.json")
+    code = main(["verify", path, "--seed", "1"])
+    captured = capsys.readouterr()
+    expected = "error: /complex/vertices: 50 vertices cannot be connected by 2 edges (at most 3)\n"
+    assert (code, captured.out, captured.err) == (2, "", expected)
+
+
+def test_a_disconnected_complex_names_ten_unreachable_vertices_and_a_count(tmp_path, capsys):
+    doc = wedge_document()
+    doc["complex"] = {"vertices": 1000, "edges": [{"id": k, "tail": 0, "head": 0} for k in range(1000)]}
+    message = "graph is disconnected; unreachable vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 989 more"
+    assert_rejected(doc, "/complex", message, tmp_path, capsys)

@@ -73,6 +73,9 @@ def repository_documents():
 def test_repository_documents_read_as_the_reference():
     read = 0
     for name, doc in repository_documents():
+        if name == "wedge_s3_50_vertices.json":  # its complex is refused before any word is read
+            assert outcome(lambda: parse_complex(doc["complex"]))[:2] == ("error", "/complex/vertices")
+            continue
         covering = doc.get("covering") or {}
         texts = covering.get("words", [])
         assert_words_match(doc["complex"], {"kind": "words", "words": texts})

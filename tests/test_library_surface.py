@@ -2,10 +2,10 @@
 
 The general route over arbitrary maps of complexes (star-bijection covering
 checks, subgroups read off any covering's sheets, composition), Schreier
-generators spelled out, path holonomy walked edge by edge and gauge moves
-are test oracles and live in ``tests/helpers.py``.  No module of
-``flatconn``, and no script of the growth ladder, defines, exports, imports
-or calls them.
+generators spelled out, path holonomy walked edge by edge, gauge moves and
+edge loops rewritten as generator words outside a document are test
+oracles and live in ``tests/helpers.py``.  No module of ``flatconn``, and
+no script of the growth ladder, defines, exports, imports or calls them.
 """
 
 import ast
@@ -29,6 +29,7 @@ MOVED = {
     "subgroup_of_cover",
     "compose_complex_maps",
     "_lift_index",
+    "loop_to_generator_word",
 }
 
 

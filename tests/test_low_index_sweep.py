@@ -63,10 +63,13 @@ def commute(p, q):
 def based_subgroups(rank, n, abelian):
     """Each based subgroup of index n once, as its canonical coset automaton."""
     found = {}
-    for perms in product(list(permutations(range(n))), repeat=rank):
+    everything = list(permutations(range(n)))
+    inverse = {p: tuple(sorted(range(n), key=p.__getitem__)) for p in everything}
+    for perms in product(everything, repeat=rank):
         if abelian and not commute(*perms):
             continue
-        a = CosetAutomaton.from_action(rank, 0, lambda x, g: perms[g][x])
+        moves = [q for p in perms for q in (p, inverse[p])]
+        a = CosetAutomaton.from_action(rank, 0, lambda x, c: moves[c][x])
         if a.state_count == n:
             found.setdefault(a.key(), a)
     return list(found.values())

@@ -51,7 +51,7 @@ def checked(monkeypatch):
     def checked_from_action(cls, rank, start, act):
         a = from_action(cls, rank, start, act)
         if not inside_table:
-            assert automaton_fields(a) == discover_then_renumber(rank, start, act)
+            assert automaton_fields(a) == discover_then_renumber(rank, start, lambda x, g: act(x, 2 * g))
             counts["action"] += 1
         return a
 

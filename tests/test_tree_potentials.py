@@ -16,7 +16,6 @@ from flatconn.complexes import (
     BaseComplex,
     Edge,
     SpanningTreeData,
-    loop_to_generator_word,
     pi1_presentation,
     spanning_tree,
 )
@@ -26,7 +25,16 @@ from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, Input
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance
 from flatconn.subgroups import CosetAutomaton
-from helpers import composite_map, cover_nx, holonomy_projection, lift_path, subgroup_of_cover, word_holonomy
+from flatconn.words import invert_word
+from helpers import (
+    composite_map,
+    cover_nx,
+    holonomy_projection,
+    lift_path,
+    loop_to_generator_word,
+    subgroup_of_cover,
+    word_holonomy,
+)
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -75,13 +83,13 @@ def walked_images(v, t):
 
 def lifted_loop_automaton(m, base_lift, t):
     """Transitions read off the lift of each generator loop at each sheet."""
-    loops = [generator_loop(t, eid) for eid in t.generators]
+    loops = [w for eid in t.generators for w in (generator_loop(t, eid), invert_word(generator_loop(t, eid)))]
 
-    def act(x, g):
-        last = lift_path(m, loops[g], x)[-1]
+    def act(x, c):
+        last = lift_path(m, loops[c], x)[-1]
         return m.source.step_endpoints(last)[1]
 
-    return CosetAutomaton.from_action(len(loops), base_lift, act)
+    return CosetAutomaton.from_action(len(t.generators), base_lift, act)
 
 
 def conjugated_relators(c, t):

@@ -24,7 +24,7 @@ from .complexes import BaseComplex, Edge, spanning_tree
 from .connections import Voltage, _require_flat
 from .covers import ComplexMap, CoveringComplex
 from .errors import ComplexError
-from .groups import GroupTable
+from .groups import GroupTable, subgroup_closure
 from .subgroups import CosetAutomaton
 
 
@@ -76,6 +76,14 @@ class LiftedGraph(BaseComplex):
         ending at x starts at element x * w(p)^-1."""
         group = self._voltage.group
         return group.column(self._values[p] if sign > 0 else group.inverse[self._values[p]])
+
+    def _fiber_maps(self, positions, sign: int = 1) -> list:
+        """:meth:`_fiber_map` of each base edge position in ``positions``."""
+        group, values = self._voltage.group, self._values
+        column, inverse = group.column, group.inverse
+        if sign > 0:
+            return [column(values[p]) for p in positions]
+        return [column(inverse[values[p]]) for p in positions]
 
     def edge(self, eid: int) -> Edge:
         base, n = self._voltage.complex, self._voltage.group.order
@@ -231,61 +239,121 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     )
 
 
-def _basepoint_subgroup(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> CosetAutomaton:
-    """The subgroup of pi1 that the basepoint component of ``d`` defines as a
-    covering of the base, read off the bundle without extracting it.  With a
-    cover, ``d`` is the bundle of the pulled-back voltage and the covering is
-    the composite through the cover.
+def _lifted_loops(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> tuple[list, list]:
+    """Each pi1 generator loop of the base lifted through the fiber maps of
+    ``d``: letter c (2g for generator g, 2g + 1 for its inverse) carries the
+    point (s, x) over the basepoint to (targets[c][s], x * elements[c][s]).
+    With a cover, ``d`` is the bundle of the pulled-back voltage and s is
+    the cover state; without one, s = 0.
 
-    A point over the basepoint is (cover state s, element x), s * |G| + x
-    (s = 0 without a cover).  Base edge p moves it along the cover's edge
-    s * E + p and then by that edge's fiber map.  Fiber maps are right
-    multiplications, so the tree paths are found once per base vertex and
-    state; each generator loop is its tree path out, its edge and its tree
-    path back, and its inverse runs the edge backwards.  No gamma, holonomy morphism or automaton of H is read.
+    Base edge p moves (s, x) along the cover's edge s * E + p and then by
+    that edge's fiber map.  Fiber maps are right multiplications, so a
+    generator loop (its tree path out, its edge and its tree path back; its
+    inverse runs the edge backwards) carries (s, x) to (t, x * g), one pair
+    per state and letter: g is read through the loop's three fiber maps as
+    c[b[a[0]]], where a[0] is the element the path out carries e to, each
+    map the one of the lift leaving the state the loop is at.  Raises the
+    automaton's ValueError where an inverse letter does not undo its loop.
     """
-    n, column, inverse, fiber_map = d.group.order, d.group.column, d.group.inverse, d.graph._fiber_map
+    fiber_maps, inverse = d.graph._fiber_maps, d.group.inverse
     base, k = (d.base, 1) if cover is None else (cover.base, cover.degree)
     V, E = base.vertex_count, len(base.edges)
 
-    def moves(p: int, sign: int) -> list:
-        """State s -> (the state reached, the fiber map) along base edge p."""
-        if cover is None:
-            return [(0, fiber_map(p, sign))]
-        heads = [cover.total.edges[s * E + p].head // V for s in range(k)]
+    def moves(p: int, sign: int) -> tuple[list, list]:
+        """The state each state s reaches along base edge p, and the fiber
+        map of that step, as two lists indexed by s."""
+        lifts = range(p, k * E, E)  # the cover's edge s * E + p over p, for each state s
+        heads = [0] if cover is None else [cover.total.edges[q].head // V for q in lifts]
         if sign > 0:
-            return [(t, fiber_map(s * E + p)) for s, t in enumerate(heads)]
-        into = [None] * k  # a -1 step runs the lift that ends at state t backwards
-        for s, t in enumerate(heads):
-            into[t] = (s, fiber_map(s * E + p, -1))
-        return into
+            return heads, fiber_maps(lifts)
+        tails, maps = [0] * k, [None] * k  # a -1 step runs the lift that ends at state t backwards
+        for s, (t, m) in enumerate(zip(heads, fiber_maps(lifts, -1))):
+            tails[t], maps[t] = s, m
+        return tails, maps
 
+    column = d.group.column
     tree = spanning_tree(base)
-    reach = [None] * V  # reach[u][s]: the (t, y) that the tree path to u carries (s, e) to
-    reach[base.basepoint] = [(s, 0) for s in range(k)]
+    # the tree path to u carries (s, e) to (reach[u][s], out[u][s]); the path
+    # back from u carries (t, x) to (home[u][t], back[u][t][x])
+    reach, out, home, back = [None] * V, [None] * V, [None] * V, [None] * V
+    reach[base.basepoint], out[base.basepoint] = list(range(k)), [0] * k
     for u in tree.order[1:]:
         eid, sign = tree.parent[u]
-        step = moves(base.edge_pos(eid), sign)
-        reach[u] = [(step[s][0], step[s][1][y]) for s, y in reach[base.step_endpoints((eid, sign))[0]]]
-    out = [[(t, column(y)) for t, y in row] for row in reach]
-    back = [[None] * k for _ in reach]  # back[u][t]: the tree path from u back, as out's inverse
-    for u, row in enumerate(reach):
-        for s, (t, y) in enumerate(row):
-            back[u][t] = (s, column(inverse[y]))
-    loops = []  # letter c: generator loop c // 2, run backwards when c is odd
+        to, maps = moves(base.edge_pos(eid), sign)
+        v = base.step_endpoints((eid, sign))[0]
+        reach[u] = [to[s] for s in reach[v]]
+        out[u] = [maps[s][y] for s, y in zip(reach[v], out[v])]
+    for u in range(V):
+        home[u], back[u] = [0] * k, [None] * k
+        for s, t, y in zip(range(k), reach[u], out[u]):
+            home[u][t], back[u][t] = s, column(inverse[y])
+    targets, elements = [], []
     for e in map(base.edge, tree.generators):
         p = base.edge_pos(e.id)
-        loops += [(out[e.tail], moves(p, 1), back[e.head]), (out[e.head], moves(p, -1), back[e.tail])]
+        for tail, sign, head in ((e.tail, 1, e.head), (e.head, -1, e.tail)):
+            to, maps = moves(p, sign)
+            ts, gs = [], []
+            for s, a in zip(reach[tail], out[tail]):
+                t = to[s]
+                ts.append(home[head][t])
+                gs.append(back[head][t][maps[s][a]])
+            targets.append(ts)
+            elements.append(gs)
+    for i in range(len(tree.generators)):
+        ts, gs = targets[2 * i + 1], elements[2 * i + 1]
+        if any(ts[t] != s or gs[t] != inverse[g] for s, t, g in zip(range(k), targets[2 * i], elements[2 * i])):
+            raise ValueError(f"transitions for generator {i} are not mutually inverse")
+    return targets, elements
 
-    def act(point: int, letter: int) -> int:
-        s, x = divmod(point, n)
-        there, edge, home = loops[letter]
-        s, a = there[s]
-        s, b = edge[s]
-        s, c = home[s]
-        return s * n + c[b[a[x]]]
 
-    return CosetAutomaton.from_action(len(tree.generators), 0, act)
+def _base_loop_elements(d: DerivedBundle) -> tuple:
+    """The element each pi1 generator loop of the base, lifted at the
+    basepoint's lift over e through the fiber maps of ``d``, ends at.  It
+    equals the loop's holonomy when the bundle is right, but is read off
+    the fiber maps, not off the voltage's holonomy morphism."""
+    return tuple(gs[0] for gs in _lifted_loops(d)[1][0::2])
+
+
+def _basepoint_subgroup(d: DerivedBundle, cover: CoveringComplex) -> CosetAutomaton:
+    """The subgroup of pi1 of the base that the basepoint component of
+    ``d``, the bundle of the voltage pulled back to ``cover``, defines as a
+    covering of the base through the cover, read off the bundle without
+    extracting it.
+
+    The walk runs over the points (cover state s, element x) over the
+    basepoint, each generator loop acting as :func:`_lifted_loops` gives
+    it.  The points it reaches over state u are K * y(u), for the subgroup
+    K of elements it reaches over state 0 and the element y(u) along the
+    tree of the walk of the states, so it runs over (state, element of K).
+    No gamma, holonomy morphism or automaton of H is read.
+    """
+    group = d.group
+    column = group.column
+    targets, elements = _lifted_loops(d, cover)
+    rank = len(targets) // 2
+    states = CosetAutomaton.from_action(rank, 0, targets)
+    at, y = [0] * states.state_count, [0] * states.state_count  # walk state u: cover state at[u], element y[u]
+    for u in range(1, states.state_count):
+        v, c = states.parent[u], states.column[u]
+        at[u], y[u] = targets[c][at[v]], column(elements[c][at[v]])[y[v]]
+    # (u, x y(u)) goes to (v, x y(u) g) = (v, x gamma y(v)), gamma in K
+    letters = [col for g in range(rank) for col in (states.forward[g], states.backward[g])]
+    gammas = [
+        [group.mul_inv(column(gs[s])[x], y[v]) for s, x, v in zip(at, y, col)] for gs, col in zip(elements, letters)
+    ]
+    fiber = subgroup_closure(group, set(chain.from_iterable(gammas))).members
+    if len(fiber) == 1:
+        return states
+    where = {x: j for j, x in enumerate(fiber)}
+    size = len(fiber)
+    return CosetAutomaton.from_action(
+        rank,
+        0,
+        [
+            [v * size + where[x] for v, gamma in zip(col, row) for x in map(column(gamma).__getitem__, fiber)]
+            for col, row in zip(letters, gammas)
+        ],
+    )
 
 
 def induced_bundle_map(

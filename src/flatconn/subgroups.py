@@ -24,11 +24,17 @@ _CAP_MESSAGE = "enumeration did not complete within cap ({} cosets)"
 
 def _check_mutually_inverse(forward, backward) -> None:
     """Raise ValueError unless each generator's forward and backward columns
-    are mutually inverse partial maps."""
+    are mutually inverse partial maps.  A pair without None is checked as
+    two compositions, each of which must be the identity."""
     for g, (fwd, bwd) in enumerate(zip(forward, backward)):
-        if any(t is not None and bwd[t] != s for s, t in enumerate(fwd)) or any(
-            u is not None and fwd[u] != s for s, u in enumerate(bwd)
-        ):
+        if None in fwd or None in bwd:
+            bad = any(t is not None and bwd[t] != s for s, t in enumerate(fwd)) or any(
+                u is not None and fwd[u] != s for s, u in enumerate(bwd)
+            )
+        else:
+            identity = list(range(len(fwd)))
+            bad = list(map(bwd.__getitem__, fwd)) != identity or list(map(fwd.__getitem__, bwd)) != identity
+        if bad:
             raise ValueError(f"transitions for generator {g} are not mutually inverse")
 
 
@@ -55,45 +61,44 @@ class CosetAutomaton:
         if rank and any(len(col) != state_count for col in (*forward, *backward)):
             raise ValueError("transition columns have inconsistent lengths")
         _check_mutually_inverse(forward, backward)  # at every state, reachable or not
-        moves = [col for g in range(rank) for col in (forward[g], backward[g])]
-        self._walk(rank, 0, lambda s, c: moves[c][s])
+        self._walk(rank, 0, [col for g in range(rank) for col in (forward[g], backward[g])])
 
     @classmethod
-    def from_action(cls, rank: int, start, act) -> "CosetAutomaton":
+    def from_action(cls, rank: int, start, moves) -> "CosetAutomaton":
         """The automaton of a finite permutation action on the orbit of start.
 
-        ``act(x, c)`` is the image of point x under letter c, 2g for
-        generator g and 2g+1 for its inverse, or None where undefined.
+        ``moves[c][x]`` is the image of point x under letter c, 2g for
+        generator g and 2g+1 for its inverse, or None where undefined: one
+        column per letter, indexed by point.
         """
         a = cls.__new__(cls)
-        a._walk(rank, start, act)
+        a._walk(rank, start, moves)
         return a
 
-    def _walk(self, rank: int, start, step) -> None:
+    def _walk(self, rank: int, start, moves) -> None:
         """Number the points reached from start in one breadth-first walk,
-        taking letters c = 0 ... 2 rank - 1 as ``step(x, c)`` gives them
-        (None: undefined), and fill every field on the way.  The columns
-        numbered are then checked to be mutually inverse."""
-        index = {start: 0}
+        taking letters c = 0 ... 2 rank - 1 as ``moves[c][x]`` gives them
+        (None: undefined).  Points are numbered when found, so the walk
+        fills ``parent`` and ``column``; each whole column is then read at
+        the points in that order and renamed, and the columns numbered are
+        checked to be mutually inverse."""
+        index = {None: None, start: 0}  # an undefined move is never a new point, and renames to None
         points = [start]
-        columns: list[list[Optional[int]]] = [[] for _ in range(2 * rank)]
         parent, column = [0], [-1]
+        letters = list(enumerate(moves))
         for s, x in enumerate(points):
-            for c, col in enumerate(columns):
-                y = step(x, c)
-                if y is None:
-                    col.append(None)
-                    continue
-                t = index.get(y)
-                if t is None:
-                    t = index[y] = len(points)
+            for c, move in letters:
+                y = move[x]
+                if y not in index:
+                    index[y] = len(points)
                     points.append(y)
                     parent.append(s)
                     column.append(c)
-                col.append(t)
+        name = index.__getitem__
+        columns = [tuple(map(name, map(move.__getitem__, points))) for move in moves]
         self.rank = rank
-        self.forward = tuple(map(tuple, columns[0::2]))
-        self.backward = tuple(map(tuple, columns[1::2]))
+        self.forward = tuple(columns[0::2])
+        self.backward = tuple(columns[1::2])
         _check_mutually_inverse(self.forward, self.backward)
         self.complete = all(None not in col for col in columns)
         self.parent = tuple(parent)
@@ -354,13 +359,17 @@ class _CosetTable:
                 self.scan_and_fill(0, self.columns(w))
 
     def automaton(self) -> CosetAutomaton:
-        table, find = self.table, self.find
-
-        def step(x: int, c: int) -> Optional[int]:
-            y = table[x][c]
-            return None if y is None else find(y)
-
-        return CosetAutomaton.from_action(self.rank, 0, step)
+        """The automaton of the finished table: each live coset's entries
+        read once through ``find``, as one column per letter; rows folded
+        away are not read."""
+        table, parent, find = self.table, self.parent, self.find
+        moves = [[None] * len(table) for _ in range(2 * self.rank)]
+        for x, px in enumerate(parent):
+            if px == x:
+                for move, y in zip(moves, table[x]):
+                    if y is not None:
+                        move[x] = y if parent[y] == y else find(y)
+        return CosetAutomaton.from_action(self.rank, 0, moves)
 
 
 def _check_letters(words: Iterable[Word], rank: int) -> None:
@@ -528,25 +537,23 @@ def automaton_from_quotient(
     """Coset automaton of h^-1(S) for h given by generator images.
 
     States are the right cosets S x met by Im(h), each named by its least
-    element; generator g acts by right multiplication with h(g).  For x
-    and y in Im(h), S x = S y exactly when x y^-1 lies in S ∩ Im(h), so
-    these are the cosets of S ∩ Im(h) in Im(h).  Relator words must map to
-    the identity for h to be well defined on the presented group.
+    element; generator g acts by right multiplication with h(g), so its
+    moves are the group's columns of h(g) and h(g)^-1, each entry renamed
+    by its coset when S is not trivial.  For x and y in Im(h), S x = S y
+    exactly when x y^-1 lies in S ∩ Im(h), so these are the cosets of
+    S ∩ Im(h) in Im(h).  Relator words must map to the identity for h to
+    be well defined on the presented group.
     """
     _check_images(images, group, relators)
-    others = subgroup.members[1:]  # S without the identity
-    columns = [group.column(y) for x in images for y in (x, group.inverse[x])]
-    mul = group.mul
-    name: dict = {}  # element -> the least element of its coset, listed one coset at a time
-
-    def act(rep: int, c: int) -> int:
-        x = columns[c][rep]
-        if x not in name:
-            coset = [x, *(mul(t, x) for t in others)]
-            name.update(dict.fromkeys(coset, min(coset)))
-        return name[x]
-
-    return CosetAutomaton.from_action(len(images), 0, act)
+    moves = [group.column(y) for x in images for y in (x, group.inverse[x])]
+    if len(subgroup) > 1:
+        name = [None] * group.order  # element -> the least element of its coset
+        for x in range(group.order):  # ascending, so the first of a coset met is its least
+            if name[x] is None:
+                for t in subgroup.members:
+                    name[group.mul(t, x)] = x
+        moves = [tuple(map(name.__getitem__, col)) for col in moves]
+    return CosetAutomaton.from_action(len(images), 0, moves)
 
 
 def automaton_from_spec(

@@ -29,6 +29,7 @@ from typing import Optional
 
 from .bundles import (
     DerivedBundle,
+    _base_loop_elements,
     _basepoint_subgroup,
     derived_bundle,
     induced_bundle_map,
@@ -167,10 +168,22 @@ class Instance:
 
     @cached_property
     def subgroup_aut(self) -> CosetAutomaton:
-        if self.covering_spec is None:
+        """The covering subgroup's automaton.  A spec that names the
+        holonomy kernel itself (a quotient by the trivial subgroup, through
+        this instance's group and holonomy images) hands back
+        :attr:`kernel_aut`, the same walk."""
+        spec = self.covering_spec
+        if spec is None:
             raise ValueError("instance has no covering spec")
+        if (
+            spec.kind == "quotient"
+            and (spec.group is None or spec.group is self.group)
+            and (spec.images is None or tuple(spec.images) == self.morphism.images)
+            and set(spec.subgroup) <= {0}
+        ):
+            return self.kernel_aut
         return automaton_from_spec(
-            self.covering_spec,
+            spec,
             self.presentation,
             default_group=self.group,
             default_images=self.morphism.images,
@@ -223,7 +236,14 @@ class Instance:
 
     @cached_property
     def base_nx_subgroup(self) -> CosetAutomaton:
-        return _basepoint_subgroup(self.base_bundle)
+        """The kernel of g -> the element its loop, lifted through the base
+        bundle's fiber maps, ends at.  Where those elements equal h(g), as
+        they do when the bundle is right, that is the kernel's own walk, and
+        :attr:`kernel_aut` is handed back."""
+        elements = _base_loop_elements(self.base_bundle)
+        if elements == self.morphism.images:
+            return self.kernel_aut
+        return kernel_automaton(HolonomyMorphism(self.group, elements))
 
     @cached_property
     def cover_bundle(self) -> DerivedBundle:

@@ -149,11 +149,11 @@ def subgroup_of_cover(m, base_lift):
         for sign in (1, -1)
     ]
 
-    def act(k, c):
-        at, end, sign = ends[c]
-        return sheet[source.step_endpoints((end_index[lifts[at][k]][end], sign))[1]]
-
-    return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], act)
+    moves = [
+        [sheet[source.step_endpoints((end_index[x][end], sign))[1]] for x in lifts[at]]
+        for at, end, sign in ends
+    ]
+    return CosetAutomaton.from_action(len(tree.generators), sheet[base_lift], moves)
 
 
 def compose_complex_maps(f, g):

@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from flatconn.bundles import LiftedGraph, _basepoint_subgroup, derived_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
@@ -28,9 +29,16 @@ from flatconn.covers import ComplexMap
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance, parse_instance_data
-from flatconn.subgroups import SubgroupSpec, automata_equal
+from flatconn.subgroups import CosetAutomaton, SubgroupSpec, automata_equal
 from flatconn.theorems import GATE, Instance, standard_reports, verify_prop_2_4
-from helpers import composite_map, cover_nx, covering_degree, holonomy_projection, subgroup_of_cover
+from helpers import (
+    compose_complex_maps,
+    composite_map,
+    cover_nx,
+    covering_degree,
+    holonomy_projection,
+    subgroup_of_cover,
+)
 
 HERE = os.path.dirname(__file__)
 DOCUMENTS = [os.path.join(HERE, os.pardir, "instances"), os.path.join(HERE, "documents")]
@@ -157,3 +165,63 @@ def test_claim_checks_extract_no_component(monkeypatch, source):
             projections.add(id(inst.cover.projection()))
     assert reports and checked == []
     assert {id(m) for m in built} == projections
+
+
+def test_base_walk_rejects_a_fiber_map_that_does_not_undo_its_edge(monkeypatch):
+    """The base bundle walk reads each inverse loop's element through the
+    fiber maps too: if running an edge backwards does not undo it, the walk
+    raises the automaton's ValueError instead of handing back a subgroup."""
+    inst = parse_instance(os.path.join(DOCUMENTS[0], "wedge_s3_kernel.json"))  # b -> (012), not an involution
+    fiber_maps = LiftedGraph._fiber_maps
+
+    def forward_both_ways(self, positions, sign=1):
+        return fiber_maps(self, positions)
+
+    monkeypatch.setattr(LiftedGraph, "_fiber_maps", forward_both_ways)
+    with pytest.raises(ValueError, match="^transitions for generator 1 are not mutually inverse$"):
+        inst.base_nx_subgroup
+
+
+def test_composite_walk_rejects_a_fiber_map_that_does_not_undo_its_edge(monkeypatch):
+    """Through the cover (six states over the basepoint) the walk reads each
+    lift's fiber map too, and raises the same ValueError when running a lift
+    backwards does not undo it, before it walks anything."""
+    inst = parse_instance(os.path.join(DOCUMENTS[0], "wedge_s3_kernel.json"))  # b -> (012), not an involution
+    assert inst.cover.degree == 6
+    inst.cover_bundle
+    fiber_maps, from_action = LiftedGraph._fiber_maps, CosetAutomaton.from_action.__func__
+    walks = []
+
+    def forward_both_ways(self, positions, sign=1):
+        return fiber_maps(self, positions)
+
+    def counted(cls, *args):
+        walks.append(args)
+        return from_action(cls, *args)
+
+    monkeypatch.setattr(LiftedGraph, "_fiber_maps", forward_both_ways)
+    monkeypatch.setattr(CosetAutomaton, "from_action", classmethod(counted))
+    with pytest.raises(ValueError, match="^transitions for generator 1 are not mutually inverse$"):
+        inst.composite_subgroup
+    assert walks == []
+
+
+def test_composite_walk_reads_each_lift_of_an_edge_at_its_own_state():
+    """The walk reads the fiber map of the lift leaving the state a loop is
+    at.  A pulled-back voltage gives every lift of a base edge one value, so
+    here each cover edge gets a seeded value of its own: the walked subgroup
+    must still be the extracted component's, composed with the cover."""
+    rng = random.Random(11)
+    checked = 0
+    for source in ("documents", 0):
+        for inst in source_instances(source):
+            if inst.complex.relators or not has_finite_cover(inst) or inst.cover.degree < 2:
+                continue
+            total, g = inst.cover.total, inst.group
+            v = Voltage(total, g, {e.id: rng.randrange(g.order) for e in total.edges})
+            d = derived_bundle(total, g, v)
+            nx = holonomy_projection(d)
+            want = subgroup_of_cover(compose_complex_maps(nx, inst.cover.projection()), nx.source.basepoint)
+            assert automata_equal(_basepoint_subgroup(d, inst.cover), want), inst.name
+            checked += 1
+    assert checked > 50

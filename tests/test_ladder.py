@@ -3,11 +3,14 @@
 ``ladder/run.py`` times each row in its own subprocess; here ``time_row``
 runs directly on the smallest torus row, on S4 over the wedge and on the
 shortest Stallings word, and only its shape and verdicts are checked, not
-its timings.
+its timings.  The A/B runner is run once, on one checkout against itself.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,20 @@ def test_stallings_rows_grow_by_their_random_word(ladder):
     assert len(schreier) == 121 and rows[8][:-1] == schreier
     assert len(rows[4][-1].split()) >= 100 and len(rows[8][-1].split()) >= 10_000
     assert ladder.AXIS["stallings"] == "letters"
+
+
+def test_ab_runner_compares_a_checkout_with_itself():
+    """``ladder/ab.py`` with the same checkout on both sides, at perfbench's
+    self-test sizes: only the keys of its result are checked, not times."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    runner = os.path.join(root, "ladder", "ab.py")
+    out = subprocess.run(
+        [sys.executable, runner, root, root, "--workload", "big_group", "--passes", "2", "--small"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(out.stdout)
+    assert set(result) == {"workload", "seed", "passes", "same_verdicts", "correct", "metrics"}
+    assert set(result["metrics"]) == {"verify_s", "setup_s"}
+    for metric in result["metrics"].values():
+        assert set(metric) == {"ratio_median", "ratio_q1", "ratio_q3", "wins", "parent", "change"}
+    assert result["same_verdicts"] is True and result["correct"] is True and result["passes"] == 2

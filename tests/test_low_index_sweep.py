@@ -69,7 +69,7 @@ def based_subgroups(rank, n, abelian):
         if abelian and not commute(*perms):
             continue
         moves = [q for p in perms for q in (p, inverse[p])]
-        a = CosetAutomaton.from_action(rank, 0, lambda x, c: moves[c][x])
+        a = CosetAutomaton.from_action(rank, 0, moves)
         if a.state_count == n:
             found.setdefault(a.key(), a)
     return list(found.values())

@@ -413,10 +413,17 @@ def test_constructor_rejects_columns_inconsistent_only_off_the_reachable_states(
         CosetAutomaton(1, [[0, 2, 1]], [[0, 1, 1]])
 
 
+def test_constructor_rejects_complete_columns_inconsistent_only_off_the_reachable_states():
+    # states 0 and 1 swap under both generators; off them generator 1 sends
+    # 2 and 3 to 3, and its inverse sends 3 back to 2: complete, not inverse
+    with pytest.raises(ValueError, match="^transitions for generator 1 are not mutually inverse$"):
+        CosetAutomaton(2, [[1, 0, 3, 2], [1, 0, 3, 3]], [[1, 0, 3, 2], [1, 0, 2, 2]])
+
+
 def test_from_action_rejects_an_action_that_is_not_a_permutation():
     # both 0 and 1 go to 1, whatever the letter
     with pytest.raises(ValueError, match="^transitions for generator 0 are not mutually inverse$"):
-        CosetAutomaton.from_action(1, 0, lambda x, letter: 1)
+        CosetAutomaton.from_action(1, 0, [[1, 1], [1, 1]])
 
 
 def test_quotient_automaton_of_a_subgroup_outside_the_image(s3):

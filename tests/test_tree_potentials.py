@@ -84,12 +84,9 @@ def walked_images(v, t):
 def lifted_loop_automaton(m, base_lift, t):
     """Transitions read off the lift of each generator loop at each sheet."""
     loops = [w for eid in t.generators for w in (generator_loop(t, eid), invert_word(generator_loop(t, eid)))]
-
-    def act(x, c):
-        last = lift_path(m, loops[c], x)[-1]
-        return m.source.step_endpoints(last)[1]
-
-    return CosetAutomaton.from_action(len(t.generators), base_lift, act)
+    fiber = [x for x, u in enumerate(m.vertex_map) if u == m.target.basepoint]
+    moves = [{x: m.source.step_endpoints(lift_path(m, w, x)[-1])[1] for x in fiber} for w in loops]
+    return CosetAutomaton.from_action(len(t.generators), base_lift, moves)
 
 
 def conjugated_relators(c, t):

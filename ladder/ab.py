@@ -16,7 +16,11 @@ a drift of the machine's speed falls on both sides alike.  It prints one
 JSON object with, for ``verify_s`` and ``setup_s`` each, the median
 change/parent ratio over the pairs, its quartiles, the number of pairs the
 change won and both sides' medians, whether every pass gave both sides
-the same verdicts, and whether every verdict matched the reference.
+the same verdicts, and whether every verdict matched the reference.  It
+also prints each side's peak RSS in MB (``ru_maxrss`` of its worker, as
+perfbench reads it).  A worker keeps no pass once it has answered, so,
+unlike perfbench's ``peak_rss_mb``, the peak does not grow with the number
+of passes that fit in a run.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,6 +49,7 @@ def worker(root: str, workload: str, seed: int, small: bool) -> int:
     for _ in sys.stdin:
         p = run.run_pass(setup, expected)
         answer = {"setup_s": p.setup_s, "verify_s": p.verify_s, "codes": p.codes, "failures": len(p.failures)}
+        answer["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(answer), flush=True)
     return 0
 
@@ -106,6 +112,7 @@ def compare(args) -> dict:
             metric: summary(*([p[metric] for p in passes[side]] for side in ("parent", "change")))
             for metric in ("verify_s", "setup_s")
         },
+        "peak_rss_mb": {side: max(p["peak_rss_mb"] for p in passes[side]) for side in passes},
     }
 
 

@@ -62,13 +62,17 @@ class LiftedGraph(BaseComplex):
     def __init__(self, v: Voltage):
         n = v.group.order
         self.vertex_count = v.complex.vertex_count * n
-        self.edges = LiftedEdges(self)
         self.basepoint = v.complex.basepoint * n  # the lift (basepoint, identity)
         self.relators = ()
         self._voltage = v
         self._values = v.as_tuple()
         self._validated = False
         self._tree = None
+
+    @property
+    def edges(self) -> LiftedEdges:
+        """Made on each access, so that no graph points back at itself."""
+        return LiftedEdges(self)
 
     def _fiber_map(self, p: int, sign: int = 1) -> tuple:
         """x -> x * w(p)^sign for the base edge at position p: with sign +1,
@@ -111,12 +115,10 @@ class LiftedGraph(BaseComplex):
 
 
 class BundleComponents(Sequence):
-    """The vertex ids of each component, ascending, listed from the
-    component's sheets only when it is asked for.  Over the root of the
-    base's spanning tree (shift e) the fiber is the component's sheets; the
-    lift of a tree step joins (parent, y) to (u, y * w^sign), so each other
-    fiber is its parent's read through that step's fiber map.  A slice is a
-    list, as for ``list(self)``."""
+    """The vertex ids of each component, ascending, listed from the stored
+    shifts only when a component is asked for: (u, x) lies on sheet
+    x * shift[u], so the fiber of component i over u is the x whose sheet
+    lies in it.  A slice is a list, as for ``list(self)``."""
 
     __slots__ = ("_bundle",)
 
@@ -131,14 +133,13 @@ class BundleComponents(Sequence):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         d = self._bundle
-        base, n, tree = d.base, d.group.order, spanning_tree(d.base)
-        fibers = [()] * base.vertex_count
-        fibers[tree.order[0]] = list(compress(range(n), map(i.__eq__, d._sheet_component)))
-        for u in tree.order[1:]:
-            eid, sign = step = tree.parent[u]
-            ends = d.graph._fiber_map(base.edge_pos(eid), sign)
-            fibers[u] = list(map(ends.__getitem__, fibers[base.step_endpoints(step)[0]]))
-        return tuple(chain.from_iterable(map((u * n).__add__, sorted(f)) for u, f in enumerate(fibers)))
+        n, column, sheet_component = d.group.order, d.group.column, d._sheet_component.__getitem__
+        return tuple(
+            chain.from_iterable(
+                compress(range(u * n, u * n + n), map(i.__eq__, map(sheet_component, column(shift))))
+                for u, shift in enumerate(d._shift)
+            )
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +198,12 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     tree = spanning_tree(c)
     unshift = [0] * c.vertex_count  # shift[u]^-1
     for u in tree.order[1:]:
-        step = tree.parent[u]
+        eid, sign = tree.parent[u]
         # (parent, y) is joined to (u, y * w^sign), so (u, x) lies on the
         # sheet of (parent, x * w^-sign): shift[u] = w^-sign * shift[parent],
         # and its inverse is a column read, unshift[parent] * w^sign.
-        w = values[c.edge_pos(step[0])]
-        unshift[u] = column(w if step[1] > 0 else inverse[w])[unshift[c.step_endpoints(step)[0]]]
+        w = values[c.edge_pos(eid)]
+        unshift[u] = column(w if sign > 0 else inverse[w])[unshift[tree.up[u]]]
     gammas = set()
     for e, w in zip(c.edges, values):
         x, y = column(w)[unshift[e.tail]], unshift[e.head]
@@ -280,7 +281,7 @@ def _lifted_loops(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> 
     for u in tree.order[1:]:
         eid, sign = tree.parent[u]
         to, maps = moves(base.edge_pos(eid), sign)
-        v = base.step_endpoints((eid, sign))[0]
+        v = tree.up[u]
         reach[u] = [to[s] for s in reach[v]]
         out[u] = [maps[s][y] for s, y in zip(reach[v], out[v])]
     for u in range(V):

@@ -7,7 +7,6 @@ sign, not a second edge.  An edge path is a word of (edge id, sign) steps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -160,25 +159,24 @@ class SpanningTreeData:
     """Breadth-first spanning tree rooted at the basepoint.
 
     ``parent[v]`` is the signed step taken from the parent of v into v (None
-    at the root).  ``generators`` lists the non-tree edge ids in ascending
-    order; they index the fundamental-group generators everywhere else.
+    at the root) and ``up[v]`` is the vertex that step leaves from (the root
+    maps to itself), so a walk down the tree reads no edge.  ``order`` lists
+    the vertices in the order the search reached them, the root first.
+    ``generators`` lists the non-tree edge ids in ascending order; they index
+    the fundamental-group generators everywhere else.
     """
 
-    complex: BaseComplex
-    tree_edges: frozenset
     parent: tuple
+    up: tuple
     order: tuple
     generators: tuple
 
     def path_from_base(self, v: int) -> EdgeWord:
         """The unique reduced tree path basepoint -> v."""
         steps = []
-        cur = v
-        while self.parent[cur] is not None:
-            step = self.parent[cur]
-            steps.append(step)
-            frm, _ = self.complex.step_endpoints(step)
-            cur = frm
+        while self.parent[v] is not None:
+            steps.append(self.parent[v])
+            v = self.up[v]
         return tuple(reversed(steps))
 
     def path_to_base(self, v: int) -> EdgeWord:
@@ -205,33 +203,22 @@ def spanning_tree(c: BaseComplex) -> SpanningTreeData:
 def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
     base = c.basepoint
     parent: list = [None] * c.vertex_count
-    visited = [False] * c.vertex_count
-    visited[base] = True
+    up: list = [None] * c.vertex_count
+    up[base] = base
     order = [base]
-    tree = set()
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
+    for v in order:  # the list grows behind the walk: a breadth-first queue
         for step in c.star(v):
             _, u = c.step_endpoints(step)
-            if not visited[u]:
-                visited[u] = True
-                parent[u] = step
-                tree.add(step[0])
+            if up[u] is None:
+                up[u], parent[u] = v, step
                 order.append(u)
-                queue.append(u)
     if len(order) != c.vertex_count:
-        missing = [u for u in range(c.vertex_count) if not visited[u]]
+        missing = [u for u in range(c.vertex_count) if up[u] is None]
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ComplexError(f"graph is disconnected; unreachable vertices {missing[:10]}{more}")
+    tree = {step[0] for step in parent if step is not None}
     generators = tuple(e.id for e in c.edges if e.id not in tree)
-    return SpanningTreeData(
-        complex=c,
-        tree_edges=frozenset(tree),
-        parent=tuple(parent),
-        order=tuple(order),
-        generators=generators,
-    )
+    return SpanningTreeData(parent=tuple(parent), up=tuple(up), order=tuple(order), generators=generators)
 
 
 def _closed_loop_word(path: Sequence[tuple], basepoint: int) -> Word:

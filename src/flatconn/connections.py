@@ -17,7 +17,6 @@ from .complexes import BaseComplex, SpanningTreeData, validate_complex
 from .errors import FlatnessError
 from .groups import GroupTable, SubgroupSet, _is_int, subgroup_closure
 from .subgroups import CosetAutomaton, automaton_from_quotient
-from .words import Word
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +114,6 @@ class HolonomyMorphism:
     group: GroupTable
     images: tuple
 
-    def evaluate(self, w: Word) -> int:
-        return self.group.evaluate_word(self.images, w)
-
     @property
     def rank(self) -> int:
         return len(self.images)
@@ -126,12 +122,10 @@ class HolonomyMorphism:
 def _tree_potentials(t: SpanningTreeData, g: GroupTable, value: Callable[[tuple], int]) -> list:
     """pot[u]: the product of value(step) along the tree path to u, read in
     one pass down the tree (Gross-Tucker's T-reduced voltage)."""
-    c, column = t.complex, g.column
-    pot = [0] * c.vertex_count
+    column, parent, up = g.column, t.parent, t.up
+    pot = [0] * len(up)
     for u in t.order[1:]:
-        eid, sign = step = t.parent[u]
-        e = c.edge(eid)
-        pot[u] = column(value(step))[pot[e.tail if sign > 0 else e.head]]
+        pot[u] = column(value(parent[u]))[pot[up[u]]]
     return pot
 
 

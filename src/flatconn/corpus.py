@@ -116,10 +116,6 @@ class CorpusItem:
     spec_kind: str
     instance: Instance
 
-    def voltage_key(self) -> tuple:
-        """Cache key for artifacts that depend only on (base, group, voltage)."""
-        return (self.base_name, self.group_name, self.instance.voltage.as_tuple())
-
 
 def generate_corpus(seed: int, count: int) -> list[CorpusItem]:
     """Seeded corpus of instances over the base and group catalogs.

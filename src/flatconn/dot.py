@@ -16,7 +16,7 @@ from .covers import CoveringComplex
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _digraph(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> str:

@@ -86,7 +86,7 @@ class _WordReader(dict):
         if self._letters is not tree.letters:  # tokens kept before the tree was known get its letters
             letters = self._letters = tree.letters
             self._tokens = {tok: (*e[:3], *letters.get(e[2], _NO_LETTER)) for tok, e in self._tokens.items()}
-        return _closed_loop_word(self._entries(text, location), tree.complex.basepoint)
+        return _closed_loop_word(self._entries(text, location), tree.order[0])
 
 
 def word_to_string(w: EdgeWord) -> str:
@@ -185,10 +185,10 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, _
         known.add(rec["id"])
         edges.append(Edge(rec["id"], rec["tail"], rec["head"]))
     aliases = _WordReader({}, {e.id: e for e in edges})
-    raw_aliases = data.get("aliases") or {}
-    if not isinstance(raw_aliases, dict):
+    raw_aliases = data.get("aliases")
+    if not isinstance(raw_aliases, (dict, type(None))):
         raise InputError("'aliases' must be an object of name: edge id", f"{location}/aliases")
-    for name, eid in raw_aliases.items():
+    for name, eid in (raw_aliases or {}).items():
         if not _is_int(eid):
             raise InputError(f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}")
         if eid not in known:

@@ -32,7 +32,6 @@ from .bundles import (
     _base_loop_elements,
     _basepoint_subgroup,
     derived_bundle,
-    induced_bundle_map,
 )
 from .complexes import (
     BaseComplex,
@@ -51,12 +50,7 @@ from .connections import (
     holonomy_morphism,
     kernel_automaton,
 )
-from .covers import (
-    ComplexMap,
-    CoveringComplex,
-    build_cover,
-    check_incidence,
-)
+from .covers import CoveringComplex, build_cover, check_incidence
 from .groups import GroupTable, SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
@@ -100,10 +94,6 @@ class VerificationReport:
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-    @property
-    def gate_passed(self) -> bool:
-        return all(h.passed for h in self.hypotheses)
 
     def to_lines(self) -> list[str]:
         lines = [f"claim: {self.claim}"]
@@ -248,11 +238,6 @@ class Instance:
     @cached_property
     def cover_bundle(self) -> DerivedBundle:
         return derived_bundle(self.cover.total, self.group, self.pullback)
-
-    @cached_property
-    def bundle_map(self) -> ComplexMap:
-        """The induced bundle map from the pulled-back total space down."""
-        return induced_bundle_map(self.cover_bundle, self.base_bundle, self.cover)
 
     @cached_property
     def composite_subgroup(self) -> CosetAutomaton:

@@ -45,6 +45,11 @@ def loop_to_generator_word(c, t, w):
     return _closed_loop_word(path, c.basepoint)
 
 
+def tree_edges(t):
+    """The ids of a spanning tree's edges, read off its parent steps."""
+    return frozenset(step[0] for step in t.parent if step is not None)
+
+
 def word_holonomy(v, w, start=None):
     """Left-to-right product of edge voltages along a path."""
     v.complex.path_vertices(w, start=start)  # validates that w is a path
@@ -364,7 +369,8 @@ def spelled_schreier_words(a):
 
 def word_path_image(a, morphism):
     """h(H) the long way: every spelled-out Schreier generator evaluated."""
-    return subgroup_closure(morphism.group, [morphism.evaluate(w) for w in spelled_schreier_words(a)])
+    g = morphism.group
+    return subgroup_closure(g, [g.evaluate_word(morphism.images, w) for w in spelled_schreier_words(a)])
 
 
 def word_path_outside(a, b):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from flatconn.bundles import derived_bundle
+from flatconn.bundles import derived_bundle, induced_bundle_map
 from flatconn.complexes import spanning_tree
 from flatconn.connections import holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
@@ -111,7 +111,8 @@ def test_criterion_3_functoriality(corpus):
 def test_criterion_4_bundle_map_is_covering(corpus):
     _, complete = corpus
     for item in complete:
-        assert is_covering_map(item.instance.bundle_map), item.name
+        inst = item.instance
+        assert is_covering_map(induced_bundle_map(inst.cover_bundle, inst.base_bundle, inst.cover)), item.name
     _announce(f"criterion-4 induced bundle map covering check on {len(complete)} instances: PASS")
 
 
@@ -144,7 +145,7 @@ def test_criterion_6_oracle_equivalence(corpus):
         inst = item.instance
         if graph_diameter(inst.complex) > 3:
             continue
-        key = item.voltage_key()
+        key = (item.base_name, item.group_name, inst.voltage.as_tuple())
         if key not in cache:
             cache[key] = oracle_holonomy(inst.complex, inst.voltage, 8)
         result = cache[key]
@@ -163,7 +164,7 @@ def test_criterion_7_structural_identities(corpus):
     seen = set()
     for item in items:
         inst = item.instance
-        key = item.voltage_key()
+        key = (item.base_name, item.group_name, inst.voltage.as_tuple())
         if key in seen:
             continue
         seen.add(key)
@@ -197,7 +198,7 @@ def test_criterion_8_regression_vector(s3, wedge, wedge_s3_voltage):
     assert a3.cover.degree == 2
     assert a3.cover.total.free_rank == 3
     assert a3.induced_image.label_list() == ["e", "(012)", "(021)"]
-    mapped = [a3.morphism.evaluate(w) for w in reidemeister_schreier(a3.subgroup_aut, a3.presentation)]
+    mapped = [s3.evaluate_word(a3.morphism.images, w) for w in reidemeister_schreier(a3.subgroup_aut, a3.presentation)]
     from flatconn.groups import subgroup_closure
 
     assert subgroup_closure(s3, mapped).members == a3.induced_image.members

@@ -91,7 +91,7 @@ def test_holonomy_morphism_tree_conjugation(s3):
     assert h.images == (s3.mul(g2, s3.inverse[g1]),)
     loop = ((1, 1), (2, -1))
     gen_word = loop_to_generator_word(c, t, loop)
-    assert h.evaluate(gen_word) == word_holonomy(v, loop)
+    assert s3.evaluate_word(h.images, gen_word) == word_holonomy(v, loop)
     assert word_holonomy(v, loop) == s3.mul(g1, s3.inverse[g2])
 
 
@@ -174,9 +174,8 @@ def test_holonomy_image_tree_independence():
         v = Voltage(c, g, {eid: rng.randrange(g.order) for eid in (0, 1, 2)})
         h_canonical = holonomy_morphism(v, spanning_tree(c))
         alt_tree = SpanningTreeData(
-            complex=c,
-            tree_edges=frozenset({1}),
             parent=(None, (1, 1)),
+            up=(0, 0),
             order=(0, 1),
             generators=(0, 2),
         )

@@ -48,7 +48,8 @@ def test_generate_corpus_deterministic():
     first = generate_corpus(17, 30)
     second = generate_corpus(17, 30)
     assert [it.name for it in first] == [it.name for it in second]
-    assert [it.voltage_key() for it in first] == [it.voltage_key() for it in second]
+    keys = [[(it.base_name, it.group_name, it.instance.voltage.as_tuple()) for it in run] for run in (first, second)]
+    assert keys[0] == keys[1]
 
 
 def test_generate_corpus_mix():

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from flatconn.bundles import derived_bundle
+from flatconn.bundles import derived_bundle, induced_bundle_map
 from flatconn.complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from flatconn.connections import Voltage, holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
@@ -514,7 +514,7 @@ def test_induced_bundle_map_is_covering(wedge, s3, wedge_s3_voltage):
     from flatconn.subgroups import SubgroupSpec
 
     inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(2,)))
-    qhat = inst.bundle_map
+    qhat = induced_bundle_map(inst.cover_bundle, inst.base_bundle, inst.cover)
     assert is_covering_map(qhat)
     assert covering_degree(qhat) == inst.cover.degree
 
@@ -524,7 +524,7 @@ def test_bundle_map_component_restrictions_are_coverings(wedge, s3, wedge_s3_vol
     from flatconn.subgroups import SubgroupSpec
 
     inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
-    qhat = inst.bundle_map
+    qhat = induced_bundle_map(inst.cover_bundle, inst.base_bundle, inst.cover)
     upper, lower = inst.cover_bundle, inst.base_bundle
     lower_ids = component_ids(lower)
     for comp in upper.components:

@@ -229,3 +229,21 @@ def test_a_disconnected_complex_names_ten_unreachable_vertices_and_a_count(tmp_p
     doc["complex"] = {"vertices": 1000, "edges": [{"id": k, "tail": 0, "head": 0} for k in range(1000)]}
     message = "graph is disconnected; unreachable vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 989 more"
     assert_rejected(doc, "/complex", message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("aliases", [[], 0, False, "", [1], 1, "a", True])
+def test_aliases_that_are_not_an_object_are_rejected(aliases, tmp_path, capsys):
+    doc = wedge_document()
+    doc["complex"]["aliases"] = aliases
+    assert_rejected(doc, "/complex/aliases", "'aliases' must be an object of name: edge id", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_missing_or_null_aliases_mean_none(missing):
+    doc = wedge_document()
+    doc["voltage"] = [{"edge": 0, "element": "(01)"}, {"edge": 1, "element": "(012)"}]
+    if missing:
+        del doc["complex"]["aliases"]
+    else:
+        doc["complex"]["aliases"] = None
+    assert parse_instance_data(doc).voltage.assignment == {0: 1, 1: 2}

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import weakref
 
 import pytest
@@ -613,6 +614,24 @@ def test_cli_export_dot_cover(capsys):
     assert code == 0
     assert out.startswith("digraph cover {")
     assert '"v0_0"' in out and '"v1_0"' in out
+
+
+@pytest.mark.parametrize("what,label", [("base", "e0 a\\"), ("bundle", "e0 a\\"), ("base", 'e0 a"')])
+def test_cli_export_dot_label_reads_back(what, label, tmp_path, capsys):
+    """A group label is a free string: a backslash or a quote in it is
+    escaped, so the exported label string ends where it should and reads
+    back to the label."""
+    doc = {
+        "group": {"degree": 2, "generators": [[1, 0]], "labels": ["e", label[3:]]},
+        "complex": {"vertices": 1, "edges": [{"id": 0, "tail": 0, "head": 0}]},
+        "voltage": [{"edge": 0, "element": 1}],
+    }
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(["export-dot", str(path), "--what", what], capsys)
+    assert code == 0
+    quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"\];$', out, re.M)
+    assert quoted and all(re.sub(r"\\(.)", r"\1", q) == label for q in quoted)
 
 
 def test_cover_emit_complex_round_trip(tmp_path, capsys):

@@ -66,7 +66,9 @@ def test_ab_runner_compares_a_checkout_with_itself():
         capture_output=True, text=True, check=True, timeout=120,
     )
     result = json.loads(out.stdout)
-    assert set(result) == {"workload", "seed", "passes", "same_verdicts", "correct", "metrics"}
+    assert set(result) == {"workload", "seed", "passes", "same_verdicts", "correct", "metrics", "peak_rss_mb"}
+    assert set(result["peak_rss_mb"]) == {"parent", "change"}
+    assert all(mb > 0 for mb in result["peak_rss_mb"].values())
     assert set(result["metrics"]) == {"verify_s", "setup_s"}
     for metric in result["metrics"].values():
         assert set(metric) == {"ratio_median", "ratio_q1", "ratio_q3", "wins", "parent", "change"}

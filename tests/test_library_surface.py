@@ -15,7 +15,10 @@ from importlib import import_module
 
 import flatconn
 from flatconn.bundles import DerivedBundle
+from flatconn.connections import HolonomyMorphism
+from flatconn.corpus import CorpusItem
 from flatconn.covers import ComplexMap
+from flatconn.theorems import Instance, VerificationReport
 
 HERE = os.path.dirname(__file__)
 LADDER = os.path.join(HERE, os.pardir, "ladder")
@@ -62,3 +65,14 @@ def test_the_ladder_reads_no_moved_name():
     assert scripts
     for name in scripts:
         assert not MOVED & set(identifiers(os.path.join(LADDER, name))), name
+
+
+def test_no_member_exists_only_for_a_test():
+    """The bundle map, the corpus's voltage key, the report's gate flag and
+    the morphism's word evaluation are read through the code under them:
+    ``induced_bundle_map``, ``voltage.as_tuple``, the hypotheses and
+    ``GroupTable.evaluate_word``."""
+    assert not hasattr(Instance, "bundle_map")
+    assert not hasattr(CorpusItem, "voltage_key")
+    assert not hasattr(VerificationReport, "gate_passed")
+    assert not hasattr(HolonomyMorphism, "evaluate")

@@ -69,21 +69,22 @@ def instances():
     return found, covered
 
 
-def generator_loop(t, eid):
-    e = t.complex.edge(eid)
+def generator_loop(c, t, eid):
+    e = c.edge(eid)
     return t.path_from_base(e.tail) + ((eid, 1),) + t.path_to_base(e.head)
 
 
 def walked_images(v, t):
     """Holonomy of each generator loop, walked step by step."""
     return tuple(
-        word_holonomy(v, generator_loop(t, eid), start=v.complex.basepoint) for eid in t.generators
+        word_holonomy(v, generator_loop(v.complex, t, eid), start=v.complex.basepoint) for eid in t.generators
     )
 
 
 def lifted_loop_automaton(m, base_lift, t):
     """Transitions read off the lift of each generator loop at each sheet."""
-    loops = [w for eid in t.generators for w in (generator_loop(t, eid), invert_word(generator_loop(t, eid)))]
+    c = m.target
+    loops = [w for eid in t.generators for w in (generator_loop(c, t, eid), invert_word(generator_loop(c, t, eid)))]
     fiber = [x for x, u in enumerate(m.vertex_map) if u == m.target.basepoint]
     moves = [{x: m.source.step_endpoints(lift_path(m, w, x)[-1])[1] for x in fiber} for w in loops]
     return CosetAutomaton.from_action(len(t.generators), base_lift, moves)
@@ -116,9 +117,7 @@ def test_holonomy_images_match_walked_loops(instances):
 def test_holonomy_images_match_walked_loops_on_a_non_bfs_tree():
     # theta graph with edge 1 as the tree: generators 0 and 2 close through it
     c = BaseComplex(2, [Edge(0, 0, 1), Edge(1, 0, 1), Edge(2, 0, 1)])
-    alt_tree = SpanningTreeData(
-        complex=c, tree_edges=frozenset({1}), parent=(None, (1, 1)), order=(0, 1), generators=(0, 2)
-    )
+    alt_tree = SpanningTreeData(parent=(None, (1, 1)), up=(0, 0), order=(0, 1), generators=(0, 2))
     g = catalog_group("S4")
     for a in range(0, g.order, 5):
         for b in range(0, g.order, 7):

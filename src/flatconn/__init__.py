@@ -30,14 +30,12 @@ from .connections import (
     kernel_automaton,
 )
 from .covers import (
-    ComplexMap,
     CoveringComplex,
     build_cover,
 )
 from .bundles import (
     DerivedBundle,
     derived_bundle,
-    induced_bundle_map,
 )
 from .groups import (
     GroupTable,

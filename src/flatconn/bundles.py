@@ -22,7 +22,7 @@ from typing import Optional
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .connections import Voltage, _require_flat
-from .covers import ComplexMap, CoveringComplex
+from .covers import CoveringComplex
 from .errors import ComplexError
 from .groups import GroupTable, subgroup_closure
 from .subgroups import CosetAutomaton
@@ -126,7 +126,8 @@ class BundleComponents(Sequence):
         self._bundle = bundle
 
     def __len__(self) -> int:
-        return len(self._bundle.sheet_counts)
+        d = self._bundle
+        return d.group.order // d.sheets
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -149,9 +150,9 @@ class DerivedBundle:
     Vertex (v, g) has index v * |G| + g and the lift of base edge position p
     at element g has id p * |G| + g, so components, numbered by minimal
     vertex, follow (vertex, element) lexicographic order.  The graph is not
-    necessarily connected: there are [|G| : |Hol|] components, and component
-    i is the union of ``sheet_counts[i]`` sheets (lifts of a spanning tree),
-    each with one vertex over every base vertex and one edge over every
+    necessarily connected: there are [|G| : |Hol|] components, and each is
+    the union of ``sheets`` = |Hol| sheets (lifts of a spanning tree), each
+    sheet with one vertex over every base vertex and one edge over every
     base edge.  It stores V + |G| entries, not |G| * V: the sheet through
     (u, x) is x * ``_shift[u]``, and sheet s lies in ``_sheet_component[s]``.
     """
@@ -162,7 +163,7 @@ class DerivedBundle:
     graph: LiftedGraph
     _shift: tuple
     _sheet_component: tuple
-    sheet_counts: tuple
+    sheets: int
     base_lift: int
 
     @property
@@ -235,7 +236,7 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         graph=graph,
         _shift=tuple(shift),
         _sheet_component=tuple(sheet_component),
-        sheet_counts=(g.order // count,) * count,
+        sheets=g.order // count,
         base_lift=graph.basepoint,
     )
 
@@ -354,36 +355,4 @@ def _basepoint_subgroup(d: DerivedBundle, cover: CoveringComplex) -> CosetAutoma
             [v * size + where[x] for v, gamma in zip(col, row) for x in map(column(gamma).__getitem__, fiber)]
             for col, row in zip(letters, gammas)
         ],
-    )
-
-
-def induced_bundle_map(
-    upper: DerivedBundle,
-    lower: DerivedBundle,
-    cov: CoveringComplex,
-) -> ComplexMap:
-    """The bundle map over a covering: (v^, g) -> (q(v^), g) on vertices and
-    likewise on lifted edges.  ``upper`` must be the derived bundle of the
-    pulled-back voltage on ``cov.total`` and ``lower`` the bundle downstairs.
-    """
-    if upper.base is not cov.total or lower.base is not cov.base:
-        raise ValueError("bundles do not sit over the given covering")
-    if upper.group is not lower.group:
-        raise ValueError("bundles carry different structure groups")
-    n = upper.group.order
-    vertex_map = []
-    for idx in range(upper.graph.vertex_count):
-        v_hat, g = divmod(idx, n)
-        vertex_map.append(cov.vertex_to_base[v_hat] * n + g)
-    edge_map = {}
-    for eid in range(len(upper.graph.edges)):
-        pos_hat, g = divmod(eid, n)
-        cover_edge = cov.total.edges[pos_hat].id
-        base_edge = cov.edge_to_base[cover_edge]
-        edge_map[eid] = lower.base.edge_pos(base_edge) * n + g
-    return ComplexMap(
-        source=upper.graph,
-        target=lower.graph,
-        vertex_map=tuple(vertex_map),
-        edge_map=edge_map,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import dot as dot_export
@@ -98,16 +99,16 @@ def _cmd_bundle(args, out) -> int:
     out.write(f"bundle_vertices: {bundle.graph.vertex_count}\n")
     out.write(f"bundle_edges: {len(bundle.graph.edges)}\n")
     out.write(f"components: {len(bundle.components)}\n")
-    out.write(f"holonomy_bundle_degree: {bundle.sheet_counts[bundle._sheet_component[0]]}\n")
+    out.write(f"holonomy_bundle_degree: {bundle.sheets}\n")
     return 0
 
 
-def _verdict_exit(reports, strict_gates: bool) -> int:
-    if any(r.verdict == FAILS for r in reports):
-        return 1
-    if strict_gates and any(r.verdict == GATE for r in reports):
-        return 1
-    return 0
+def _summary(verdicts: Counter) -> str:
+    return f"holds={verdicts[HOLDS]} fails={verdicts[FAILS]} gates-not-met={verdicts[GATE]}"
+
+
+def _verdict_exit(verdicts: Counter, strict_gates: bool) -> int:
+    return 1 if verdicts[FAILS] or (strict_gates and verdicts[GATE]) else 0
 
 
 def _cmd_verify(args, out) -> int:
@@ -129,36 +130,31 @@ def _cmd_verify(args, out) -> int:
             out.write("\n")
         for line in report.to_lines():
             out.write(line + "\n")
-    held = sum(r.verdict == HOLDS for r in reports)
-    failed = sum(r.verdict == FAILS for r in reports)
-    gated = sum(r.verdict == GATE for r in reports)
-    out.write(f"\nsummary: holds={held} fails={failed} gates-not-met={gated}\n")
-    return _verdict_exit(reports, args.strict_gates)
+    verdicts = Counter(r.verdict for r in reports)
+    out.write(f"\nsummary: {_summary(verdicts)}\n")
+    return _verdict_exit(verdicts, args.strict_gates)
 
 
 def _verify_random(args, out) -> int:
-    items = generate_corpus(args.seed, args.all_random)
-    all_reports = []
+    """Verify the corpus one instance at a time, keeping only verdict counts."""
+    verdicts = Counter()
     skipped = 0
-    for k, item in enumerate(items):
-        items[k] = None  # release each instance once verified
+    for k, item in enumerate(generate_corpus(args.seed, args.all_random)):
         inst = item.instance
         try:
             if not inst.subgroup_aut.complete:
                 raise IncompleteAutomatonError("subgroup has infinite index (core incomplete)")
-            reports = standard_reports(inst, seed=args.seed + k, sample_count=args.samples)
+            cells = [
+                (r.claim, r.verdict) for r in standard_reports(inst, seed=args.seed + k, sample_count=args.samples)
+            ]
         except (EnumerationCapError, IncompleteAutomatonError) as exc:
             out.write(f"instance {item.name}: skipped ({exc})\n")
             skipped += 1
             continue
-        cells = " ".join(f"{r.claim}={r.verdict}" for r in reports)
-        out.write(f"instance {item.name}: {cells}\n")
-        all_reports.extend(reports)
-    held = sum(r.verdict == HOLDS for r in all_reports)
-    failed = sum(r.verdict == FAILS for r in all_reports)
-    gated = sum(r.verdict == GATE for r in all_reports)
-    out.write(f"summary: instances={len(items)} skipped={skipped} holds={held} fails={failed} gates-not-met={gated}\n")
-    return _verdict_exit(all_reports, args.strict_gates)
+        out.write(f"instance {item.name}: {' '.join(f'{claim}={verdict}' for claim, verdict in cells)}\n")
+        verdicts.update(verdict for _, verdict in cells)
+    out.write(f"summary: instances={args.all_random} skipped={skipped} {_summary(verdicts)}\n")
+    return _verdict_exit(verdicts, args.strict_gates)
 
 
 def _cmd_export_dot(args, out) -> int:

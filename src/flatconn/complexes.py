@@ -37,8 +37,7 @@ class BaseComplex:
     """
 
     __slots__ = (
-        "vertex_count", "edges", "basepoint", "relators", "_by_id", "_pos", "_incidence", "_validated",
-        "_tree",
+        "vertex_count", "edges", "basepoint", "relators", "_pos", "_incidence", "_validated", "_tree",
     )
 
     def __init__(
@@ -51,19 +50,19 @@ class BaseComplex:
         if vertex_count < 1:
             raise ComplexError("vertex count must be positive")
         edge_list = sorted(edges, key=lambda e: e.id)
-        by_id = {}
-        for e in edge_list:
-            if e.id in by_id:
+        pos = {}  # edge id -> position in ascending-id order
+        for i, e in enumerate(edge_list):
+            if e.id in pos:
                 raise ComplexError(f"duplicate edge id {e.id}")
             if not (0 <= e.tail < vertex_count and 0 <= e.head < vertex_count):
                 raise ComplexError(f"edge {e.id} references a vertex out of range")
-            by_id[e.id] = e
+            pos[e.id] = i
         if not 0 <= basepoint < vertex_count:
             raise ComplexError(f"basepoint {basepoint} out of range")
         rel = []
         for k, w in enumerate(relators):
             for eid, sign in w:
-                if eid not in by_id:
+                if eid not in pos:
                     raise ComplexError(f"relator {k} references unknown edge {eid}")
                 if sign not in (1, -1):
                     raise ComplexError(f"relator {k} has invalid sign {sign}")
@@ -72,8 +71,7 @@ class BaseComplex:
         self.edges = tuple(edge_list)
         self.basepoint = basepoint
         self.relators = tuple(rel)
-        self._by_id = by_id
-        self._pos = {e.id: i for i, e in enumerate(self.edges)}
+        self._pos = pos
         incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for e in self.edges:
             incidence[e.tail].append((e.id, 1))
@@ -89,7 +87,7 @@ class BaseComplex:
 
     def edge(self, eid: int) -> Edge:
         try:
-            return self._by_id[eid]
+            return self.edges[self._pos[eid]]
         except KeyError:
             raise ComplexError(f"unknown edge id {eid}") from None
 

@@ -11,6 +11,7 @@ that every claim's hypothesis gate gets exercised often.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product as iter_product
 from .complexes import BaseComplex, Edge
@@ -117,8 +118,9 @@ class CorpusItem:
     instance: Instance
 
 
-def generate_corpus(seed: int, count: int) -> list[CorpusItem]:
-    """Seeded corpus of instances over the base and group catalogs.
+def generate_corpus(seed: int, count: int) -> Iterator[CorpusItem]:
+    """Seeded corpus of instances over the base and group catalogs, made
+    one at a time as they are read.
 
     Covering specs cycle: kernel preimage, enumerated-subgroup preimage,
     words (alternating a finite-index family with fully random words).  The
@@ -129,7 +131,6 @@ def generate_corpus(seed: int, count: int) -> list[CorpusItem]:
     base_names = sorted(bases)
     groups = {name: catalog_group(name) for name in GROUP_NAMES}
     subgroup_pool = {name: enumerate_subgroups(g) for name, g in groups.items()}
-    items = []
     for i in range(count):
         base_name = base_names[rng.randrange(len(base_names))]
         group_name = GROUP_NAMES[rng.randrange(len(GROUP_NAMES))]
@@ -155,15 +156,10 @@ def generate_corpus(seed: int, count: int) -> list[CorpusItem]:
                 kind = "words-random"
             spec = SubgroupSpec(kind="words", words=words)
         name = f"{i:03d}-{base_name}-{group_name}-{kind}"
-        items.append(
-            CorpusItem(
-                name=name,
-                base_name=base_name,
-                group_name=group_name,
-                spec_kind=kind,
-                instance=Instance(
-                    bases[base_name], group, voltage, spec, name=name, tc_cap=CORPUS_TC_CAP
-                ),
-            )
+        yield CorpusItem(
+            name=name,
+            base_name=base_name,
+            group_name=group_name,
+            spec_kind=kind,
+            instance=Instance(bases[base_name], group, voltage, spec, name=name, tc_cap=CORPUS_TC_CAP),
         )
-    return items

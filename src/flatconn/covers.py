@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
@@ -22,78 +20,36 @@ from .subgroups import CosetAutomaton
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexMap:
-    """A vertex/edge map between complexes.
-
-    ``vertex_map`` is indexed by source vertex; ``edge_map`` sends source
-    edge ids to target edge ids.  Orientation is preserved (a map never
-    flips an edge); incidence is checked by :func:`check_incidence`.
-    """
-
-    source: BaseComplex
-    target: BaseComplex
-    vertex_map: tuple
-    edge_map: Mapping[int, int]
-
-    def __post_init__(self):
-        if len(self.vertex_map) != self.source.vertex_count:
-            raise ValueError("vertex map must cover every source vertex")
-        for v in self.vertex_map:
-            if not 0 <= v < self.target.vertex_count:
-                raise ValueError(f"vertex image {v} out of range")
-        for e in self.source.edges:
-            if e.id not in self.edge_map:
-                raise ValueError(f"edge map missing source edge {e.id}")
-        for eid, tid in self.edge_map.items():
-            self.source.edge(eid)
-            self.target.edge(tid)
-        object.__setattr__(self, "edge_map", dict(self.edge_map))
-
-    @classmethod
-    def _trusted(cls, source: BaseComplex, target: BaseComplex, vertex_map: tuple, edge_map: dict):
-        """A map valid by construction, stored without the checks."""
-        m = cls.__new__(cls)
-        m.__dict__.update(source=source, target=target, vertex_map=vertex_map, edge_map=edge_map)
-        return m
-
-    def map_step(self, step: tuple[int, int]) -> tuple[int, int]:
-        eid, sign = step
-        return (self.edge_map[eid], sign)
-
-
-def check_incidence(m: ComplexMap) -> None:
-    """Raise IncidenceError unless the map respects tails and heads."""
-    for e in m.source.edges:
-        img = m.target.edge(m.edge_map[e.id])
-        if m.vertex_map[e.tail] != img.tail or m.vertex_map[e.head] != img.head:
-            raise IncidenceError(
-                f"edge {e.id} -> {img.id} does not respect incidences: "
-                f"({m.vertex_map[e.tail]}, {m.vertex_map[e.head]}) vs ({img.tail}, {img.head})"
-            )
-
-
-@dataclass(frozen=True, eq=False)
 class CoveringComplex:
-    """A covering of a base complex built from a coset automaton."""
+    """A covering of a base complex built from a coset automaton.
+
+    The id layout is the covering map: vertex s * V + u of the total space
+    lies over base vertex u, and edge s * E + p over the base edge at
+    position p, for state s, V base vertices and E base edges.
+    """
 
     base: BaseComplex
     automaton: CosetAutomaton
     total: BaseComplex
-    vertex_to_base: tuple
-    edge_to_base: Mapping[int, int]
     base_lift: int
 
     @property
     def degree(self) -> int:
         return self.automaton.state_count
 
-    def projection(self) -> ComplexMap:
-        return self._projection
 
-    @cached_property
-    def _projection(self) -> ComplexMap:
-        """The covering map, built once per cover from the cover's own data."""
-        return ComplexMap._trusted(self.total, self.base, self.vertex_to_base, self.edge_to_base)
+def check_incidence(cov: CoveringComplex) -> None:
+    """Raise IncidenceError unless every lift s * E + p runs from a vertex
+    over tail(p) to a vertex over head(p)."""
+    base = cov.base
+    V, E = base.vertex_count, len(base.edges)
+    for e in cov.total.edges:
+        img = base.edges[e.id % E]
+        if e.tail % V != img.tail or e.head % V != img.head:
+            raise IncidenceError(
+                f"edge {e.id} -> {img.id} does not respect incidences: "
+                f"({e.tail % V}, {e.head % V}) vs ({img.tail}, {img.head})"
+            )
 
 
 class LiftedRelators(Sequence):
@@ -158,7 +114,6 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         for s in range(n_states)
         for pos, e in enumerate(c.edges)
     ]
-    edge_to_base = {s * E + pos: e.id for s in range(n_states) for pos, e in enumerate(c.edges)}
 
     relators = []
     for k, rel in enumerate(c.relators):
@@ -185,12 +140,4 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     # valid as built: each lifted relator closed above, and each sheet is joined to
     # state 0's (an automaton keeps only the states reachable from state 0)
     total._validated = True
-    vertex_to_base = tuple(range(V)) * n_states
-    return CoveringComplex(
-        base=c,
-        automaton=a,
-        total=total,
-        vertex_to_base=vertex_to_base,
-        edge_to_base=edge_to_base,
-        base_lift=c.basepoint,
-    )
+    return CoveringComplex(base=c, automaton=a, total=total, base_lift=c.basepoint)

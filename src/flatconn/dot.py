@@ -41,12 +41,10 @@ def complex_dot(c: BaseComplex, voltage: Optional[Voltage] = None, name: str = "
 
 
 def cover_dot(cov: CoveringComplex, name: str = "cover") -> str:
-    V = cov.base.vertex_count
+    base = cov.base
+    V, E = base.vertex_count, len(base.edges)
     nodes = [f"v{idx // V}_{idx % V}" for idx in range(cov.total.vertex_count)]
-    edges = []
-    for e in cov.total.edges:
-        label = f"e{cov.edge_to_base[e.id]}"
-        edges.append((nodes[e.tail], nodes[e.head], label))
+    edges = [(nodes[e.tail], nodes[e.head], f"e{base.edges[e.id % E].id}") for e in cov.total.edges]
     return _digraph(name, nodes, edges)
 
 

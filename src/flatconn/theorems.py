@@ -258,8 +258,7 @@ def pullback_voltage(cov: CoveringComplex, v: Voltage) -> Voltage:
     be flat; a non-flat base's pullback evaluates its relators when asked."""
     if v.complex is not cov.base:
         raise ValueError("voltage is not defined on the covering's base")
-    w = v.assignment
-    assignment = {eid: w[base_eid] for eid, base_eid in cov.edge_to_base.items()}
+    assignment = dict(enumerate(v.as_tuple() * cov.degree))  # lift s * E + p takes the value on p
     return Voltage._trusted(cov.total, v.group, assignment, () if v._violations == () else None)
 
 
@@ -309,14 +308,17 @@ def verify_functoriality(
     if sample_count < 0:
         raise ValueError(f"sample count must be non-negative, got {sample_count}")
     cov, tree = inst.cover, inst.cover_tree
-    proj = cov.projection()
-    check_incidence(proj)  # so the projection of every closed word is a closed word
+    check_incidence(cov)  # so the projection of every closed word is a closed word
     total, g = cov.total, inst.group
-    mul_inv, column = g.mul_inv, g.column
+    mul_inv, column, inverse = g.mul_inv, g.column, g.inverse
     up_value = inst.pullback.on_step
+    values, E = inst.voltage.as_tuple(), len(cov.base.edges)
 
     def down_value(step: tuple[int, int]) -> int:
-        return inst.voltage.on_step(proj.map_step(step))
+        """The base value of the projected step: cover edge s * E + p lies over position p."""
+        eid, sign = step
+        x = values[eid % E]
+        return x if sign > 0 else inverse[x]
 
     pot_up = _tree_potentials(tree, inst.group, up_value)
     pot_down = _tree_potentials(tree, inst.group, down_value)
@@ -539,7 +541,7 @@ def verify_prop_2_4(inst: Instance) -> VerificationReport:
         index = inst.kernel_aut.state_count
         expected = index * (inst.presentation.rank - 1) + 1
         d, c = inst.base_bundle, inst.complex  # the bundle is k sheets of V vertices and E edges
-        actual = d.sheet_counts[d._sheet_component[0]] * (len(c.edges) - c.vertex_count) + 1
+        actual = d.sheets * (len(c.edges) - c.vertex_count) + 1
         rank_ok = actual == expected
         notes.append(f"rank pi1(holonomy bundle) = {actual}, expected {expected}")
     witnesses = (("bundle-subgroup-equals-kernel", str(sub_ok)), ("rank-formula", str(rank_ok)))

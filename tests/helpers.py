@@ -6,11 +6,16 @@ independent oracles.  The general route of Gross & Tucker's derived graphs
 lives here: a path's holonomy walked edge by edge (``word_holonomy``), gauge
 moves (``GaugeTransform``, ``apply_gauge``), the Schreier generators spelled
 out over the library's transversal (``reidemeister_schreier``), and, for any
-``ComplexMap``, the star-bijection covering check (``lift_index``,
+``ComplexMap`` (a vertex/edge map between complexes, its incidence check
+``check_map_incidence``), the star-bijection covering check (``lift_index``,
 ``is_covering_map``), the subgroup read off its sheets
 (``subgroup_of_cover``) and composition (``compose_complex_maps``, through
-the public constructor).  The reference loops compute lifted relators and
-Schreier generators the long way: every lift traced step by step, and
+the public constructor).  A cover's projection and the bundle map over it
+(``projection``, ``induced_bundle_map``) are such maps, read off the id
+layouts: cover vertex s V + u lies over u, cover edge s E + p over base
+position p, and bundle vertex (or lifted edge) i |G| + x over i.  The
+reference loops compute lifted relators and Schreier generators the long
+way: every lift traced step by step, and
 every Schreier word, over a transversal built here, freely reduced or
 spelled out, evaluated and traced letter by letter.  Word strings are read
 the long way too: every token matched, and every covering word walked
@@ -30,7 +35,6 @@ from dataclasses import dataclass
 
 from flatconn.complexes import _NO_LETTER, BaseComplex, Edge, _closed_loop_word, spanning_tree
 from flatconn.connections import Voltage
-from flatconn.covers import ComplexMap, check_incidence
 from flatconn.errors import ComplexError, IncidenceError, InputError
 from flatconn.groups import compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
@@ -43,6 +47,73 @@ def loop_to_generator_word(c, t, w):
     letters = t.letters
     path = [(*c.step_endpoints(step), step, *letters.get(step, _NO_LETTER)) for step in w]
     return _closed_loop_word(path, c.basepoint)
+
+
+@dataclass(frozen=True, eq=False)
+class ComplexMap:
+    """A vertex/edge map between complexes.
+
+    ``vertex_map`` is indexed by source vertex; ``edge_map`` sends source
+    edge ids to target edge ids.  Orientation is preserved (a map never
+    flips an edge); incidence is checked by :func:`check_map_incidence`.
+    """
+
+    source: BaseComplex
+    target: BaseComplex
+    vertex_map: tuple
+    edge_map: dict
+
+    def __post_init__(self):
+        if len(self.vertex_map) != self.source.vertex_count:
+            raise ValueError("vertex map must cover every source vertex")
+        for v in self.vertex_map:
+            if not 0 <= v < self.target.vertex_count:
+                raise ValueError(f"vertex image {v} out of range")
+        for e in self.source.edges:
+            if e.id not in self.edge_map:
+                raise ValueError(f"edge map missing source edge {e.id}")
+        for eid, tid in self.edge_map.items():
+            self.source.edge(eid)
+            self.target.edge(tid)
+        object.__setattr__(self, "edge_map", dict(self.edge_map))
+
+    def map_step(self, step):
+        eid, sign = step
+        return (self.edge_map[eid], sign)
+
+
+def check_map_incidence(m):
+    """Raise IncidenceError unless the map respects tails and heads."""
+    for e in m.source.edges:
+        img = m.target.edge(m.edge_map[e.id])
+        if m.vertex_map[e.tail] != img.tail or m.vertex_map[e.head] != img.head:
+            raise IncidenceError(
+                f"edge {e.id} -> {img.id} does not respect incidences: "
+                f"({m.vertex_map[e.tail]}, {m.vertex_map[e.head]}) vs ({img.tail}, {img.head})"
+            )
+
+
+def projection(cov):
+    """The covering map of a cover, read off its id layout."""
+    base = cov.base
+    V, E = base.vertex_count, len(base.edges)
+    vertex_map = tuple(v % V for v in range(cov.total.vertex_count))
+    edge_map = {e.id: base.edges[e.id % E].id for e in cov.total.edges}
+    return ComplexMap(cov.total, base, vertex_map, edge_map)
+
+
+def induced_bundle_map(upper, lower, cov):
+    """The bundle map over a covering: (v^, g) -> (q(v^), g) on vertices and
+    likewise on lifted edges.  ``upper`` must be the derived bundle of the
+    pulled-back voltage on ``cov.total`` and ``lower`` the bundle downstairs."""
+    if upper.base is not cov.total or lower.base is not cov.base:
+        raise ValueError("bundles do not sit over the given covering")
+    if upper.group is not lower.group:
+        raise ValueError("bundles carry different structure groups")
+    n, V, E = upper.group.order, cov.base.vertex_count, len(cov.base.edges)
+    vertex_map = tuple((i // n % V) * n + i % n for i in range(upper.graph.vertex_count))
+    edge_map = {i: (i // n % E) * n + i % n for i in range(len(upper.graph.edges))}
+    return ComplexMap(upper.graph, lower.graph, vertex_map, edge_map)
 
 
 def tree_edges(t):
@@ -96,7 +167,7 @@ def lift_index(m):
     unless the edge-ends at every source vertex map one to one (no key is
     taken twice) and onto (as many keys as ends at the image vertex).
     Incidence is checked first, so every key is such an end."""
-    check_incidence(m)
+    check_map_incidence(m)
     idx = [{} for _ in range(m.source.vertex_count)]
     for e in m.source.edges:
         out = 2 * m.edge_map[e.id]
@@ -223,7 +294,7 @@ def cover_nx(inst):
 def composite_map(inst, nx=None):
     """The covering N(basepoint lift upstairs) -> base, through the cover;
     ``nx`` is :func:`cover_nx` of the instance, if already extracted."""
-    return compose_complex_maps(nx or cover_nx(inst), inst.cover.projection())
+    return compose_complex_maps(nx or cover_nx(inst), projection(inst.cover))
 
 
 def covering_degree(m):

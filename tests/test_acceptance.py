@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from flatconn.bundles import derived_bundle, induced_bundle_map
+from flatconn.bundles import derived_bundle
 from flatconn.complexes import spanning_tree
 from flatconn.connections import holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
@@ -31,7 +31,14 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
-from helpers import graph_diameter, holonomy_projection, is_covering_map, reidemeister_schreier, subgroup_of_cover
+from helpers import (
+    graph_diameter,
+    holonomy_projection,
+    induced_bundle_map,
+    is_covering_map,
+    reidemeister_schreier,
+    subgroup_of_cover,
+)
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 200
@@ -40,7 +47,7 @@ MIN_GATE_PASSES = 20
 
 @pytest.fixture(scope="module")
 def corpus():
-    items = generate_corpus(CORPUS_SEED, CORPUS_SIZE)
+    items = list(generate_corpus(CORPUS_SEED, CORPUS_SIZE))
     complete = []
     skipped = []
     for item in items:
@@ -63,7 +70,7 @@ def _announce(msg):
 def test_criterion_1_theorem_1_1_suite():
     # the timer covers the full pipeline: generation, automata, covers, check
     start = time.perf_counter()
-    items = generate_corpus(CORPUS_SEED, CORPUS_SIZE)
+    items = list(generate_corpus(CORPUS_SEED, CORPUS_SIZE))
     checked = 0
     for item in items:
         try:

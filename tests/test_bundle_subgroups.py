@@ -12,20 +12,25 @@ ladder documents and on a base whose spanning tree runs edges backwards
 and whose generators start and end off the basepoint (the catalog bases
 have neither); prop 2.4's rank, read from the sheet count, must be the
 extracted component's free rank; and the claim checks must build no map of
-complexes but each cover's own projection.
+complexes, reading each cover's projection off its id layout, whose
+incidence they check once per set of reports.
 """
 
 import importlib.util
 import os
+import pkgutil
 import random
+from importlib import import_module
 
 import pytest
+
+import flatconn
+from flatconn import covers, theorems
 
 from flatconn.bundles import LiftedGraph, _basepoint_subgroup, derived_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
-from flatconn.covers import ComplexMap
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import catalog_group
 from flatconn.io import parse_instance, parse_instance_data
@@ -37,8 +42,10 @@ from helpers import (
     cover_nx,
     covering_degree,
     holonomy_projection,
+    projection,
     subgroup_of_cover,
 )
+from test_library_surface import identifiers
 
 HERE = os.path.dirname(__file__)
 DOCUMENTS = [os.path.join(HERE, os.pardir, "instances"), os.path.join(HERE, "documents")]
@@ -142,29 +149,29 @@ def test_rank_formula_reads_the_extracted_free_rank(source):
 
 @pytest.mark.parametrize("source", ["documents", "ladder", "backward_tree", 3])
 def test_claim_checks_extract_no_component(monkeypatch, source):
-    """No component, composite or bundle map is built as a map of complexes:
-    the only map the claim checks make is each cover's own projection."""
-    built, checked = [], []
-    trusted, check = ComplexMap._trusted.__func__, ComplexMap.__post_init__
+    """No component, composite, bundle map or projection is built as a map
+    of complexes: no library module names a vertex or edge map, and the one
+    incidence check the claim checks run is on each instance's own cover,
+    once per set of reports."""
+    for info in pkgutil.iter_modules(flatconn.__path__):
+        module = import_module("flatconn." + info.name)
+        assert not {"vertex_map", "edge_map"} & set(identifiers(module.__file__)), module.__name__
+    checked = []
+    check = covers.check_incidence
 
-    def counting_trusted(cls, *args):
-        m = trusted(cls, *args)
-        built.append(m)
-        return m
+    def counting(cov):
+        checked.append(cov)
+        return check(cov)
 
-    def counting_check(m):
-        checked.append(m)
-        check(m)
-
-    monkeypatch.setattr(ComplexMap, "_trusted", classmethod(counting_trusted))
-    monkeypatch.setattr(ComplexMap, "__post_init__", counting_check)
-    reports, projections = 0, set()
+    for module in (covers, theorems):  # every name the check is called by
+        monkeypatch.setattr(module, "check_incidence", counting)
+    reports = 0
     for inst in source_instances(source):
         if has_finite_cover(inst):
+            checked.clear()
             reports += len(standard_reports(inst, seed=0))
-            projections.add(id(inst.cover.projection()))
-    assert reports and checked == []
-    assert {id(m) for m in built} == projections
+            assert len(checked) == 1 and checked[0] is inst.cover, inst.name
+    assert reports
 
 
 def test_base_walk_rejects_a_fiber_map_that_does_not_undo_its_edge(monkeypatch):
@@ -221,7 +228,7 @@ def test_composite_walk_reads_each_lift_of_an_edge_at_its_own_state():
             v = Voltage(total, g, {e.id: rng.randrange(g.order) for e in total.edges})
             d = derived_bundle(total, g, v)
             nx = holonomy_projection(d)
-            want = subgroup_of_cover(compose_complex_maps(nx, inst.cover.projection()), nx.source.basepoint)
+            want = subgroup_of_cover(compose_complex_maps(nx, projection(inst.cover)), nx.source.basepoint)
             assert automata_equal(_basepoint_subgroup(d, inst.cover), want), inst.name
             checked += 1
     assert checked > 50

@@ -45,15 +45,15 @@ def test_random_flat_voltage_fallback_path():
 
 
 def test_generate_corpus_deterministic():
-    first = generate_corpus(17, 30)
-    second = generate_corpus(17, 30)
+    first = list(generate_corpus(17, 30))
+    second = list(generate_corpus(17, 30))
     assert [it.name for it in first] == [it.name for it in second]
     keys = [[(it.base_name, it.group_name, it.instance.voltage.as_tuple()) for it in run] for run in (first, second)]
     assert keys[0] == keys[1]
 
 
 def test_generate_corpus_mix():
-    items = generate_corpus(1, 60)
+    items = list(generate_corpus(1, 60))
     kinds = {it.spec_kind for it in items}
     assert "kernel" in kinds
     assert "quotient" in kinds

@@ -5,11 +5,11 @@ from itertools import chain
 
 import pytest
 
-from flatconn.bundles import derived_bundle, induced_bundle_map
+from flatconn.bundles import derived_bundle
 from flatconn.complexes import BaseComplex, Edge, spanning_tree, validate_complex
 from flatconn.connections import Voltage, holonomy_morphism, holonomy_group, kernel_automaton
 from flatconn.corpus import generate_corpus
-from flatconn.covers import ComplexMap, build_cover
+from flatconn.covers import CoveringComplex, build_cover
 from flatconn.errors import (
     ComplexError,
     EnumerationCapError,
@@ -26,15 +26,18 @@ from flatconn.subgroups import (
     SubgroupSpec,
     stallings_core,
 )
-from flatconn.theorems import Instance, _product_form
+from flatconn.theorems import Instance, _product_form, verify_functoriality
 from helpers import (
+    ComplexMap,
     compose_complex_maps,
     covering_degree,
     holonomy_projection,
+    induced_bundle_map,
     induced_projection,
     is_covering_map,
     left_translation,
     lift_path,
+    projection,
     subgroup_of_cover,
 )
 
@@ -51,7 +54,7 @@ def test_build_cover_index_one(wedge, s3):
     assert cov.degree == 1
     assert cov.total.vertex_count == wedge.vertex_count
     assert len(cov.total.edges) == len(wedge.edges)
-    assert is_covering_map(cov.projection())
+    assert is_covering_map(projection(cov))
 
 
 def test_build_cover_a3_preimage(wedge, s3):
@@ -59,12 +62,13 @@ def test_build_cover_a3_preimage(wedge, s3):
     total = cov.total
     assert total.vertex_count == 2
     assert len(total.edges) == 4
-    a_lifts = [e for e in total.edges if cov.edge_to_base[e.id] == 0]
-    b_lifts = [e for e in total.edges if cov.edge_to_base[e.id] == 1]
+    edge_map = projection(cov).edge_map
+    a_lifts = [e for e in total.edges if edge_map[e.id] == 0]
+    b_lifts = [e for e in total.edges if edge_map[e.id] == 1]
     # the two a-edges cross between the sheets, the b-edges loop
     assert sorted((e.tail, e.head) for e in a_lifts) == [(0, 1), (1, 0)]
     assert all(e.tail == e.head for e in b_lifts)
-    assert is_covering_map(cov.projection())
+    assert is_covering_map(projection(cov))
 
 
 def test_build_cover_circle_double(circle, z2):
@@ -131,6 +135,21 @@ def test_is_covering_map_incidence_error():
         is_covering_map(m)
 
 
+def test_functoriality_rejects_a_lift_over_the_wrong_vertex(z2):
+    """A cover lies over its base by its id layout alone: lift s * E + p
+    must run over base edge position p.  Here the two-cycle's index-2 cover
+    has its first lift re-pointed into the fiber over vertex 0, not 1."""
+    base = BaseComplex(2, [Edge(0, 0, 1), Edge(1, 1, 0)])
+    inst = Instance(base, z2, Voltage(base, z2, {0: 0, 1: 1}), SubgroupSpec(kind="quotient", subgroup=(0,)))
+    cov = inst.cover
+    assert [(e.id, e.tail, e.head) for e in cov.total.edges] == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)]
+    edges = [Edge(0, 0, 2)] + list(cov.total.edges[1:])
+    inst.__dict__["cover"] = CoveringComplex(base, cov.automaton, BaseComplex(4, edges), cov.base_lift)
+    with pytest.raises(IncidenceError) as err:
+        verify_functoriality(inst)
+    assert str(err.value) == "edge 0 -> 0 does not respect incidences: (0, 0) vs (0, 1)"
+
+
 def test_identity_is_covering(wedge):
     m = ComplexMap(wedge, wedge, (0,), {0: 0, 1: 1})
     assert is_covering_map(m)
@@ -144,12 +163,12 @@ def test_subgroup_of_cover_round_trip(wedge, torus, s3, z4):
     cases.append((torus, automaton_from_quotient([1, 2], z4, subgroup_closure(z4, (2,)))))
     for base, aut in cases:
         cov = build_cover(base, aut)
-        assert automata_equal(subgroup_of_cover(cov.projection(), cov.base_lift), aut)
+        assert automata_equal(subgroup_of_cover(projection(cov), cov.base_lift), aut)
 
 
 def test_lift_path_unique(wedge, s3):
     cov = build_cover(wedge, a3_automaton(s3))
-    proj = cov.projection()
+    proj = projection(cov)
     lifted = lift_path(proj, ((0, 1), (0, 1)), cov.base_lift)
     assert tuple(proj.map_step(step) for step in lifted) == ((0, 1), (0, 1))
     end = cov.total.path_vertices(lifted, start=cov.base_lift)[-1]
@@ -159,9 +178,9 @@ def test_lift_path_unique(wedge, s3):
 def test_compose_maps(wedge, s3):
     cov = build_cover(wedge, a3_automaton(s3))
     ident = ComplexMap(wedge, wedge, (0,), {0: 0, 1: 1})
-    comp = compose_complex_maps(cov.projection(), ident)
+    comp = compose_complex_maps(projection(cov), ident)
     assert is_covering_map(comp)
-    assert comp.vertex_map == cov.projection().vertex_map
+    assert comp.vertex_map == projection(cov).vertex_map
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +303,7 @@ def test_bundle_components_match_bfs_over_edges(seed):
             assert [e.id for e in edges] == list(range(len(edges)))
             expected = components_by_bfs(d.graph.vertex_count, edges)
             assert tuple(d.components) == expected[0]
-            assert d.sheet_counts == tuple(len(comp) // d.base.vertex_count for comp in expected[0])
+            assert all(len(comp) == d.sheets * d.base.vertex_count for comp in expected[0])
 
 
 @pytest.mark.parametrize("seed", BUNDLE_SOURCES)
@@ -299,7 +318,7 @@ def test_extracted_components_match_bfs_over_edges(seed):
                 part, lifts = induced_projection(d, comp, comp[0])
                 assert lifts == tuple(e.id for e in edges if component_of[e.tail] == i)
                 assert is_covering_map(part)
-                assert covering_degree(part) == d.sheet_counts[i]
+                assert covering_degree(part) == d.sheets
             assert holonomy_component(d) == components[component_of[d.base_lift]]
 
 
@@ -427,7 +446,7 @@ def test_left_translation_permutes_components(wedge, s3):
 def test_holonomy_bundle_full(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge, s3, wedge_s3_voltage)
     hb = holonomy_component(d)
-    assert d.sheet_counts == (6,)
+    assert (len(d.components), d.sheets) == (1, 6)
     assert len(hb) == d.graph.vertex_count
     assert fiber_elements(d, hb) == tuple(range(6))
 
@@ -436,7 +455,7 @@ def test_holonomy_bundle_trivial(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
     d = derived_bundle(wedge, s3, v)
     hb = holonomy_component(d)
-    assert d.sheet_counts[component_ids(d)[d.base_lift]] == 1
+    assert d.sheets == 1
     assert len(hb) == wedge.vertex_count
     assert sum(e.tail in hb for e in d.graph.edges) == len(wedge.edges)
 
@@ -445,7 +464,7 @@ def test_holonomy_bundle_proper_subgroup(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})
     d = derived_bundle(wedge, s3, v)
     hb = holonomy_component(d)
-    assert d.sheet_counts[component_ids(d)[d.base_lift]] == 2
+    assert d.sheets == 2
     assert fiber_elements(d, hb) == (0, 1)  # e and (01)
     # (vertex 0, e), (vertex 0, (01)) and the a- and b-lifts through them
     assert hb == (0, 1)
@@ -462,16 +481,16 @@ def test_component_complex_off_the_basepoint_lift(s3):
     base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)], basepoint=1)
     d = derived_bundle(base, s3, Voltage(base, s3, {0: 2, 3: 3, 5: 0}))
     assert component_ids(d) == (0, 0, 1, 2, 1, 2, 2, 1, 0, 0, 2, 1)
-    assert d.sheet_counts == (2, 2, 2)
+    assert (len(d.components), d.sheets) == (3, 2)
     part = d.components[1]
     assert part == (2, 4, 7, 11)
     assert fiber_elements(d, part) == (1, 5)
     lifts = [(e.id, e.tail, e.head) for e in d.graph.edges if e.tail in part]
     assert lifts == [(2, 2, 11), (4, 4, 7), (7, 7, 2), (11, 11, 4), (13, 7, 7), (17, 11, 11)]
-    projection, _ = induced_projection(d, part, part[0])
-    assert projection.vertex_map == (0, 0, 1, 1)
-    assert projection.edge_map == {0: 0, 1: 0, 2: 3, 3: 3, 4: 5, 5: 5}
-    assert is_covering_map(projection)
+    proj, _ = induced_projection(d, part, part[0])
+    assert proj.vertex_map == (0, 0, 1, 1)
+    assert proj.edge_map == {0: 0, 1: 0, 2: 3, 3: 3, 4: 5, 5: 5}
+    assert is_covering_map(proj)
     hb = holonomy_component(d)
     assert hb == (3, 5, 6, 10)
     assert hb.index(d.base_lift) == 2
@@ -484,7 +503,7 @@ def test_holonomy_bundle_fiber_is_holonomy_group(wedge, s3):
         d = derived_bundle(wedge, s3, v)
         h = holonomy_morphism(v, spanning_tree(wedge))
         assert fiber_elements(d, holonomy_component(d)) == holonomy_group(h).members
-        assert d.sheet_counts[component_ids(d)[d.base_lift]] == len(holonomy_group(h))
+        assert d.sheets == len(holonomy_group(h))
 
 
 def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):

@@ -10,6 +10,7 @@ the base voltage along the projected word downstairs.
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
 from flatconn.theorems import FAILS, HOLDS, verify_functoriality
+from helpers import projection
 from test_functoriality_sampler import reference_functoriality
 
 SAMPLE_SEED = 111  # the seed `verify --all-random N --seed 0` gives instance 111
@@ -20,7 +21,8 @@ def walk(inst, w):
     cov, g = inst.cover, inst.group
     verts = cov.total.path_vertices(w, start=cov.base_lift)
     assert verts[-1] == cov.base_lift
-    projected = tuple((cov.edge_to_base[eid], sign) for eid, sign in w)
+    proj = projection(cov)
+    projected = tuple(proj.map_step(step) for step in w)
     verts = inst.complex.path_vertices(projected, start=inst.complex.basepoint)
     assert verts[-1] == inst.complex.basepoint
     up = down = 0
@@ -55,7 +57,7 @@ def generator_witness_lines(inst, sample_count, seed):
 
 
 def theta_s4_kernel():
-    inst = generate_corpus(0, 112)[111].instance
+    inst = list(generate_corpus(0, 112))[111].instance
     assert inst.name == "111-theta-S4-kernel"
     assert (inst.group.order, inst.cover.total.vertex_count, len(inst.cover.total.edges)) == (24, 48, 72)
     return inst

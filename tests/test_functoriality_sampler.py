@@ -16,11 +16,10 @@ import pytest
 
 from flatconn.connections import Voltage
 from flatconn.corpus import generate_corpus
-from flatconn.covers import check_incidence
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.io import parse_instance
 from flatconn.theorems import FAILS, HOLDS, HypothesisCheck, VerificationReport, verify_functoriality
-from helpers import tree_edges
+from helpers import check_map_incidence, projection, tree_edges
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -31,8 +30,8 @@ def reference_functoriality(inst, sample_count=100, seed=0):
     """One star draw per step; each word closed by its tree path, walked."""
     rng = random.Random(seed)
     cov = inst.cover
-    proj = cov.projection()
-    check_incidence(proj)
+    proj = projection(cov)
+    check_map_incidence(proj)
     stars = [cov.total.star(v) for v in range(cov.total.vertex_count)]
     mismatches = []
     for _ in range(sample_count):

@@ -17,7 +17,7 @@ from flatconn.io import (
     parse_instance_data,
     word_to_string,
 )
-from flatconn.theorems import FAILS, standard_reports
+from flatconn.theorems import FAILS, Instance, standard_reports
 
 HERE = os.path.dirname(__file__)
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
@@ -191,6 +191,8 @@ def test_complex_json_round_trip(torus):
             ["export-dot", OFFBASE, "--what", "holonomy-bundle"],
             "dot_offbase_s3_components_holonomy_bundle.txt",
         ),
+        # two base vertices and edge ids 0, 3, 5: the cover's id layout off a one-vertex base
+        (["export-dot", OFFBASE, "--what", "cover"], "dot_offbase_s3_components_cover.txt"),
     ],
 )
 def test_cli_golden(argv, golden_name, capsys):
@@ -558,6 +560,36 @@ def test_cli_verify_all_random_releases_verified_instances(monkeypatch, capsys):
     assert code == 0 and len(verified) > 1 and len(verified) + out.count(": skipped (") == 12
 
 
+def test_cli_verify_all_random_reads_its_corpus_one_instance_at_a_time(monkeypatch, capsys):
+    """With reference counting alone, at most two corpus instances are alive
+    at any verification, and no earlier report is kept: the corpus is read
+    as it is made, and only verdicts are counted."""
+    made, reports, alive = [], [], []
+    init = Instance.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def watching(inst, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        assert all(ref() is None for ref in reports)
+        out = standard_reports(inst, **kwargs)
+        reports.extend(map(weakref.ref, out))
+        return out
+
+    monkeypatch.setattr(Instance, "__init__", recording_init)
+    monkeypatch.setattr(cli, "standard_reports", watching)
+    gc.disable()
+    try:
+        code, out, _ = run_cli(["verify", "--all-random", "40", "--seed", "4", "--samples", "5"], capsys)
+    finally:
+        gc.enable()
+    assert code == 0 and len(made) == 40 and len(alive) > 20
+    assert max(alive) <= 2
+    assert f"\nsummary: instances=40 skipped={40 - len(alive)} " in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -658,6 +690,16 @@ def test_cover_emit_complex_pins_lifted_relators(tmp_path, capsys):
     assert out == f"degree: 4\nrank: 5\nregular: yes\nemitted: {out_path}\n"
     with open(out_path, "r", encoding="utf-8") as fh:
         assert fh.read() == golden("cover_torus_z4_complex.json")
+
+
+def test_cover_emit_complex_pins_the_layout_over_two_vertices(tmp_path, capsys):
+    # two base vertices and edge ids 0, 3, 5: lifted vertex s * V + u and edge s * E + p
+    out_path = tmp_path / "cover.json"
+    code, out, err = run_cli(["cover", OFFBASE, "--emit-complex", str(out_path)], capsys)
+    assert code == 0
+    assert out == f"degree: 2\nrank: 3\nregular: yes\nemitted: {out_path}\n"
+    with open(out_path, "r", encoding="utf-8") as fh:
+        assert fh.read() == golden("cover_offbase_s3_components_complex.json")
 
 
 def test_cli_golden_kernel_gate_miss(capsys):

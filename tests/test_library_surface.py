@@ -1,10 +1,12 @@
 """The library holds only what its pipeline reads.
 
-The general route over arbitrary maps of complexes (star-bijection covering
+The general route over arbitrary maps of complexes (the map type itself, a
+cover's projection and the bundle map over it, star-bijection covering
 checks, subgroups read off any covering's sheets, composition), Schreier
 generators spelled out, path holonomy walked edge by edge, gauge moves and
 edge loops rewritten as generator words outside a document are test
-oracles and live in ``tests/helpers.py``.  No module of ``flatconn``, and
+oracles and live in ``tests/helpers.py``; a cover lies over its base by its
+id layout alone, with no per-edge table.  No module of ``flatconn``, and
 no script of the growth ladder, defines, exports, imports or calls them.
 """
 
@@ -17,8 +19,8 @@ import flatconn
 from flatconn.bundles import DerivedBundle
 from flatconn.connections import HolonomyMorphism
 from flatconn.corpus import CorpusItem
-from flatconn.covers import ComplexMap
 from flatconn.theorems import Instance, VerificationReport
+from helpers import ComplexMap
 
 HERE = os.path.dirname(__file__)
 LADDER = os.path.join(HERE, os.pardir, "ladder")
@@ -33,6 +35,11 @@ MOVED = {
     "compose_complex_maps",
     "_lift_index",
     "loop_to_generator_word",
+    "ComplexMap",
+    "induced_bundle_map",
+    "projection",
+    "edge_to_base",
+    "vertex_to_base",
 }
 
 
@@ -70,7 +77,7 @@ def test_the_ladder_reads_no_moved_name():
 def test_no_member_exists_only_for_a_test():
     """The bundle map, the corpus's voltage key, the report's gate flag and
     the morphism's word evaluation are read through the code under them:
-    ``induced_bundle_map``, ``voltage.as_tuple``, the hypotheses and
+    ``helpers.induced_bundle_map``, ``voltage.as_tuple``, the hypotheses and
     ``GroupTable.evaluate_word``."""
     assert not hasattr(Instance, "bundle_map")
     assert not hasattr(CorpusItem, "voltage_key")

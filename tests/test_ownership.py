@@ -39,9 +39,7 @@ def _verify(inst, seed):
 def _verify_and_drop_everything():
     verified = 0
     for seed in CORPUS_SEEDS:
-        items = generate_corpus(seed, CORPUS_COUNT)
-        for k, item in enumerate(items):
-            items[k] = None
+        for k, item in enumerate(generate_corpus(seed, CORPUS_COUNT)):
             _verify(item.instance, seed + k)
             verified += 1
     for path in DOCUMENTS:

@@ -1,6 +1,5 @@
 import pytest
 
-from flatconn.bundles import induced_bundle_map
 from flatconn.complexes import BaseComplex, Edge
 from flatconn.connections import Voltage, check_flatness
 from flatconn.covers import build_cover
@@ -24,7 +23,15 @@ from flatconn.theorems import (
     verify_prop_2_4,
     verify_theorem_1_1,
 )
-from helpers import holonomy_projection, is_covering_map, lift_path, reidemeister_schreier, word_holonomy
+from helpers import (
+    holonomy_projection,
+    induced_bundle_map,
+    is_covering_map,
+    lift_path,
+    projection,
+    reidemeister_schreier,
+    word_holonomy,
+)
 
 A = (0, 1)
 B = (1, 1)
@@ -61,8 +68,9 @@ def test_pullback_index_one(wedge, s3, wedge_s3_voltage):
 def test_pullback_a3_cover(inst_a3, s3):
     pb = inst_a3.pullback
     cov = inst_a3.cover
-    a_lift_values = {pb.on_edge(e.id) for e in cov.total.edges if cov.edge_to_base[e.id] == 0}
-    b_lift_values = {pb.on_edge(e.id) for e in cov.total.edges if cov.edge_to_base[e.id] == 1}
+    edge_map = projection(cov).edge_map
+    a_lift_values = {pb.on_edge(e.id) for e in cov.total.edges if edge_map[e.id] == 0}
+    b_lift_values = {pb.on_edge(e.id) for e in cov.total.edges if edge_map[e.id] == 1}
     assert a_lift_values == {1}  # both a-lifts carry (01)
     assert b_lift_values == {2}  # both b-loops carry (012)
 
@@ -104,7 +112,7 @@ def test_theorem_1_1_examples(inst_a3, inst_kernel, wedge, s3, wedge_s3_voltage)
 
 def test_functoriality_hand_checked_words(inst_a3, s3):
     cov = inst_a3.cover
-    proj = cov.projection()
+    proj = projection(cov)
     # lift of a^2 from the base lift: closed, holonomy e on both sides
     lifted = lift_path(proj, (A, A), cov.base_lift)
     assert word_holonomy(inst_a3.pullback, lifted, start=cov.base_lift) == 0

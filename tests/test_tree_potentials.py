@@ -32,6 +32,7 @@ from helpers import (
     holonomy_projection,
     lift_path,
     loop_to_generator_word,
+    projection,
     subgroup_of_cover,
     word_holonomy,
 )
@@ -137,8 +138,8 @@ def test_subgroup_of_cover_matches_lifted_loops(instances):
         nx = cover_nx(inst)
         want = lifted_loop_automaton(composite_map(inst, nx), nx.source.basepoint, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
-        got = subgroup_of_cover(inst.cover.projection(), inst.cover.base_lift)
-        want = lifted_loop_automaton(inst.cover.projection(), inst.cover.base_lift, inst.tree)
+        got = subgroup_of_cover(projection(inst.cover), inst.cover.base_lift)
+        want = lifted_loop_automaton(projection(inst.cover), inst.cover.base_lift, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
 
 

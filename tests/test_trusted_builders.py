@@ -1,17 +1,18 @@
 """The library's builders hand over what they build without re-checking it.
 
 Groups from ``group_from_permutations``, subgroups from
-``subgroup_closure``, the total space of ``build_cover``, the pulled-back
-voltage and the map of ``CoveringComplex.projection`` are valid by
-construction, so the library does not run the public validators on them.
-These oracles check those outputs instead, along with the holonomy bundles,
+``subgroup_closure``, the total space of ``build_cover`` and the pulled-back
+voltage are valid by construction, so the library does not run the public
+validators on them.  These oracles check those outputs instead, along with
+each cover's projection read off its id layout, the holonomy bundles,
 upstairs and down, and their composite map, built in ``tests/helpers.py``.  A group has no public validator, since
 the closure is its only construction, so every group passes the group
 oracle of ``tests/helpers.py`` (composition of its own permutations and
 generators).  Fresh copies of the other outputs go through the public
 validators: every closure passes ``SubgroupSet``, every complex passes
-``validate_complex``, every pullback is flat and every map passes
-``ComplexMap`` and ``check_incidence``.
+``validate_complex``, every pullback is flat, every cover passes the
+library's layout check ``check_incidence`` and every map passes
+``ComplexMap`` and ``check_map_incidence``.
 """
 
 import os
@@ -22,7 +23,7 @@ import pytest
 from flatconn.complexes import BaseComplex, validate_complex
 from flatconn.connections import Voltage, check_flatness
 from flatconn.corpus import generate_corpus
-from flatconn.covers import ComplexMap, check_incidence
+from flatconn.covers import check_incidence
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.groups import (
     CATALOG_GROUP_NAMES,
@@ -35,7 +36,15 @@ from flatconn.groups import (
 )
 from flatconn.io import parse_instance
 
-from helpers import check_permutation_group, composite_map, cover_nx, holonomy_projection
+from helpers import (
+    ComplexMap,
+    check_map_incidence,
+    check_permutation_group,
+    composite_map,
+    cover_nx,
+    holonomy_projection,
+    projection,
+)
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -132,10 +141,9 @@ def test_pullbacks_are_flat(covered_instances):
 
 def test_built_maps_pass_the_public_constructor(covered_instances):
     for inst in covered_instances:
-        cover_map = inst.cover.projection()
-        assert inst.cover.projection() is cover_map  # built once per cover
+        check_incidence(inst.cover)
         nx = cover_nx(inst)
-        for m in (cover_map, holonomy_projection(inst.base_bundle), nx, composite_map(inst, nx)):
+        for m in (projection(inst.cover), holonomy_projection(inst.base_bundle), nx, composite_map(inst, nx)):
             fresh = ComplexMap(m.source, m.target, tuple(m.vertex_map), dict(m.edge_map))
-            check_incidence(fresh)
+            check_map_incidence(fresh)
             assert fresh.vertex_map == m.vertex_map and fresh.edge_map == m.edge_map, inst.name

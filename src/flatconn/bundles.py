@@ -23,14 +23,15 @@ from typing import Optional
 from .complexes import BaseComplex, Edge, spanning_tree
 from .connections import Voltage, _require_flat
 from .covers import CoveringComplex
-from .errors import ComplexError
 from .groups import GroupTable, subgroup_closure
 from .subgroups import CosetAutomaton
 
 
 class LiftedEdges(Sequence):
-    """The edges of a lifted graph, as ``Edge`` objects made on demand; a
-    slice is the list that slicing ``list(self)`` gives."""
+    """The edges of a lifted graph, made on demand: lifted edge ``p * |G| + x``
+    runs from vertex ``tail(p) * |G| + x`` to ``head(p) * |G| + x * w(p)``.  An
+    id out of range raises IndexError; a slice is the list that slicing
+    ``list(self)`` gives."""
 
     __slots__ = ("_graph",)
 
@@ -44,74 +45,40 @@ class LiftedEdges(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self._graph.edge(range(len(self))[i])
+        eid = range(len(self))[i]
+        v, values = self._graph._voltage, self._graph._values
+        n = v.group.order
+        p, x = divmod(eid, n)
+        e = v.complex.edges[p]
+        return Edge(eid, e.tail * n + x, e.head * n + v.group.column(values[p])[x])
 
 
-class LiftedGraph(BaseComplex):
-    """The derived graph of a voltage, with its edges computed, not stored.
+class LiftedGraph:
+    """The derived graph of a voltage: its vertex count, its computed
+    :class:`LiftedEdges` and the fiber maps x -> x * w(p) of the base edges,
+    the group's columns of the voltage values, which are read once, here."""
 
-    Lifted edge ``p * |G| + x`` runs from (tail p, x) to (head p, x * w(p)):
-    vertex ``tail(p) * |G| + x`` to vertex ``head(p) * |G| + x * w(p)``.  The
-    map x -> x * w(p) is the fiber map of p, the group's column of w(p);
-    the :class:`BaseComplex` queries (edges, edge lookup, stars, paths) are
-    answered from the fiber maps and the base, without an ``Edge`` per lift.
-    """
-
-    __slots__ = ("_voltage", "_values")
+    __slots__ = ("vertex_count", "_voltage", "_values")
 
     def __init__(self, v: Voltage):
-        n = v.group.order
-        self.vertex_count = v.complex.vertex_count * n
-        self.basepoint = v.complex.basepoint * n  # the lift (basepoint, identity)
-        self.relators = ()
+        self.vertex_count = v.complex.vertex_count * v.group.order
         self._voltage = v
         self._values = v.as_tuple()
-        self._validated = False
-        self._tree = None
 
     @property
     def edges(self) -> LiftedEdges:
         """Made on each access, so that no graph points back at itself."""
         return LiftedEdges(self)
 
-    def _fiber_map(self, p: int, sign: int = 1) -> tuple:
-        """x -> x * w(p)^sign for the base edge at position p: with sign +1,
-        the lift of p at x ends at element x * w(p); with sign -1, the lift
-        ending at x starts at element x * w(p)^-1."""
-        group = self._voltage.group
-        return group.column(self._values[p] if sign > 0 else group.inverse[self._values[p]])
-
     def _fiber_maps(self, positions, sign: int = 1) -> list:
-        """:meth:`_fiber_map` of each base edge position in ``positions``."""
+        """x -> x * w(p)^sign for each base edge position p in ``positions``:
+        with sign +1, the lift of p at x ends at element x * w(p); with sign
+        -1, the lift ending at x starts at element x * w(p)^-1."""
         group, values = self._voltage.group, self._values
         column, inverse = group.column, group.inverse
         if sign > 0:
             return [column(values[p]) for p in positions]
         return [column(inverse[values[p]]) for p in positions]
-
-    def edge(self, eid: int) -> Edge:
-        base, n = self._voltage.complex, self._voltage.group.order
-        p, x = divmod(self.edge_pos(eid), n)
-        e = base.edges[p]
-        return Edge(eid, e.tail * n + x, e.head * n + self._fiber_map(p)[x])
-
-    def edge_pos(self, eid: int) -> int:
-        if not 0 <= eid < len(self.edges):
-            raise ComplexError(f"unknown edge id {eid}")
-        return eid
-
-    def star(self, v: int) -> list[tuple[int, int]]:
-        """Edge-ends at (u, x): (p|G| + x, +1) out of it, and for base edges
-        p into u, (p|G| + x w(p)^-1, -1) into it; same order as the base class."""
-        base = self._voltage.complex
-        n = self._voltage.group.order
-        u, x = divmod(v, n)
-        ends = []
-        for eid, sign in base.star(u):
-            p = base.edge_pos(eid)
-            ends.append((p * n + (x if sign > 0 else self._fiber_map(p, -1)[x]), sign))
-        ends.sort(key=lambda end: (end[0], -end[1]))
-        return ends
 
 
 class BundleComponents(Sequence):
@@ -237,7 +204,7 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
         _shift=tuple(shift),
         _sheet_component=tuple(sheet_component),
         sheets=g.order // count,
-        base_lift=graph.basepoint,
+        base_lift=c.basepoint * g.order,  # the lift (basepoint, identity)
     )
 
 

@@ -128,6 +128,9 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
     if not _is_int(degree):
         raise InputError("'degree' must be an integer", f"{location}/degree")
     _require_list(generators, "'generators' must be a list of permutations", f"{location}/generators")
+    if not generators and degree != 1:  # only a generator's length bounds the degree
+        message = f"a group with no generators is trivial: 'degree' must be 1, not {degree}"
+        raise InputError(message, f"{location}/degree")
     for k, p in enumerate(generators):
         _require_list(p, "a generator must be a list of images", f"{location}/generators/{k}")
         for i, x in enumerate(p):

@@ -113,7 +113,11 @@ def induced_bundle_map(upper, lower, cov):
     n, V, E = upper.group.order, cov.base.vertex_count, len(cov.base.edges)
     vertex_map = tuple((i // n % V) * n + i % n for i in range(upper.graph.vertex_count))
     edge_map = {i: (i // n % E) * n + i % n for i in range(len(upper.graph.edges))}
-    return ComplexMap(upper.graph, lower.graph, vertex_map, edge_map)
+    # a bundle's graph is not a complex: each is stored as one, based at its basepoint lift
+    source, target = (
+        BaseComplex(d.graph.vertex_count, list(d.graph.edges), basepoint=d.base_lift) for d in (upper, lower)
+    )
+    return ComplexMap(source, target, vertex_map, edge_map)
 
 
 def tree_edges(t):
@@ -269,10 +273,14 @@ def induced_projection(d, vertices, basepoint):
     is vertices[i], local edge j is the j-th lift, in id order, with both
     ends in the set, and the basepoint is the local vertex of ``basepoint``.
     Returns the projection and the lifted edge ids."""
-    n, graph = d.group.order, d.graph
+    n, base, lifted = d.group.order, d.base, d.graph.edges
     local = {v: i for i, v in enumerate(vertices)}
-    out = sorted(eid for v in vertices for eid, sign in graph.star(v) if sign > 0)
-    lifts = [e for e in map(graph.edge, out) if e.head in local]
+    out_of = [[] for _ in range(base.vertex_count)]  # base edge positions by tail
+    for p, e in enumerate(base.edges):
+        out_of[e.tail].append(p)
+    # the lifts out of (u, x) are p |G| + x for the base edges p out of u
+    out = sorted(p * n + v % n for v in vertices for p in out_of[v // n])
+    lifts = [e for e in map(lifted.__getitem__, out) if e.head in local]
     edges = [Edge(j, local[e.tail], local[e.head]) for j, e in enumerate(lifts)]
     sub = BaseComplex(len(vertices), edges, basepoint=local[basepoint])
     edge_map = {j: d.base.edges[e.id // n].id for j, e in enumerate(lifts)}

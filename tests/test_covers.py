@@ -396,14 +396,22 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
     ]
     for v in cases:
         d = derived_bundle(v.complex, v.group, v)
-        flat = BaseComplex(d.graph.vertex_count, list(d.graph.edges))
-        for eid in range(len(d.graph.edges)):
-            assert d.graph.edge(eid) == flat.edge(eid) == d.graph.edges[eid]
-        for idx in range(d.graph.vertex_count):
-            assert d.graph.star(idx) == flat.star(idx)
-        with pytest.raises(ComplexError, match="unknown edge id"):
-            d.graph.edge(len(d.graph.edges))
-        assert tuple(d.components) == components_by_bfs(d.graph.vertex_count, flat.edges)[0]
+        n = v.group.order
+        # the lifted-edge rule by composing permutations, not reading columns
+        expected = [
+            Edge(p * n + x, e.tail * n + x, e.head * n + v.group.mul(x, v.on_edge(e.id)))
+            for p, e in enumerate(v.complex.edges)
+            for x in range(n)
+        ]
+        edges = d.graph.edges
+        assert d.graph.vertex_count == n * v.complex.vertex_count
+        assert len(edges) == len(expected)
+        assert [edges[i] for i in range(len(edges))] == list(edges) == edges[:] == expected
+        assert edges[-1] == expected[-1]
+        for eid in (len(edges), -len(edges) - 1):
+            with pytest.raises(IndexError):
+                edges[eid]
+        assert tuple(d.components) == components_by_bfs(d.graph.vertex_count, expected)[0]
 
 
 def test_component_count_is_holonomy_index(wedge, s3):

@@ -9,9 +9,13 @@ errors are found, whatever reads the words and resolves the labels.
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import flatconn
 from flatconn.cli import main
 from flatconn.errors import InputError
 from flatconn.io import parse_instance_data
@@ -222,6 +226,47 @@ def test_oversized_document_of_the_ci_error_step(capsys):
     captured = capsys.readouterr()
     expected = "error: /complex/vertices: 50 vertices cannot be connected by 2 edges (at most 3)\n"
     assert (code, captured.out, captured.err) == (2, "", expected)
+
+
+def test_a_group_without_generators_has_degree_one(tmp_path, capsys):
+    """Only a generator's length bounds the degree, so with none the
+    reader refuses any degree but 1 before closing the group: nothing of
+    the degree's size is made."""
+    doc = wedge_document(group={"degree": 10**6, "generators": []}, voltage=(0, 0))
+    message = "a group with no generators is trivial: 'degree' must be 1, not 1000000"
+    tracemalloc.start()
+    try:
+        assert_rejected(doc, "/group/degree", message, tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # an identity of degree 10^6 alone takes 8 MB
+    doc["group"]["degree"] = 0
+    message = "a group with no generators is trivial: 'degree' must be 1, not 0"
+    assert_rejected(doc, "/group/degree", message, tmp_path, capsys)
+    doc["group"]["degree"] = 1
+    assert parse_instance_data(doc).group.order == 1
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_degree_document_of_the_ci_error_step():
+    """The degree-10^9 document, read by the CLI in a child process under a
+    1 GiB address-space limit, so that a reader which closed the group
+    first fails with a MemoryError instead of taking the machine's memory."""
+    path = os.path.join(os.path.dirname(__file__), "documents", "trivial_group_degree_1e9.json")
+    src = os.path.dirname(os.path.dirname(flatconn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-m", "flatconn.cli", "holonomy", path],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+    expected = "error: /group/degree: a group with no generators is trivial: 'degree' must be 1, not 1000000000\n"
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", expected)
 
 
 def test_a_disconnected_complex_names_ten_unreachable_vertices_and_a_count(tmp_path, capsys):

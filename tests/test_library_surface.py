@@ -6,8 +6,9 @@ checks, subgroups read off any covering's sheets, composition), Schreier
 generators spelled out, path holonomy walked edge by edge, gauge moves and
 edge loops rewritten as generator words outside a document are test
 oracles and live in ``tests/helpers.py``; a cover lies over its base by its
-id layout alone, with no per-edge table.  No module of ``flatconn``, and
-no script of the growth ladder, defines, exports, imports or calls them.
+id layout alone, with no per-edge table, and a derived bundle's graph is
+not a complex.  No module of ``flatconn``, and no script of the growth
+ladder, defines, exports, imports or calls them.
 """
 
 import ast
@@ -16,9 +17,11 @@ import pkgutil
 from importlib import import_module
 
 import flatconn
-from flatconn.bundles import DerivedBundle
-from flatconn.connections import HolonomyMorphism
+from flatconn.bundles import DerivedBundle, LiftedGraph, derived_bundle
+from flatconn.complexes import BaseComplex, Edge
+from flatconn.connections import HolonomyMorphism, Voltage
 from flatconn.corpus import CorpusItem
+from flatconn.groups import catalog_group
 from flatconn.theorems import Instance, VerificationReport
 from helpers import ComplexMap
 
@@ -83,3 +86,17 @@ def test_no_member_exists_only_for_a_test():
     assert not hasattr(CorpusItem, "voltage_key")
     assert not hasattr(VerificationReport, "gate_passed")
     assert not hasattr(HolonomyMorphism, "evaluate")
+
+
+def test_a_bundle_graph_is_not_a_complex():
+    """A derived bundle's graph keeps its vertex count, its computed edges
+    and its fiber maps; ``helpers.induced_bundle_map`` is the one place
+    that stores it as a complex."""
+    assert not issubclass(LiftedGraph, BaseComplex)
+    for name in ("star", "edge", "edge_pos", "relators", "basepoint", "_fiber_map", "_validated", "_tree"):
+        assert not hasattr(LiftedGraph, name), name
+    s3 = catalog_group("S3")
+    base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0)], basepoint=1)
+    d = derived_bundle(base, s3, Voltage(base, s3, {0: 1, 3: 2}))
+    assert not isinstance(d.graph, BaseComplex)
+    assert (d.graph.vertex_count, len(d.graph.edges), d.base_lift) == (12, 12, 6)

@@ -22,6 +22,10 @@ wedge: H = ker(F2 -> S5) (index 120 on every row), given by its Schreier
 generators plus one seeded random word of 10^(k/2) letters (k = 4 ... 8, so
 10^2 ... 10^4) closed back into H, with the voltage a -> (01), b -> (012)
 into S3.  There ``parse`` reads every letter and ``subgroup_aut`` folds them.
+The ``wedge_rank`` rows put S5 over a wedge of r = 2^k loops (k = 1 ... 7,
+so r = 2 ... 128), with the voltage r seeded random elements that generate
+S5, covered by the holonomy kernel (index 120 on every row): the first
+family whose rank grows, so its slopes are taken against r.
 
 Stages are timed from outside the library, by reading the ``Instance``
 artifacts and calling the claim checks in pipeline order; each stage's time
@@ -32,17 +36,22 @@ is what it adds once the earlier stages are cached:
 * ``cover``: the covering complex;
 * ``induced_image``: pullback, cover spanning tree and induced holonomy;
 * ``restricted_image``: h(H), the base holonomy image of H;
-* ``theorem_1_1``, ``triviality``, ``cor_2_2``, ``functoriality``,
-  ``prop_2_1``, ``prop_2_3``, ``prop_2_4``: the claim checks.  The last
-  four come after ``cor_2_2`` so that the earlier stages time as they did
-  before they were added.
+* ``theorem_1_1``, ``triviality``: the first two claim checks;
+* ``normality``: the deck-map test of the covering subgroup, which
+  ``cor_2_2`` reads as a note and ``prop_2_1`` and ``prop_2_3`` as a gate.
+  Files before ``BENCH_31.json`` have no such stage and count it in
+  ``cor_2_2``: across that line, compare ``normality`` + ``cor_2_2``;
+* ``cor_2_2``, ``functoriality``, ``prop_2_1``, ``prop_2_3``, ``prop_2_4``:
+  the other claim checks.  The last four come after ``cor_2_2`` so that the
+  earlier stages time as they did before they were added.
 
 ``theorem_1_1+triviality`` sums ``restricted_image``, ``theorem_1_1`` and
 ``triviality``: what the two claims cost once the cover and its induced
 image exist.  Each stage is the median of ``REPEAT`` fresh instances.  The
 slope of a stage is the least-squares slope of log(seconds) against
 log(index) over a family's rows (against log(letters), the letters of all
-covering words, on ``stallings``), and ``slope_top`` the same over its
+covering words, on ``stallings``, and against log(rank), the number of
+loops, on ``wedge_rank``), and ``slope_top`` the same over its
 three largest rows.  With ``--out``, the result is stored under ``--label``
 in that JSON file, next to any labels already there.
 """
@@ -73,8 +82,10 @@ FAMILIES = {
     "sym_kernel": range(4, 8),
     "sym_quotient": range(4, 8),
     "stallings": range(4, 9),  # a random word of 10^(k/2) letters
+    "wedge_rank": range(1, 8),  # 2^k loops
 }
-AXIS = {"stallings": "letters"}  # what a family's slope is taken against, if not the index
+# what a family's slope is taken against, if not the index
+AXIS = {"stallings": "letters", "wedge_rank": "rank"}
 SURFACES = {
     # name: (relator, group, voltage on a and b)
     "torus": ("a b a^-1 b^-1", "Z4", (1, 2)),
@@ -88,6 +99,7 @@ STAGES = (
     "restricted_image",
     "theorem_1_1",
     "triviality",
+    "normality",
     "cor_2_2",
     "functoriality",
     "prop_2_1",
@@ -101,6 +113,8 @@ REPEAT = 5  # fresh instances per row
 def document(family: str, k: int) -> dict:
     if family == "stallings":
         return stallings_document(k)
+    if family == "wedge_rank":
+        return wedge_rank_document(k)
     if family not in SURFACES:
         return symmetric_document(k, kernel=family == "sym_kernel")
     relator, group, (va, vb) = SURFACES[family]
@@ -109,16 +123,17 @@ def document(family: str, k: int) -> dict:
 
 
 def wedge_document(group, relators: list, voltage: tuple, covering: dict) -> dict:
-    """Two loops a and b at one vertex, with the given relators."""
+    """One loop at one vertex per voltage element, the first two named a
+    and b, with the given relators."""
     return {
         "group": group,
         "complex": {
             "vertices": 1,
-            "edges": [{"id": 0, "tail": 0, "head": 0}, {"id": 1, "tail": 0, "head": 0}],
+            "edges": [{"id": k, "tail": 0, "head": 0} for k in range(len(voltage))],
             "aliases": {"a": 0, "b": 1},
             "relators": relators,
         },
-        "voltage": [{"edge": "a", "element": voltage[0]}, {"edge": "b", "element": voltage[1]}],
+        "voltage": [{"edge": k, "element": x} for k, x in enumerate(voltage)],
         "covering": covering,
     }
 
@@ -152,6 +167,20 @@ def symmetric_document(degree: int, kernel: bool) -> dict:
     group = {"degree": degree, "generators": [[1, 0, *range(2, degree)], [*range(1, degree), 0]]}
     subgroup = ["e"] if kernel else [cycle_label(t)]
     return wedge_document(group, [], tuple(map(cycle_label, pair)), {"kind": "quotient", "subgroup": subgroup})
+
+
+def wedge_rank_document(k: int) -> dict:
+    """S5 over a wedge of 2^k loops, the voltage seeded random elements
+    that generate S5, covered by the holonomy kernel."""
+    from flatconn.groups import cycle_label
+
+    rank = 2**k
+    rng = random.Random(rank)
+    images = None
+    while images is None or closure_order(images) != math.factorial(5):
+        images = [tuple(rng.sample(range(5), 5)) for _ in range(rank)]
+    group = {"degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+    return wedge_document(group, [], tuple(map(cycle_label, images)), {"kind": "quotient", "subgroup": ["e"]})
 
 
 def stallings_document(k: int, degree: int = 5) -> dict:
@@ -211,6 +240,7 @@ def time_row(family: str, k: int) -> dict:
         lambda: inst.restricted_image,
         lambda: theorems.verify_theorem_1_1(inst),
         lambda: theorems.is_induced_trivial(inst),
+        lambda: inst.subgroup_aut.complete and inst.subgroup_normal,
         lambda: theorems.verify_cor_2_2(inst),
         lambda: theorems.verify_functoriality(inst),
         lambda: theorems.verify_prop_2_1(inst),
@@ -226,7 +256,14 @@ def time_row(family: str, k: int) -> dict:
         if isinstance(result, theorems.VerificationReport):
             verdicts.append(result.verdict)
     letters = sum(len(w.split()) for w in data["covering"].get("words", []))
-    return {"index": inst.subgroup_aut.state_count, "letters": letters, "seconds": seconds, "verdicts": verdicts}
+    rank = len(data["complex"]["edges"]) - data["complex"]["vertices"] + 1
+    return {
+        "index": inst.subgroup_aut.state_count,
+        "letters": letters,
+        "rank": rank,
+        "seconds": seconds,
+        "verdicts": verdicts,
+    }
 
 
 def run_row(family: str, k: int) -> dict:
@@ -241,6 +278,7 @@ def run_row(family: str, k: int) -> dict:
         "k": k,
         "index": runs[0]["index"],
         "letters": runs[0]["letters"],
+        "rank": runs[0]["rank"],
         "verdicts": runs[0]["verdicts"],
         "seconds": {s: round(t, 6) for s, t in seconds.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -23,7 +23,7 @@ from typing import Optional
 from .complexes import BaseComplex, Edge, spanning_tree
 from .connections import Voltage, _require_flat
 from .covers import CoveringComplex
-from .groups import GroupTable, subgroup_closure
+from .groups import GroupTable, compose_perms, subgroup_closure
 from .subgroups import CosetAutomaton
 
 
@@ -319,7 +319,7 @@ def _basepoint_subgroup(d: DerivedBundle, cover: CoveringComplex) -> CosetAutoma
         rank,
         0,
         [
-            [v * size + where[x] for v, gamma in zip(col, row) for x in map(column(gamma).__getitem__, fiber)]
+            [v * size + where[x] for v, gamma in zip(col, row) for x in compose_perms(fiber, column(gamma))]
             for col, row in zip(letters, gammas)
         ],
     )

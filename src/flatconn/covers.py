@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import BaseComplex, Edge, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
+from .groups import compose_perms
 from .subgroups import CosetAutomaton
 
 
@@ -120,9 +121,9 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         if not rel:
             continue
         steps = [(c.edge_pos(eid), sign) for eid, sign in rel]
-        ends = list(identity)  # ends[s]: where the relator read from state s has got to
+        ends = identity  # ends[s]: where the relator read from state s has got to
         for pos, sign in steps:
-            ends = list(map((fwd if sign > 0 else bwd)[pos].__getitem__, ends))
+            ends = compose_perms(ends, (fwd if sign > 0 else bwd)[pos])
         for s, t in enumerate(ends):
             if t != s:
                 raise ComplexError(

@@ -38,8 +38,21 @@ def _is_int(value) -> bool:
 
 
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """Left-to-right composition: apply ``p`` first, then ``q``."""
-    return tuple(map(q.__getitem__, p))
+    """Left-to-right composition: apply ``p`` first, then ``q``; the tuple
+    of ``q[x]`` for x in ``p``.  Any sequences serve (tuples, lists,
+    ranges), and ``p`` need not be a permutation, so this is also how a
+    column is read at many points at once.  The reads run in C, through
+    the ``itemgetter`` of :func:`_reader`."""
+    return _reader(p)(q)
+
+
+def _reader(p: Sequence[int]):
+    """The function q -> compose_perms(p, q), built once for many q.
+    ``itemgetter`` returns a bare item for one index and refuses none:
+    those two lengths build the tuple directly."""
+    if len(p) > 1:
+        return itemgetter(*p)
+    return lambda q: tuple([q[x] for x in p])
 
 
 def invert_perm(p: Sequence[int]) -> Perm:
@@ -111,7 +124,7 @@ class _Columns(dict):
             a = self._parent[a]
         col = self[a] if a else tuple(range(len(self._parent)))
         for gen in reversed(path):  # x * a * g: the generator's column read after a's
-            col = itemgetter(*col)(gen)  # a tuple: a path is only walked when |G| >= 2
+            col = compose_perms(col, gen)
         self[w] = col
         return col
 
@@ -254,8 +267,12 @@ def group_from_permutations(
     Elements are numbered by breadth-first discovery: the identity first,
     then products ``current * generator`` with generators taken in input
     order.  Each such product is one entry of that generator's column, so
-    the closure keeps the generator columns and the tree it walked.  Raises
-    :class:`ClosureCapError` once the closure passes ``cap``.
+    the closure keeps the generator columns and the tree it walked.  Each
+    element's permutation is read through one :func:`compose_perms` reader
+    for all the generators, and a new element's inverse is carried down the
+    tree as (parent * g)^-1 = g^-1 * parent^-1, one composition with the
+    generator's inverse, so no permutation is inverted point by point.
+    Raises :class:`ClosureCapError` once the closure passes ``cap``.
     """
     if not _is_int(degree):
         raise ValueError(f"degree {degree!r} is not an integer")
@@ -270,23 +287,27 @@ def group_from_permutations(
             raise ValueError(f"generator {k} is not a permutation of 0..{degree - 1}: {p}")
     identity = tuple(range(degree))
     elements = [identity]
+    inverses = [identity]  # inverses[i]: the permutation inverse to elements[i]
     index = {identity: 0}
     parent = [0]  # elements[i] == elements[parent[i]] * gens[via[i]] for i > 0
     via = [0]
     columns = [[] for _ in gens]  # columns[k][i]: the index of elements[i] * gens[k]
+    steps = list(zip(gens, columns, map(_reader, map(invert_perm, gens))))
     for i, cur in enumerate(elements):  # the list grows while it is walked
-        for k, g in enumerate(gens):
-            nxt = compose_perms(cur, g)
+        after = _reader(cur)
+        for k, (g, col, inverse_then) in enumerate(steps):
+            nxt = after(g)
             j = index.get(nxt)
             if j is None:
                 if len(elements) >= cap:
                     raise ClosureCapError(f"closure exceeded cap of {cap} elements")
                 j = index[nxt] = len(elements)
                 elements.append(nxt)
+                inverses.append(inverse_then(inverses[i]))  # g^-1 * cur^-1
                 parent.append(i)
                 via.append(k)
-            columns[k].append(j)
-    inverse = tuple([index[invert_perm(p)] for p in elements])
+            col.append(j)
+    inverse = tuple(map(index.__getitem__, inverses))
     columns = tuple(map(tuple, columns))
     return GroupTable(tuple(elements), index, inverse, tuple(parent), tuple(via), columns, labels, name)
 

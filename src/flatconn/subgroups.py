@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .complexes import Presentation
 from .errors import EnumerationCapError, IncompleteAutomatonError
-from .groups import GroupTable, SubgroupSet, subgroup_closure
+from .groups import GroupTable, SubgroupSet, compose_perms, subgroup_closure
 from .words import Word, invert_word, reduce_word
 
 DEFAULT_TABLE_CELL_CAP = 1_000_000
@@ -32,8 +32,8 @@ def _check_mutually_inverse(forward, backward) -> None:
                 u is not None and fwd[u] != s for s, u in enumerate(bwd)
             )
         else:
-            identity = list(range(len(fwd)))
-            bad = list(map(bwd.__getitem__, fwd)) != identity or list(map(fwd.__getitem__, bwd)) != identity
+            identity = tuple(range(len(fwd)))
+            bad = compose_perms(fwd, bwd) != identity or compose_perms(bwd, fwd) != identity
         if bad:
             raise ValueError(f"transitions for generator {g} are not mutually inverse")
 
@@ -95,7 +95,7 @@ class CosetAutomaton:
                     parent.append(s)
                     column.append(c)
         name = index.__getitem__
-        columns = [tuple(map(name, map(move.__getitem__, points))) for move in moves]
+        columns = [tuple(map(name, compose_perms(points, move))) for move in moves]
         self.rank = rank
         self.forward = tuple(columns[0::2])
         self.backward = tuple(columns[1::2])
@@ -235,14 +235,33 @@ def is_normal_subgroup(a: CosetAutomaton) -> bool:
     0 -> 0.g extends along both transition tables without a conflict.  On a
     complete connected automaton a conflict-free extension is an
     automorphism: it is a covering of the graph onto itself with as many
-    states as the graph.  Each generator costs one pass over the 2r
-    transitions of every state, O(n r^2) in all for n states and rank r.
+    states as the graph.
+
+    The states reached from 0 by the deck maps found so far are the cosets
+    Hx of normalising x, so a generator g whose 0.g is among them
+    normalises H (Hg = Hx) and is skipped; 0.g = 0 is the case g in H.
+    The orbit is closed over new maps only when a generator falls outside
+    it.  The deck maps act freely, so each new one at least doubles the
+    orbit: at most floor(log2 n) maps are built, plus one that fails, each
+    one pass over the 2r transitions of every state.  That is O(n r log n)
+    for n states and rank r, and the orbit walks cost O(n log^2 n).
     """
     if not a.complete:
         raise IncompleteAutomatonError("normality check requires a complete automaton")
     columns = a.forward + a.backward
+    deck = []  # the deck maps found, each a list: state -> its image
+    orbit, seen = [0], {0}  # the orbit of state 0 under the first `walked` maps in deck
+    walked = 0
     for start in (col[0] for col in a.forward):
-        if start == 0:
+        if start not in seen and walked < len(deck):  # close the orbit over the maps found since
+            walked = len(deck)
+            for s in orbit:  # walked from its start, so each map meets every point; the list grows
+                for m in deck:
+                    t = m[s]
+                    if t not in seen:
+                        seen.add(t)
+                        orbit.append(t)
+        if start in seen:
             continue
         phi = [None] * a.state_count
         phi[0] = start
@@ -256,6 +275,7 @@ def is_normal_subgroup(a: CosetAutomaton) -> bool:
                     queue.append(t)
                 elif phi[t] != u:
                     return False
+        deck.append(phi)
     return True
 
 
@@ -552,7 +572,7 @@ def automaton_from_quotient(
             if name[x] is None:
                 for t in subgroup.members:
                     name[group.mul(t, x)] = x
-        moves = [tuple(map(name.__getitem__, col)) for col in moves]
+        moves = [compose_perms(col, name) for col in moves]
     return CosetAutomaton.from_action(len(images), 0, moves)
 
 

@@ -20,7 +20,11 @@ every Schreier word, over a transversal built here, freely reduced or
 spelled out, evaluated and traced letter by letter.  Word strings are read
 the long way too: every token matched, and every covering word walked
 vertex by vertex before it is rewritten.  A closed permutation group is
-checked against composition of its own permutations and its generators.
+checked against composition of its own permutations and its generators,
+written out point by point (``compose``) rather than through the library's
+kernel, and against a closure that inverts every element point by point
+(``reference_closure``).  The normality test is checked against its
+unpruned form, one deck map per generator (``normal_by_every_generator``).
 A component of a derived bundle, or any vertex set of it, is extracted as
 its own complex with its projection to the base, both made by the public,
 validating constructors: the long way round that the claim checks, which
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from flatconn.complexes import _NO_LETTER, BaseComplex, Edge, _closed_loop_word, spanning_tree
 from flatconn.connections import Voltage
 from flatconn.errors import ComplexError, IncidenceError, InputError
-from flatconn.groups import compose_perms, cycle_label, subgroup_closure
+from flatconn.groups import cycle_label, subgroup_closure
 from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
 from flatconn.words import invert_word, reduce_word
 
@@ -318,6 +322,66 @@ def left_translation(d, g):
     return tuple((idx // n) * n + row[idx % n] for idx in range(d.graph.vertex_count))
 
 
+def compose(p, q):
+    """Apply p, then q, one point at a time: the composition the library's
+    ``compose_perms`` kernel is checked against."""
+    return tuple(q[x] for x in p)
+
+
+def reference_closure(degree, gens):
+    """The closure of ``gens`` the long way, numbered as the library numbers
+    it: breadth-first from the identity, generators in input order.
+    Returns (perms, index, inverse, parent, via, columns), with each
+    inverse found by inverting a permutation point by point and
+    ``columns[k][i]`` the index of perms[i] * gens[k]."""
+    gens = [tuple(p) for p in gens]
+    identity = tuple(range(degree))
+    perms, index, parent, via = [identity], {identity: 0}, [0], [0]
+    columns = [[] for _ in gens]
+    i = 0
+    while i < len(perms):
+        for k, gen in enumerate(gens):
+            q = compose(perms[i], gen)
+            if q not in index:
+                index[q] = len(perms)
+                perms.append(q)
+                parent.append(i)
+                via.append(k)
+            columns[k].append(index[q])
+        i += 1
+    inverse = []
+    for p in perms:
+        inv = [0] * degree
+        for x, y in enumerate(p):
+            inv[y] = x
+        inverse.append(index[tuple(inv)])
+    return perms, index, inverse, parent, via, columns
+
+
+def normal_by_every_generator(a):
+    """The deck-map normality test without pruning: one map 0 -> 0.g built
+    along both transition tables for every generator g that moves state 0,
+    O(n r^2) for n states and rank r.  The library's test skips a generator
+    whose 0.g the maps found so far already reach."""
+    columns = a.forward + a.backward
+    for start in (col[0] for col in a.forward):
+        if start == 0:
+            continue
+        phi = [None] * a.state_count
+        phi[0] = start
+        queue = [0]
+        for s in queue:
+            image = phi[s]
+            for col in columns:
+                t, u = col[s], col[image]
+                if phi[t] is None:
+                    phi[t] = u
+                    queue.append(t)
+                elif phi[t] != u:
+                    return False
+    return True
+
+
 def check_permutation_group(g, gens, labels=None):
     """The group oracle for a group closed from ``gens``: its permutations
     are distinct, the identity first, and ``index`` inverts them; each
@@ -333,12 +397,12 @@ def check_permutation_group(g, gens, labels=None):
     assert all(g.index[p] == a for a, p in enumerate(g.perms))
     for gen in gens:
         # a product outside the group is a KeyError here
-        assert g.column(g.index[gen]) == tuple(g.index[compose_perms(p, gen)] for p in g.perms)
+        assert g.column(g.index[gen]) == tuple(g.index[compose(p, gen)] for p in g.perms)
     for i in range(1, n):
-        assert g.perms[i] == compose_perms(g.perms[g.parent[i]], gens[g.via[i]])
+        assert g.perms[i] == compose(g.perms[g.parent[i]], gens[g.via[i]])
     for a in range(n):
         p, q = g.perms[a], g.perms[g.inverse[a]]
-        assert compose_perms(p, q) == identity == compose_perms(q, p)
+        assert compose(p, q) == identity == compose(q, p)
     expected = [str(x) for x in labels] if labels is not None else [cycle_label(p) for p in g.perms]
     assert [g.label(a) for a in range(n)] == expected
 

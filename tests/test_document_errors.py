@@ -269,6 +269,22 @@ def test_degree_document_of_the_ci_error_step():
     assert (out.returncode, out.stdout, out.stderr) == (2, "", expected)
 
 
+def test_closure_cap_document_of_the_ci_error_step():
+    """S8 by (01) and the 8-cycle over one loop: the closure stops at its
+    cap of 10,000 elements inside the loop that composes and carries
+    inverses.  The CLI, in a child process under a 1 GiB address-space
+    limit, exits 2 with the pinned line."""
+    path = os.path.join(os.path.dirname(__file__), "documents", "s8_closure_cap.json")
+    src = os.path.dirname(os.path.dirname(flatconn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-m", "flatconn.cli", "verify", path, "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+    expected = "error: /group: closure exceeded cap of 10000 elements\n"
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", expected)
+
+
 def test_a_disconnected_complex_names_ten_unreachable_vertices_and_a_count(tmp_path, capsys):
     doc = wedge_document()
     doc["complex"] = {"vertices": 1000, "edges": [{"id": k, "tail": 0, "head": 0} for k in range(1000)]}

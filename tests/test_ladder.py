@@ -1,8 +1,8 @@
 """Smoke test of the growth ladder: the smallest row of each kind, in process.
 
 ``ladder/run.py`` times each row in its own subprocess; here ``time_row``
-runs directly on the smallest torus row, on S4 over the wedge and on the
-shortest Stallings word, and only its shape and verdicts are checked, not
+runs directly on the smallest torus row, on S4 over the wedge, on the
+shortest Stallings word and on S5 over the wedge of two loops, and only its shape and verdicts are checked, not
 its timings.  The A/B runner is run once, on one checkout against itself.
 """
 
@@ -35,6 +35,7 @@ def ladder():
         ("sym_kernel", 4, 24, [HOLDS] * 7),
         ("sym_quotient", 4, 12, [HOLDS, HOLDS, HOLDS, HOLDS, GATE, GATE, HOLDS]),
         ("stallings", 4, 120, [HOLDS, HOLDS, GATE, HOLDS, GATE, GATE, HOLDS]),
+        ("wedge_rank", 1, 120, [HOLDS] * 7),
     ],
 )
 def test_time_row_reports_every_stage(ladder, family, k, index, verdicts):
@@ -54,6 +55,18 @@ def test_stallings_rows_grow_by_their_random_word(ladder):
     assert len(schreier) == 121 and rows[8][:-1] == schreier
     assert len(rows[4][-1].split()) >= 100 and len(rows[8][-1].split()) >= 10_000
     assert ladder.AXIS["stallings"] == "letters"
+
+
+def test_wedge_rank_rows_grow_by_their_loops(ladder):
+    """Every ``wedge_rank`` row covers S5's kernel (index 120) over a wedge
+    of 2^k loops, and its slopes are taken against that rank."""
+    assert list(ladder.FAMILIES["wedge_rank"]) == list(range(1, 8))
+    assert ladder.AXIS["wedge_rank"] == "rank"
+    for k in (1, 7):
+        doc = ladder.document("wedge_rank", k)
+        assert len(doc["complex"]["edges"]) == len(doc["voltage"]) == 2**k
+        assert doc["covering"] == {"kind": "quotient", "subgroup": ["e"]}
+    assert ladder.time_row("wedge_rank", 1)["rank"] == 2
 
 
 def test_ab_runner_compares_a_checkout_with_itself():

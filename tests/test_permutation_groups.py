@@ -4,10 +4,12 @@ A group keeps its elements' permutations, the breadth-first tree of its
 closure and one right-multiplication column per generator; any other column
 is built from the tree when first read, and any other product composes two
 permutations.  Here columns, products, quotients and inverses are checked
-against ``compose_perms`` over ``perms`` on the catalog, S5, S6, random
-groups and the right-regular groups their columns generate, and an S6
-document over the wedge of two circles is shown to build no |G|^2
-structure.
+against composition written out point by point over ``perms`` on the
+catalog, S5, S6, random groups and the right-regular groups their columns
+generate, and an S6 document over the wedge of two circles is shown to
+build no |G|^2 structure.  The closure itself, which composes through the
+``compose_perms`` kernel and carries inverses down its tree, is checked
+against a plain-loop closure, and the kernel on its edge cases.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 
 from flatconn.groups import (
     CATALOG_GROUP_NAMES,
+    _catalog_specs,
     catalog_group,
     compose_perms,
     cycle_label,
@@ -24,6 +27,7 @@ from flatconn.groups import (
 )
 from flatconn.io import parse_instance_data
 from flatconn.theorems import HOLDS, standard_reports
+from helpers import compose, reference_closure
 
 S5_GENERATORS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
 S6_GENERATORS = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
@@ -59,10 +63,10 @@ def check_against_composition(g, rng):
         (rng.randrange(n), rng.randrange(n)) for _ in range(4000)
     ]
     for w in columns:
-        assert g.column(w) == tuple(index[compose_perms(p, g.perms[w])] for p in g.perms)
+        assert g.column(w) == tuple(index[compose(p, g.perms[w])] for p in g.perms)
     for a, b in pairs:
-        assert g.mul(a, b) == index[compose_perms(g.perms[a], g.perms[b])]
-        assert g.mul_inv(a, b) == index[compose_perms(g.perms[a], invert_perm(g.perms[b]))]
+        assert g.mul(a, b) == index[compose(g.perms[a], g.perms[b])]
+        assert g.mul_inv(a, b) == index[compose(g.perms[a], invert_perm(g.perms[b]))]
     for a in range(n):
         assert g.perms[g.inverse[a]] == invert_perm(g.perms[a])
 
@@ -74,7 +78,7 @@ def test_closure_reads_match_composition():
         assert set(g._columns) == {g.index[tuple(p)] for p in gens}
         for i in range(1, g.order):
             assert g.parent[i] < i
-            assert g.perms[i] == compose_perms(g.perms[g.parent[i]], gens[g.via[i]])
+            assert g.perms[i] == compose(g.perms[g.parent[i]], gens[g.via[i]])
         check_against_composition(g, rng)
 
 
@@ -123,3 +127,44 @@ def test_s6_document_builds_no_square_table(kernel):
     assert reports[0].verdict == reports[1].verdict == HOLDS
     # verifying reads the columns of a few elements, not of all 720
     assert len(g._columns) <= 16
+
+
+@pytest.mark.parametrize(
+    "degree,gens",
+    [
+        *(_catalog_specs()[name][:2] for name in CATALOG_GROUP_NAMES),
+        (5, S5_GENERATORS),
+        (6, S6_GENERATORS),
+        (12, [tuple(range(1, 12)) + (0,)]),
+        (1, []),
+        (1, [[0], [0]]),
+        (3, [(1, 0, 2), (1, 0, 2), (0, 1, 2), (1, 2, 0)]),  # a duplicate and the identity
+        (4, [[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 2, 3]]),
+    ],
+    ids=[*CATALOG_GROUP_NAMES, "S5", "S6", "Z12", "degree1", "degree1-identities", "S3-repeats", "Z2-repeats"],
+)
+def test_closure_matches_a_plain_loop_closure(degree, gens):
+    """Numbering, index, inverses, tree and generator columns are those of
+    a closure that composes point by point and inverts every element."""
+    g = group_from_permutations(degree, gens)
+    perms, index, inverse, parent, via, columns = reference_closure(degree, gens)
+    assert g.perms == tuple(perms)
+    assert g.index == index
+    assert g.inverse == tuple(inverse)
+    assert g.parent == tuple(parent) and g.via == tuple(via)
+    assert [g.column(g.index[tuple(p)]) for p in gens] == [tuple(col) for col in columns]
+
+
+def test_compose_perms_on_short_and_non_tuple_inputs():
+    """``itemgetter`` gives a bare item for one index and refuses none, so
+    lengths 0 and 1 are built directly; every length gives a tuple."""
+    assert compose_perms((), (4, 5)) == () == compose_perms([], [])
+    assert compose_perms((1,), (4, 5)) == (5,) == compose_perms([1], [4, 5])
+    assert compose_perms((1, 0), (4, 5)) == (5, 4)
+    assert compose_perms(range(2), [7, 8, 9]) == (7, 8) == compose_perms([0, 1], range(7, 10))
+    assert compose_perms(range(1), range(3)) == (0,)
+    assert compose_perms([2, 2, 0], "abc") == ("c", "c", "a")  # a column read at repeated points
+    rng = random.Random(4)
+    for n in (0, 1, 2, 3, 9, 840):
+        p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+        assert compose_perms(p, q) == compose(p, q) == compose_perms(tuple(p), tuple(q))

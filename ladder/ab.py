@@ -5,7 +5,12 @@
 PARENT and CHANGE are the roots of two checkouts.  Standard library only.
 Exactly two worker processes are started, one per checkout; each imports
 that checkout's ``src/`` and ``perfbench/``, so each side builds its inputs
-and verifies them with its own code.  A pass is that checkout's
+and verifies them with its own code.  Both workers run with
+``PYTHONDONTWRITEBYTECODE=1`` and with ``PYTHONPYCACHEPREFIX`` set to a fresh,
+empty temporary directory, removed when the run ends: Python then neither
+reads a checkout's ``__pycache__`` nor writes one, so both sides compile
+every module from source and their peak RSS does not depend on where a
+checkout lives or on whether it holds bytecode.  A pass is that checkout's
 ``perfbench/run.py::run_pass``: set up the workload's instances, then verify
 each one, timing the set-up and the verification and checking every
 verdict against ``perfbench/reference.json``.
@@ -28,10 +33,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -54,11 +61,14 @@ def worker(root: str, workload: str, seed: int, small: bool) -> int:
     return 0
 
 
-def start_worker(root: str, args) -> subprocess.Popen:
+def start_worker(root: str, args, cache: str) -> subprocess.Popen:
+    """A worker whose bytecode caches are looked up under the empty ``cache``
+    and never written, so it compiles every module from source."""
     command = [sys.executable, __file__, "--worker", root, "--workload", args.workload, "--seed", str(args.seed)]
     if args.small:
         command.append("--small")
-    return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+    return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
 
 def ask_pass(proc: subprocess.Popen) -> dict:
@@ -85,23 +95,24 @@ def summary(parent: list, change: list) -> dict:
 
 
 def compare(args) -> dict:
-    parent, change = (start_worker(root, args) for root in (args.parent, args.change))
-    try:
-        warm = [ask_pass(parent), ask_pass(change)]
-        same = warm[0]["codes"] == warm[1]["codes"]
-        failures = warm[0]["failures"] + warm[1]["failures"]
-        passes = {"parent": [], "change": []}
-        for i in range(args.passes):
-            order = (("parent", parent), ("change", change))
-            result = {side: ask_pass(proc) for side, proc in (order if i % 2 == 0 else order[::-1])}
-            same = same and result["parent"]["codes"] == result["change"]["codes"]
-            failures += result["parent"]["failures"] + result["change"]["failures"]
-            for side in passes:
-                passes[side].append(result[side])
-    finally:
-        for proc in (parent, change):
-            proc.stdin.close()
-            proc.wait()
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        parent, change = (start_worker(root, args, cache) for root in (args.parent, args.change))
+        try:
+            warm = [ask_pass(parent), ask_pass(change)]
+            same = warm[0]["codes"] == warm[1]["codes"]
+            failures = warm[0]["failures"] + warm[1]["failures"]
+            passes = {"parent": [], "change": []}
+            for i in range(args.passes):
+                order = (("parent", parent), ("change", change))
+                result = {side: ask_pass(proc) for side, proc in (order if i % 2 == 0 else order[::-1])}
+                same = same and result["parent"]["codes"] == result["change"]["codes"]
+                failures += result["parent"]["failures"] + result["change"]["failures"]
+                for side in passes:
+                    passes[side].append(result[side])
+        finally:
+            for proc in (parent, change):
+                proc.stdin.close()
+                proc.wait()
     return {
         "workload": args.workload,
         "seed": args.seed,

@@ -57,10 +57,8 @@ from .subgroups import (
 )
 from .theorems import (
     Instance,
-    OracleResult,
     VerificationReport,
     is_induced_trivial,
-    oracle_holonomy,
     pullback_voltage,
     verify_cor_2_2,
     verify_functoriality,

@@ -142,8 +142,9 @@ class DerivedBundle:
         return divmod(eid, self.group.order)
 
 
-def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
-    """Build the derived graph of a flat voltage and its components.
+def derived_bundle(v: Voltage) -> DerivedBundle:
+    """Build the derived graph of a flat voltage over its complex, and the
+    graph's components.
 
     The lifts of a spanning tree split the graph into |G| sheets; sheet s is
     the one through (basepoint, s).  Fiber maps are right multiplications, so
@@ -156,11 +157,8 @@ def derived_bundle(c: BaseComplex, g: GroupTable, v: Voltage) -> DerivedBundle:
     basepoint component's subgroup and sheet count off this bundle without
     extracting it, compare two independent computations.
     """
-    if v.complex is not c:  # the voltage validated its complex
-        raise ValueError("voltage is not defined on the given complex")
-    if v.group is not g:
-        raise ValueError("voltage takes values in a different group")
     _require_flat(v)
+    c, g = v.complex, v.group
     graph = LiftedGraph(v)
     column, inverse, values = g.column, g.inverse, graph._values
     tree = spanning_tree(c)

@@ -161,7 +161,7 @@ def _cmd_export_dot(args, out) -> int:
     inst = parse_instance(args.document)
     what = args.what
     if what == "base":
-        out.write(dot_export.complex_dot(inst.complex, voltage=inst.voltage))
+        out.write(dot_export.complex_dot(inst.voltage))
     elif what == "cover":
         _require_covering(inst)
         out.write(dot_export.cover_dot(inst.cover))

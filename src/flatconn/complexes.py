@@ -31,9 +31,9 @@ class BaseComplex:
     Construction checks referential integrity only; connectivity and relator
     closure are enforced by :func:`validate_complex` so that malformed inputs
     can be built and then rejected with a precise error.  The per-vertex
-    incidence behind :meth:`star` is built once here; the spanning tree is
-    built once, by the validation's connectivity check, and kept with the
-    validation flag.
+    incidence behind :meth:`star` is built once here, each edge-end as
+    (edge id, sign, far vertex); the spanning tree is built once, by the
+    validation's connectivity check, and kept with the validation flag.
     """
 
     __slots__ = (
@@ -72,10 +72,10 @@ class BaseComplex:
         self.basepoint = basepoint
         self.relators = tuple(rel)
         self._pos = pos
-        incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        incidence: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
         for e in self.edges:
-            incidence[e.tail].append((e.id, 1))
-            incidence[e.head].append((e.id, -1))
+            incidence[e.tail].append((e.id, 1, e.head))
+            incidence[e.head].append((e.id, -1, e.tail))
         self._incidence = incidence
         self._validated = False
         self._tree = None
@@ -108,7 +108,7 @@ class BaseComplex:
         """Edge-ends at a vertex: (edge id, +1) for outgoing, (edge id, -1)
         for incoming; a loop contributes both ends.  Ordered by ascending
         edge id, the outgoing end of a loop first."""
-        return list(self._incidence[v])
+        return [(eid, sign) for eid, sign, _ in self._incidence[v]]
 
     def path_vertices(self, w: EdgeWord, start: Optional[int] = None) -> list[int]:
         """Vertex itinerary of an edge word; raises if steps do not chain."""
@@ -205,10 +205,9 @@ def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
     up[base] = base
     order = [base]
     for v in order:  # the list grows behind the walk: a breadth-first queue
-        for step in c.star(v):
-            _, u = c.step_endpoints(step)
+        for eid, sign, u in c._incidence[v]:
             if up[u] is None:
-                up[u], parent[u] = v, step
+                up[u], parent[u] = v, (eid, sign)
                 order.append(u)
     if len(order) != c.vertex_count:
         missing = [u for u in range(c.vertex_count) if up[u] is None]
@@ -254,14 +253,15 @@ class Presentation:
         return len(self.generators)
 
 
-def pi1_presentation(c: BaseComplex, t: SpanningTreeData) -> Presentation:
-    """Present the fundamental group at the basepoint.
+def pi1_presentation(c: BaseComplex) -> Presentation:
+    """Present the fundamental group at the basepoint, over the complex's
+    spanning tree.
 
     Each relator, conjugated to the basepoint along tree paths, rewrites to
     its own non-tree letters freely reduced: the conjugating tree paths add
     only tree letters, which vanish.
     """
-    validate_complex(c)
+    t = validate_complex(c)._tree
     letters = t.letters
     relators = tuple(reduce_word(tuple(letters[s][0] for s in w if s in letters)) for w in c.relators if w)
     return Presentation(generators=t.generators, relators=relators)

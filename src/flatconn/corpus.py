@@ -161,5 +161,5 @@ def generate_corpus(seed: int, count: int) -> Iterator[CorpusItem]:
             base_name=base_name,
             group_name=group_name,
             spec_kind=kind,
-            instance=Instance(bases[base_name], group, voltage, spec, name=name, tc_cap=CORPUS_TC_CAP),
+            instance=Instance(voltage, spec, name=name, tc_cap=CORPUS_TC_CAP),
         )

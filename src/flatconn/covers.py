@@ -5,8 +5,8 @@ permutation voltage: it has vertex set (state, base vertex), a tree edge
 stays within a sheet, and a non-tree edge's lifts move sheets by its
 automaton column, which is read once per lift.  Lifted relators are traced
 through the same columns to check that they close, and are listed only
-when read.  Every cover carries an explicit base lift, the vertex
-(state 0, basepoint), at which its subgroup is based.
+when read.  A cover's subgroup is based at its total space's basepoint,
+the vertex (state 0, basepoint).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class CoveringComplex:
     base: BaseComplex
     automaton: CosetAutomaton
     total: BaseComplex
-    base_lift: int
 
     @property
     def degree(self) -> int:
@@ -141,4 +140,4 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     # valid as built: each lifted relator closed above, and each sheet is joined to
     # state 0's (an automaton keeps only the states reachable from state 0)
     total._validated = True
-    return CoveringComplex(base=c, automaton=a, total=total, base_lift=c.basepoint)
+    return CoveringComplex(base=c, automaton=a, total=total)

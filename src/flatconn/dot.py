@@ -7,10 +7,7 @@ id, plus the voltage label where one applies.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .bundles import DerivedBundle
-from .complexes import BaseComplex
 from .connections import Voltage
 from .covers import CoveringComplex
 
@@ -29,23 +26,20 @@ def _digraph(name: str, nodes: list[str], edges: list[tuple[str, str, str]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def complex_dot(c: BaseComplex, voltage: Optional[Voltage] = None, name: str = "base") -> str:
+def complex_dot(v: Voltage) -> str:
+    """The voltage's complex, each edge labeled with its voltage value."""
+    c, label = v.complex, v.group.label
     nodes = [f"v{i}" for i in range(c.vertex_count)]
-    edges = []
-    for e in c.edges:
-        label = f"e{e.id}"
-        if voltage is not None:
-            label += f" {voltage.group.label(voltage.on_edge(e.id))}"
-        edges.append((f"v{e.tail}", f"v{e.head}", label))
-    return _digraph(name, nodes, edges)
+    edges = [(f"v{e.tail}", f"v{e.head}", f"e{e.id} {label(v.on_edge(e.id))}") for e in c.edges]
+    return _digraph("base", nodes, edges)
 
 
-def cover_dot(cov: CoveringComplex, name: str = "cover") -> str:
+def cover_dot(cov: CoveringComplex) -> str:
     base = cov.base
     V, E = base.vertex_count, len(base.edges)
     nodes = [f"v{idx // V}_{idx % V}" for idx in range(cov.total.vertex_count)]
     edges = [(nodes[e.tail], nodes[e.head], f"e{base.edges[e.id % E].id}") for e in cov.total.edges]
-    return _digraph(name, nodes, edges)
+    return _digraph("cover", nodes, edges)
 
 
 def _lift_label(d: DerivedBundle, eid: int) -> str:
@@ -62,10 +56,10 @@ def _bundle_digraph(d: DerivedBundle, name: str, vertices) -> str:
     return _digraph(name, list(nodes.values()), edges)
 
 
-def bundle_dot(d: DerivedBundle, name: str = "bundle") -> str:
-    return _bundle_digraph(d, name, range(d.graph.vertex_count))
+def bundle_dot(d: DerivedBundle) -> str:
+    return _bundle_digraph(d, "bundle", range(d.graph.vertex_count))
 
 
-def holonomy_bundle_dot(d: DerivedBundle, name: str = "holonomy_bundle") -> str:
+def holonomy_bundle_dot(d: DerivedBundle) -> str:
     """The component of the basepoint lift: the holonomy bundle."""
-    return _bundle_digraph(d, name, d.components[d._sheet_component[0]])
+    return _bundle_digraph(d, "holonomy_bundle", d.components[d._sheet_component[0]])

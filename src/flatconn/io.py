@@ -153,29 +153,29 @@ def parse_group(data: Any, location: str = "/group") -> GroupTable:
         raise InputError(str(exc), location) from None
 
 
-def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, _WordReader]:
+def parse_complex(data: Any) -> tuple[BaseComplex, _WordReader]:
     """Returns (validated complex, alias table); the alias table also reads
     the document's word strings (see :class:`_WordReader`)."""
     if not isinstance(data, dict):
-        raise InputError("complex must be an object", location)
+        raise InputError("complex must be an object", "/complex")
     if "vertices" not in data:
-        raise InputError("complex needs a 'vertices' count", location)
+        raise InputError("complex needs a 'vertices' count", "/complex")
     vertices = data["vertices"]
     if not _is_int(vertices):
-        raise InputError("'vertices' must be an integer", f"{location}/vertices")
+        raise InputError("'vertices' must be an integer", "/complex/vertices")
     if vertices < 1:
-        raise InputError("'vertices' must be positive", f"{location}/vertices")
+        raise InputError("'vertices' must be positive", "/complex/vertices")
     edges = []
     known = set()
     raw_edges = data.get("edges", [])
-    _require_list(raw_edges, "'edges' must be a list", f"{location}/edges")
+    _require_list(raw_edges, "'edges' must be a list", "/complex/edges")
     if vertices > len(raw_edges) + 1:
         raise InputError(
             f"{vertices} vertices cannot be connected by {len(raw_edges)} edges (at most {len(raw_edges) + 1})",
-            f"{location}/vertices",
+            "/complex/vertices",
         )
     for k, rec in enumerate(raw_edges):
-        loc = f"{location}/edges/{k}"
+        loc = f"/complex/edges/{k}"
         if not isinstance(rec, dict):
             raise InputError("edge must be an object with id/tail/head", loc)
         if not all(_is_int(rec.get(key)) for key in ("id", "tail", "head")):
@@ -190,43 +190,41 @@ def parse_complex(data: Any, location: str = "/complex") -> tuple[BaseComplex, _
     aliases = _WordReader({}, {e.id: e for e in edges})
     raw_aliases = data.get("aliases")
     if not isinstance(raw_aliases, (dict, type(None))):
-        raise InputError("'aliases' must be an object of name: edge id", f"{location}/aliases")
+        raise InputError("'aliases' must be an object of name: edge id", "/complex/aliases")
     for name, eid in (raw_aliases or {}).items():
         if not _is_int(eid):
-            raise InputError(f"alias {name!r} must name an integer edge id", f"{location}/aliases/{name}")
+            raise InputError(f"alias {name!r} must name an integer edge id", f"/complex/aliases/{name}")
         if eid not in known:
-            raise InputError(f"alias {name!r} refers to unknown edge {eid}", f"{location}/aliases/{name}")
+            raise InputError(f"alias {name!r} refers to unknown edge {eid}", f"/complex/aliases/{name}")
         aliases[str(name)] = eid
     relators = []
     raw_relators = data.get("relators", [])
-    _require_list(raw_relators, "'relators' must be a list of word strings", f"{location}/relators")
+    _require_list(raw_relators, "'relators' must be a list of word strings", "/complex/relators")
     for k, text in enumerate(raw_relators):
-        loc = f"{location}/relators/{k}"
+        loc = f"/complex/relators/{k}"
         if not isinstance(text, str):
             raise InputError("relator must be a word string", loc)
         relators.append(aliases.edge_word(text, loc))
     basepoint = data.get("basepoint", 0)
     if not _is_int(basepoint):
-        raise InputError("'basepoint' must be an integer vertex", f"{location}/basepoint")
+        raise InputError("'basepoint' must be an integer vertex", "/complex/basepoint")
     if not 0 <= basepoint < vertices:
-        raise InputError(f"basepoint {basepoint} out of range 0..{vertices - 1}", f"{location}/basepoint")
+        raise InputError(f"basepoint {basepoint} out of range 0..{vertices - 1}", "/complex/basepoint")
     try:
         c = BaseComplex(vertices, edges, basepoint=basepoint, relators=relators)
         validate_complex(c)
     except ComplexError as exc:
-        raise InputError(str(exc), location) from None
+        raise InputError(str(exc), "/complex") from None
     return c, aliases
 
 
-def parse_voltage(
-    data: Any, c: BaseComplex, g: GroupTable, aliases: Mapping[str, int], location: str = "/voltage"
-) -> Voltage:
+def parse_voltage(data: Any, c: BaseComplex, g: GroupTable, aliases: Mapping[str, int]) -> Voltage:
     if not isinstance(data, list):
-        raise InputError("voltage must be a list of {edge, element} entries", location)
+        raise InputError("voltage must be a list of {edge, element} entries", "/voltage")
     known = {e.id for e in c.edges}
     assignment = {}
     for k, rec in enumerate(data):
-        loc = f"{location}/{k}"
+        loc = f"/voltage/{k}"
         if not isinstance(rec, dict) or "edge" not in rec or "element" not in rec:
             raise InputError("voltage entry needs 'edge' and 'element'", loc)
         ref = rec["edge"]
@@ -246,26 +244,20 @@ def parse_voltage(
     try:
         return Voltage(c, g, assignment)
     except ValueError as exc:
-        raise InputError(str(exc), location) from None
+        raise InputError(str(exc), "/voltage") from None
 
 
-def parse_covering(
-    data: Any,
-    c: BaseComplex,
-    g: GroupTable,
-    aliases: _WordReader,
-    location: str = "/covering",
-) -> SubgroupSpec:
+def parse_covering(data: Any, c: BaseComplex, g: GroupTable, aliases: _WordReader) -> SubgroupSpec:
     if not isinstance(data, dict) or "kind" not in data:
-        raise InputError("covering must be an object with a 'kind'", location)
+        raise InputError("covering must be an object with a 'kind'", "/covering")
     kind = data["kind"]
     if kind == "words":
         tree = spanning_tree(c)
         words = []
         raw_words = data.get("words", [])
-        _require_list(raw_words, "'words' must be a list of word strings", f"{location}/words")
+        _require_list(raw_words, "'words' must be a list of word strings", "/covering/words")
         for k, text in enumerate(raw_words):
-            loc = f"{location}/words/{k}"
+            loc = f"/covering/words/{k}"
             if not isinstance(text, str):
                 raise InputError("covering word must be a word string", loc)
             try:
@@ -277,31 +269,31 @@ def parse_covering(
         target = g
         images: Optional[tuple] = None
         if "group" in data and data["group"] is not None:
-            target = parse_group(data["group"], f"{location}/group")
+            target = parse_group(data["group"], "/covering/group")
         if "images" in data and data["images"] is not None:
             refs = data["images"]
             if not isinstance(refs, list):
-                raise InputError("'images' must be a list of element references", f"{location}/images")
+                raise InputError("'images' must be a list of element references", "/covering/images")
             images = tuple(
-                resolve_element(target, ref, f"{location}/images/{k}") for k, ref in enumerate(refs)
+                resolve_element(target, ref, f"/covering/images/{k}") for k, ref in enumerate(refs)
             )
             try:
-                check_quotient_images(images, target, pi1_presentation(c, spanning_tree(c)))
+                check_quotient_images(images, target, pi1_presentation(c))
             except ValueError as exc:
-                raise InputError(str(exc), f"{location}/images") from None
+                raise InputError(str(exc), "/covering/images") from None
         elif "group" in data and data["group"] is not None:
             raise InputError(
-                "a covering with an explicit group needs explicit images", f"{location}/images"
+                "a covering with an explicit group needs explicit images", "/covering/images"
             )
         members = data.get("subgroup", [])
         if not isinstance(members, list):
-            raise InputError("'subgroup' must be a list of element references", f"{location}/subgroup")
+            raise InputError("'subgroup' must be a list of element references", "/covering/subgroup")
         sub = tuple(
-            resolve_element(target, ref, f"{location}/subgroup/{k}") for k, ref in enumerate(members)
+            resolve_element(target, ref, f"/covering/subgroup/{k}") for k, ref in enumerate(members)
         )
         spec_group = target if images is not None else None
         return SubgroupSpec(kind="quotient", group=spec_group, images=images, subgroup=sub or (0,))
-    raise InputError(f"unknown covering kind {kind!r}", f"{location}/kind")
+    raise InputError(f"unknown covering kind {kind!r}", "/covering/kind")
 
 
 def parse_instance_data(data: Any, name: str = "document") -> Instance:
@@ -329,7 +321,7 @@ def parse_instance_data(data: Any, name: str = "document") -> Instance:
             cap = raw_cap
             if cap < 1:
                 raise InputError("'cap' must be positive", "/covering/cap")
-    return Instance(c, g, v, spec, name=name, tc_cap=cap)
+    return Instance(v, spec, name=name, tc_cap=cap)
 
 
 def parse_instance(path: str) -> Instance:

@@ -1,9 +1,9 @@
 """Pulled-back connections and mechanical verification of their structure.
 
-Given a base instance (complex, group, flat voltage) and a finite-index
-subgroup of the fundamental group, this module builds the covering, pulls
-the voltage back, and checks a catalog of structural claims with exact
-finite-group arithmetic:
+Given a base instance (a flat voltage, on its complex with values in its
+group) and a finite-index subgroup of the fundamental group, this module
+builds the covering, pulls the voltage back, and checks a catalog of
+structural claims with exact finite-group arithmetic:
 
 * ``theorem_1_1``: the induced holonomy image equals the image of the
   covering subgroup under the base holonomy map;
@@ -34,12 +34,10 @@ from .bundles import (
     derived_bundle,
 )
 from .complexes import (
-    BaseComplex,
     Presentation,
     SpanningTreeData,
     pi1_presentation,
     spanning_tree,
-    validate_complex,
 )
 from .connections import (
     HolonomyMorphism,
@@ -51,7 +49,7 @@ from .connections import (
     kernel_automaton,
 )
 from .covers import CoveringComplex, build_cover, check_incidence
-from .groups import GroupTable, SubgroupSet, subgroup_closure
+from .groups import SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
     SubgroupSpec,
@@ -112,25 +110,22 @@ class VerificationReport:
 class Instance:
     """A base instance plus covering datum, with cached derived artifacts.
 
-    The voltage is checked for flatness at construction; everything else
-    (tree, holonomy, automata, cover, pullback, bundles) is derived lazily
-    and cached.  All artifacts are immutable once built.
+    The complex and the group are the voltage's.  The voltage is checked for
+    flatness at construction; everything else (tree, holonomy, automata,
+    cover, pullback, bundles) is derived lazily and cached.  All artifacts
+    are immutable once built.
     """
 
     def __init__(
         self,
-        complex: BaseComplex,
-        group: GroupTable,
         voltage: Voltage,
         covering_spec: Optional[SubgroupSpec] = None,
         name: str = "instance",
         tc_cap: Optional[int] = None,
     ):
-        if voltage.complex is not complex or voltage.group is not group:  # the voltage validated complex
-            raise ValueError("voltage does not match the instance complex/group")
         _require_flat(voltage)
-        self.complex = complex
-        self.group = group
+        self.complex = voltage.complex
+        self.group = voltage.group
         self.voltage = voltage
         self.covering_spec = covering_spec
         self.name = name
@@ -142,7 +137,7 @@ class Instance:
 
     @cached_property
     def presentation(self) -> Presentation:
-        return pi1_presentation(self.complex, self.tree)
+        return pi1_presentation(self.complex)
 
     @cached_property
     def morphism(self) -> HolonomyMorphism:
@@ -222,7 +217,7 @@ class Instance:
 
     @cached_property
     def base_bundle(self) -> DerivedBundle:
-        return derived_bundle(self.complex, self.group, self.voltage)
+        return derived_bundle(self.voltage)
 
     @cached_property
     def base_nx_subgroup(self) -> CosetAutomaton:
@@ -237,7 +232,7 @@ class Instance:
 
     @cached_property
     def cover_bundle(self) -> DerivedBundle:
-        return derived_bundle(self.cover.total, self.group, self.pullback)
+        return derived_bundle(self.pullback)
 
     @cached_property
     def composite_subgroup(self) -> CosetAutomaton:
@@ -300,10 +295,10 @@ def verify_functoriality(
     Words are sampled only when a generator disagrees, to pick the witness:
     random walks of length <= 12 on the cover, closed by the tree path back
     to the base lift; sampling is seeded and reproducible.  Each
-    vertex's row of moves (next vertex, pulled-back value, base value of the
-    projected step, step) is built on its first visit.  The first sampled
-    mismatch is the witness; failing that, the first disagreeing generator's
-    loop.
+    vertex's row of moves (far vertex, pulled-back value, base value of the
+    projected step, step) is built from its incidence entries on its first
+    visit.  The first sampled mismatch is the witness; failing that, the
+    first disagreeing generator's loop.
     """
     if sample_count < 0:
         raise ValueError(f"sample count must be non-negative, got {sample_count}")
@@ -337,15 +332,14 @@ def verify_functoriality(
     rng = random.Random(seed)
     moves: list = [None] * total.vertex_count
     for _ in range(sample_count):
-        cur = cov.base_lift
+        cur = total.basepoint
         steps = []
         up = down = 0
         for _ in range(rng.randint(0, 12)):
             row = moves[cur]
             if row is None:
-                row = moves[cur] = tuple(
-                    (total.step_endpoints(s)[1], up_value(s), down_value(s), s) for s in total.star(cur)
-                )
+                ends = [((eid, sign), far) for eid, sign, far in total._incidence[cur]]
+                row = moves[cur] = tuple((far, up_value(s), down_value(s), s) for s, far in ends)
             if not row:
                 break
             cur, u, d, step = rng.choice(row)
@@ -546,60 +540,6 @@ def verify_prop_2_4(inst: Instance) -> VerificationReport:
         notes.append(f"rank pi1(holonomy bundle) = {actual}, expected {expected}")
     witnesses = (("bundle-subgroup-equals-kernel", str(sub_ok)), ("rank-formula", str(rank_ok)))
     return _verdict("prop_2_4", hyp, sub_ok and rank_ok, witnesses, tuple(notes))
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    subgroup: SubgroupSet
-    stabilized: bool
-    max_length: int
-
-
-def oracle_holonomy(c: BaseComplex, v: Voltage, max_length: int) -> OracleResult:
-    """Brute-force holonomy oracle, independent of trees and morphisms.
-
-    Enumerates every closed edge path at the basepoint of length up to
-    ``max_length`` by depth-first search, collects the holonomy values and
-    returns their closure.  The result is sound; it is complete when the
-    stabilization witness holds: the closure is unchanged between lengths
-    max_length - 2 and max_length.  (Enumeration stops early once the raw
-    values already exhaust the group, which cannot change either closure.)
-    """
-    if max_length < 2:
-        raise ValueError("max_length must be at least 2")
-    validate_complex(c)
-    g = v.group
-    order = g.order
-    base = c.basepoint
-    ends: list[list[tuple[int, tuple]]] = [[] for _ in range(c.vertex_count)]  # (next vertex, step's column)
-    for e in c.edges:
-        w = v.on_edge(e.id)
-        ends[e.tail].append((e.head, g.column(w)))
-        ends[e.head].append((e.tail, g.column(g.inverse[w])))
-    short_cut = max_length - 2
-    vals_full = {0}
-    vals_short = {0}
-    stack = [(base, 0, 0)]
-    while stack:
-        vtx, acc, depth = stack.pop()
-        if len(vals_short) == order:
-            break
-        nd = depth + 1
-        for nv, col in ends[vtx]:
-            ng = col[acc]
-            if nv == base:
-                vals_full.add(ng)
-                if nd <= short_cut:
-                    vals_short.add(ng)
-            if nd < max_length:
-                stack.append((nv, ng, nd))
-    closure_full = subgroup_closure(g, vals_full)
-    if len(vals_short) == order:
-        return OracleResult(closure_full, True, max_length)
-    closure_short = subgroup_closure(g, vals_short)
-    return OracleResult(
-        closure_full, closure_short.members == closure_full.members, max_length
-    )
 
 
 def standard_reports(

@@ -31,16 +31,28 @@ validating constructors: the long way round that the claim checks, which
 read the basepoint component off the bundle's sheets, do not take.  A
 coset automaton's normal form is reached the long way too: an action's
 orbit over the forward generators or a coset table's live cosets,
-compacted, then checked and renumbered by a second walk.
+compacted, then checked and renumbered by a second walk.  A spanning tree
+is searched the long way as well: each edge-end read through ``star`` and
+``step_endpoints`` (``reference_spanning_tree``).  The brute-force holonomy
+oracle (``oracle_holonomy``) enumerates closed paths at the basepoint, with
+no tree and no morphism.
 """
 
 import re
 from dataclasses import dataclass
 
-from flatconn.complexes import _NO_LETTER, BaseComplex, Edge, _closed_loop_word, spanning_tree
+from flatconn.complexes import (
+    _NO_LETTER,
+    BaseComplex,
+    Edge,
+    SpanningTreeData,
+    _closed_loop_word,
+    spanning_tree,
+    validate_complex,
+)
 from flatconn.connections import Voltage
 from flatconn.errors import ComplexError, IncidenceError, InputError
-from flatconn.groups import cycle_label, subgroup_closure
+from flatconn.groups import SubgroupSet, cycle_label, subgroup_closure
 from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
 from flatconn.words import invert_word, reduce_word
 
@@ -646,3 +658,76 @@ def compact_then_renumber(table):
         for c in range(2 * table.rank)
     ]
     return renumbered_fields(table.rank, columns[0::2], columns[1::2])
+
+
+def reference_spanning_tree(c):
+    """The breadth-first spanning tree the long way: each edge-end of the
+    vertex's star, in star order, resolved through ``step_endpoints``."""
+    base = c.basepoint
+    parent = [None] * c.vertex_count
+    up = [None] * c.vertex_count
+    up[base] = base
+    order = [base]
+    for v in order:
+        for step in c.star(v):
+            _, u = c.step_endpoints(step)
+            if up[u] is None:
+                up[u], parent[u] = v, step
+                order.append(u)
+    tree = {step[0] for step in parent if step is not None}
+    generators = tuple(e.id for e in c.edges if e.id not in tree)
+    return SpanningTreeData(parent=tuple(parent), up=tuple(up), order=tuple(order), generators=generators)
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    subgroup: SubgroupSet
+    stabilized: bool
+    max_length: int
+
+
+def oracle_holonomy(c: BaseComplex, v: Voltage, max_length: int) -> OracleResult:
+    """Brute-force holonomy oracle, independent of trees and morphisms.
+
+    Enumerates every closed edge path at the basepoint of length up to
+    ``max_length`` by depth-first search, collects the holonomy values and
+    returns their closure.  The result is sound; it is complete when the
+    stabilization witness holds: the closure is unchanged between lengths
+    max_length - 2 and max_length.  (Enumeration stops early once the raw
+    values already exhaust the group, which cannot change either closure.)
+    """
+    if max_length < 2:
+        raise ValueError("max_length must be at least 2")
+    validate_complex(c)
+    g = v.group
+    order = g.order
+    base = c.basepoint
+    ends: list[list[tuple[int, tuple]]] = [[] for _ in range(c.vertex_count)]  # (next vertex, step's column)
+    for e in c.edges:
+        w = v.on_edge(e.id)
+        ends[e.tail].append((e.head, g.column(w)))
+        ends[e.head].append((e.tail, g.column(g.inverse[w])))
+    short_cut = max_length - 2
+    vals_full = {0}
+    vals_short = {0}
+    stack = [(base, 0, 0)]
+    while stack:
+        vtx, acc, depth = stack.pop()
+        if len(vals_short) == order:
+            break
+        nd = depth + 1
+        for nv, col in ends[vtx]:
+            ng = col[acc]
+            if nv == base:
+                vals_full.add(ng)
+                if nd <= short_cut:
+                    vals_short.add(ng)
+            if nd < max_length:
+                stack.append((nv, ng, nd))
+    closure_full = subgroup_closure(g, vals_full)
+    if len(vals_short) == order:
+        return OracleResult(closure_full, True, max_length)
+    closure_short = subgroup_closure(g, vals_short)
+    return OracleResult(
+        closure_full, closure_short.members == closure_full.members, max_length
+    )

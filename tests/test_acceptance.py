@@ -23,7 +23,6 @@ from flatconn.theorems import (
     FAILS,
     HOLDS,
     is_induced_trivial,
-    oracle_holonomy,
     verify_cor_2_2,
     verify_functoriality,
     verify_prop_2_1,
@@ -36,6 +35,7 @@ from helpers import (
     holonomy_projection,
     induced_bundle_map,
     is_covering_map,
+    oracle_holonomy,
     reidemeister_schreier,
     subgroup_of_cover,
 )
@@ -175,7 +175,7 @@ def test_criterion_7_structural_identities(corpus):
         if key in seen:
             continue
         seen.add(key)
-        bundle = derived_bundle(inst.complex, inst.group, inst.voltage)
+        bundle = derived_bundle(inst.voltage)
         assert len(bundle.components) == inst.group.order // len(inst.image), item.name
         hb = holonomy_projection(bundle)
         sub = subgroup_of_cover(hb, hb.source.basepoint)
@@ -201,7 +201,7 @@ def test_criterion_8_regression_vector(s3, wedge, wedge_s3_voltage):
     assert len(holonomy_group(h)) == 6
     assert kernel_automaton(h).state_count == 6
 
-    a3 = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(2,)))
+    a3 = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(2,)))
     assert a3.cover.degree == 2
     assert a3.cover.total.free_rank == 3
     assert a3.induced_image.label_list() == ["e", "(012)", "(021)"]
@@ -210,7 +210,7 @@ def test_criterion_8_regression_vector(s3, wedge, wedge_s3_voltage):
 
     assert subgroup_closure(s3, mapped).members == a3.induced_image.members
 
-    ker = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
+    ker = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
     assert is_induced_trivial(ker).verdict == HOLDS
     assert ker.induced_image.members == (0,)
     assert automata_equal(ker.composite_subgroup, ker.kernel_aut)

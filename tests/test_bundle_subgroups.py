@@ -74,7 +74,7 @@ def backward_tree_instances():
                 SubgroupSpec(kind="quotient", subgroup=(0, v.as_tuple()[4])),
                 SubgroupSpec(kind="words", words=words),
             ):
-                out.append(Instance(c, g, v, spec, name=f"backward-{name}-{len(out)}", tc_cap=4096))
+                out.append(Instance(v, spec, name=f"backward-{name}-{len(out)}", tc_cap=4096))
     return out
 
 
@@ -226,7 +226,7 @@ def test_composite_walk_reads_each_lift_of_an_edge_at_its_own_state():
                 continue
             total, g = inst.cover.total, inst.group
             v = Voltage(total, g, {e.id: rng.randrange(g.order) for e in total.edges})
-            d = derived_bundle(total, g, v)
+            d = derived_bundle(v)
             nx = holonomy_projection(d)
             want = subgroup_of_cover(compose_complex_maps(nx, projection(inst.cover)), nx.source.basepoint)
             assert automata_equal(_basepoint_subgroup(d, inst.cover), want), inst.name

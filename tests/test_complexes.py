@@ -99,20 +99,20 @@ def test_loop_word_requires_closed_loop(wedge):
 
 
 def test_pi1_wedge(wedge):
-    pres = pi1_presentation(wedge, spanning_tree(wedge))
+    pres = pi1_presentation(wedge)
     assert pres.rank == 2
     assert pres.relators == ()
 
 
 def test_pi1_torus(torus):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     assert pres.rank == 2
     assert pres.relators == (((0, 1), (1, 1), (0, -1), (1, -1)),)
 
 
 def test_pi1_point():
     c = BaseComplex(1, [])
-    pres = pi1_presentation(c, spanning_tree(c))
+    pres = pi1_presentation(c)
     assert pres.rank == 0
     assert pres.relators == ()
 
@@ -125,7 +125,7 @@ def test_pi1_relator_conjugated_off_basepoint():
         [Edge(0, 0, 1), Edge(1, 1, 1)],
         relators=[((1, 1),)],
     )
-    pres = pi1_presentation(c, spanning_tree(c))
+    pres = pi1_presentation(c)
     assert pres.generators == (1,)
     assert pres.relators == (((0, 1),),)
 

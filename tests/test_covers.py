@@ -140,11 +140,11 @@ def test_functoriality_rejects_a_lift_over_the_wrong_vertex(z2):
     must run over base edge position p.  Here the two-cycle's index-2 cover
     has its first lift re-pointed into the fiber over vertex 0, not 1."""
     base = BaseComplex(2, [Edge(0, 0, 1), Edge(1, 1, 0)])
-    inst = Instance(base, z2, Voltage(base, z2, {0: 0, 1: 1}), SubgroupSpec(kind="quotient", subgroup=(0,)))
+    inst = Instance(Voltage(base, z2, {0: 0, 1: 1}), SubgroupSpec(kind="quotient", subgroup=(0,)))
     cov = inst.cover
     assert [(e.id, e.tail, e.head) for e in cov.total.edges] == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)]
     edges = [Edge(0, 0, 2)] + list(cov.total.edges[1:])
-    inst.__dict__["cover"] = CoveringComplex(base, cov.automaton, BaseComplex(4, edges), cov.base_lift)
+    inst.__dict__["cover"] = CoveringComplex(base, cov.automaton, BaseComplex(4, edges))
     with pytest.raises(IncidenceError) as err:
         verify_functoriality(inst)
     assert str(err.value) == "edge 0 -> 0 does not respect incidences: (0, 0) vs (0, 1)"
@@ -163,16 +163,16 @@ def test_subgroup_of_cover_round_trip(wedge, torus, s3, z4):
     cases.append((torus, automaton_from_quotient([1, 2], z4, subgroup_closure(z4, (2,)))))
     for base, aut in cases:
         cov = build_cover(base, aut)
-        assert automata_equal(subgroup_of_cover(projection(cov), cov.base_lift), aut)
+        assert automata_equal(subgroup_of_cover(projection(cov), cov.total.basepoint), aut)
 
 
 def test_lift_path_unique(wedge, s3):
     cov = build_cover(wedge, a3_automaton(s3))
     proj = projection(cov)
-    lifted = lift_path(proj, ((0, 1), (0, 1)), cov.base_lift)
+    lifted = lift_path(proj, ((0, 1), (0, 1)), cov.total.basepoint)
     assert tuple(proj.map_step(step) for step in lifted) == ((0, 1), (0, 1))
-    end = cov.total.path_vertices(lifted, start=cov.base_lift)[-1]
-    assert end == cov.base_lift  # a^2 lies in the index-2 subgroup
+    end = cov.total.path_vertices(lifted, start=cov.total.basepoint)[-1]
+    assert end == cov.total.basepoint  # a^2 lies in the index-2 subgroup
 
 
 def test_compose_maps(wedge, s3):
@@ -189,14 +189,14 @@ def test_compose_maps(wedge, s3):
 
 def test_derived_bundle_identity_voltage(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
-    d = derived_bundle(wedge, s3, v)
+    d = derived_bundle(v)
     assert len(d.components) == 6
     for comp in d.components:
         assert len(comp) == wedge.vertex_count
 
 
 def test_derived_bundle_wedge_connected(wedge, s3, wedge_s3_voltage):
-    d = derived_bundle(wedge, s3, wedge_s3_voltage)
+    d = derived_bundle(wedge_s3_voltage)
     assert d.graph.vertex_count == 6
     assert len(d.graph.edges) == 12
     assert len(d.components) == 1
@@ -205,7 +205,7 @@ def test_derived_bundle_wedge_connected(wedge, s3, wedge_s3_voltage):
 
 def test_derived_bundle_circle_z2(circle, z2):
     v = Voltage(circle, z2, {0: 1})
-    d = derived_bundle(circle, z2, v)
+    d = derived_bundle(v)
     assert len(d.components) == 1
     assert sorted((e.tail, e.head) for e in d.graph.edges) == [(0, 1), (1, 0)]
 
@@ -275,7 +275,7 @@ def wedge_s4_instances():
     a, b = s4.perms.index((1, 0, 2, 3)), s4.perms.index((1, 2, 3, 0))
     v = Voltage(wedge, s4, {0: a, 1: b})
     for sub in ((0,), (0, a)):
-        yield Instance(wedge, s4, v, SubgroupSpec(kind="quotient", subgroup=sub))
+        yield Instance(v, SubgroupSpec(kind="quotient", subgroup=sub))
 
 
 def source_instances(source):
@@ -395,7 +395,7 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
                 s3, {0: 2, 1: 3, 4: 1, 6: 5}),
     ]
     for v in cases:
-        d = derived_bundle(v.complex, v.group, v)
+        d = derived_bundle(v)
         n = v.group.order
         # the lifted-edge rule by composing permutations, not reading columns
         expected = [
@@ -417,13 +417,13 @@ def test_lifted_graph_matches_materialised_complex(wedge, circle, torus, s3, z4)
 def test_component_count_is_holonomy_index(wedge, s3):
     # Hol = <(01)> of order 2 inside S3: three components
     v = Voltage(wedge, s3, {0: 1, 1: 0})
-    d = derived_bundle(wedge, s3, v)
+    d = derived_bundle(v)
     h = holonomy_morphism(v, spanning_tree(wedge))
     assert len(d.components) == s3.order // len(holonomy_group(h))
 
 
 def test_left_translation_is_automorphism(wedge, s3, wedge_s3_voltage):
-    d = derived_bundle(wedge, s3, wedge_s3_voltage)
+    d = derived_bundle(wedge_s3_voltage)
     edge_set = {(e.tail, e.head, d.edge_pair(e.id)[0]) for e in d.graph.edges}
     for g in range(s3.order):
         perm = left_translation(d, g)
@@ -438,7 +438,7 @@ def test_left_translation_is_automorphism(wedge, s3, wedge_s3_voltage):
 
 def test_left_translation_permutes_components(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})  # Hol = <(01)>
-    d = derived_bundle(wedge, s3, v)
+    d = derived_bundle(v)
     hol = {0, 1}
     ids = component_ids(d)
     base_comp = set(d.components[ids[d.base_lift]])
@@ -452,7 +452,7 @@ def test_left_translation_permutes_components(wedge, s3):
 
 
 def test_holonomy_bundle_full(wedge, s3, wedge_s3_voltage):
-    d = derived_bundle(wedge, s3, wedge_s3_voltage)
+    d = derived_bundle(wedge_s3_voltage)
     hb = holonomy_component(d)
     assert (len(d.components), d.sheets) == (1, 6)
     assert len(hb) == d.graph.vertex_count
@@ -461,7 +461,7 @@ def test_holonomy_bundle_full(wedge, s3, wedge_s3_voltage):
 
 def test_holonomy_bundle_trivial(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
-    d = derived_bundle(wedge, s3, v)
+    d = derived_bundle(v)
     hb = holonomy_component(d)
     assert d.sheets == 1
     assert len(hb) == wedge.vertex_count
@@ -470,7 +470,7 @@ def test_holonomy_bundle_trivial(wedge, s3):
 
 def test_holonomy_bundle_proper_subgroup(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})
-    d = derived_bundle(wedge, s3, v)
+    d = derived_bundle(v)
     hb = holonomy_component(d)
     assert d.sheets == 2
     assert fiber_elements(d, hb) == (0, 1)  # e and (01)
@@ -487,7 +487,7 @@ def test_holonomy_bundle_proper_subgroup(wedge, s3):
 def test_component_complex_off_the_basepoint_lift(s3):
     # Hol = <(12)>: three components; the basepoint lift (1, e) = 6 lies in component 2
     base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0), Edge(5, 1, 1)], basepoint=1)
-    d = derived_bundle(base, s3, Voltage(base, s3, {0: 2, 3: 3, 5: 0}))
+    d = derived_bundle(Voltage(base, s3, {0: 2, 3: 3, 5: 0}))
     assert component_ids(d) == (0, 0, 1, 2, 1, 2, 2, 1, 0, 0, 2, 1)
     assert (len(d.components), d.sheets) == (3, 2)
     part = d.components[1]
@@ -508,7 +508,7 @@ def test_component_complex_off_the_basepoint_lift(s3):
 def test_holonomy_bundle_fiber_is_holonomy_group(wedge, s3):
     for assignment in ({0: 1, 1: 2}, {0: 1, 1: 0}, {0: 2, 1: 2}, {0: 0, 1: 0}):
         v = Voltage(wedge, s3, assignment)
-        d = derived_bundle(wedge, s3, v)
+        d = derived_bundle(v)
         h = holonomy_morphism(v, spanning_tree(wedge))
         assert fiber_elements(d, holonomy_component(d)) == holonomy_group(h).members
         assert d.sheets == len(holonomy_group(h))
@@ -523,13 +523,13 @@ def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
     for base, group, assignment in cases:
         v = Voltage(base, group, assignment)
         tree = spanning_tree(base)
-        hb = holonomy_projection(derived_bundle(base, group, v))
+        hb = holonomy_projection(derived_bundle(v))
         sub = subgroup_of_cover(hb, hb.source.basepoint)
         assert automata_equal(sub, kernel_automaton(holonomy_morphism(v, tree)))
 
 
 def test_full_bundle_subgroup_equals_kernel_when_connected(wedge, s3, wedge_s3_voltage):
-    d = derived_bundle(wedge, s3, wedge_s3_voltage)
+    d = derived_bundle(wedge_s3_voltage)
     tree = spanning_tree(wedge)
     sub = subgroup_of_cover(induced_projection(d, range(d.graph.vertex_count), d.base_lift)[0], d.base_lift)
     h = holonomy_morphism(wedge_s3_voltage, tree)
@@ -540,7 +540,7 @@ def test_induced_bundle_map_is_covering(wedge, s3, wedge_s3_voltage):
     from flatconn.theorems import Instance
     from flatconn.subgroups import SubgroupSpec
 
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(2,)))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(2,)))
     qhat = induced_bundle_map(inst.cover_bundle, inst.base_bundle, inst.cover)
     assert is_covering_map(qhat)
     assert covering_degree(qhat) == inst.cover.degree
@@ -550,7 +550,7 @@ def test_bundle_map_component_restrictions_are_coverings(wedge, s3, wedge_s3_vol
     from flatconn.theorems import Instance
     from flatconn.subgroups import SubgroupSpec
 
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(0,)))
     qhat = induced_bundle_map(inst.cover_bundle, inst.base_bundle, inst.cover)
     upper, lower = inst.cover_bundle, inst.base_bundle
     lower_ids = component_ids(lower)

@@ -19,8 +19,8 @@ SAMPLE_SEED = 111  # the seed `verify --all-random N --seed 0` gives instance 11
 def walk(inst, w):
     """(upstairs, downstairs) holonomy of a closed word at the base lift."""
     cov, g = inst.cover, inst.group
-    verts = cov.total.path_vertices(w, start=cov.base_lift)
-    assert verts[-1] == cov.base_lift
+    verts = cov.total.path_vertices(w, start=cov.total.basepoint)
+    assert verts[-1] == cov.total.basepoint
     proj = projection(cov)
     projected = tuple(proj.map_step(step) for step in w)
     verts = inst.complex.path_vertices(projected, start=inst.complex.basepoint)

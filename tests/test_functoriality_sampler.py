@@ -35,7 +35,7 @@ def reference_functoriality(inst, sample_count=100, seed=0):
     stars = [cov.total.star(v) for v in range(cov.total.vertex_count)]
     mismatches = []
     for _ in range(sample_count):
-        cur = cov.base_lift
+        cur = cov.total.basepoint
         steps = []
         for _ in range(rng.randint(0, 12)):
             if not stars[cur]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatconn.complexes import BaseComplex, Edge, pi1_presentation, spanning_tree
+from flatconn.complexes import BaseComplex, Edge, pi1_presentation
 from flatconn.corpus import CORPUS_TC_CAP, generate_corpus
 from flatconn.errors import EnumerationCapError, InputError
 from flatconn.io import parse_complex, parse_instance, parse_instance_data
@@ -27,7 +27,7 @@ INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
 def presentation_of(relators, rank=2):
     c = BaseComplex(1, [Edge(i, 0, 0) for i in range(rank)], relators=relators)
-    return pi1_presentation(c, spanning_tree(c))
+    return pi1_presentation(c)
 
 
 TORUS = presentation_of([(A, B, A_, B_)])
@@ -194,7 +194,7 @@ def test_no_false_flags_on_instance_documents():
         with open(os.path.join(INSTANCES, name), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         c, _ = parse_complex(doc["complex"])
-        pres = pi1_presentation(c, spanning_tree(c))
+        pres = pi1_presentation(c)
         whole = [((g, 1),) for g in range(pres.rank)]
         assert not _proves_infinite_index(pres, whole), name
         assert _proves_infinite_index(pres, []) == hlt_hits_cap(pres, []), name

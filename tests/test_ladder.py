@@ -3,10 +3,13 @@
 ``ladder/run.py`` times each row in its own subprocess; here ``time_row``
 runs directly on the smallest torus row, on S4 over the wedge, on the
 shortest Stallings word and on S5 over the wedge of two loops, and only its shape and verdicts are checked, not
-its timings.  The A/B runner is run once, on one checkout against itself.
+its timings.  The A/B runner is run once, on one checkout against itself,
+and once with its workers replaced by stand-ins, to read the environment
+they would be started with.
 """
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ import pytest
 from flatconn.theorems import GATE, HOLDS
 
 LADDER = os.path.join(os.path.dirname(__file__), os.pardir, "ladder", "run.py")
+AB = os.path.join(os.path.dirname(__file__), os.pardir, "ladder", "ab.py")
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +90,33 @@ def test_ab_runner_compares_a_checkout_with_itself():
     for metric in result["metrics"].values():
         assert set(metric) == {"ratio_median", "ratio_q1", "ratio_q3", "wins", "parent", "change"}
     assert result["same_verdicts"] is True and result["correct"] is True and result["passes"] == 2
+
+
+def test_ab_workers_compile_every_module_from_source(monkeypatch, capsys):
+    """Each worker starts with bytecode writing off and its cache prefix on a
+    fresh, empty directory, removed once the run ends, so neither side reads
+    a checkout's ``__pycache__``.  The workers here are stand-ins that answer
+    every pass at once; no process is started."""
+    spec = importlib.util.spec_from_file_location("ladder_ab", AB)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    started = []
+    answer = json.dumps({"setup_s": 1.0, "verify_s": 1.0, "codes": "HH", "failures": 0, "peak_rss_mb": 9.0})
+
+    class StandIn:
+        def __init__(self, command, env, **kwargs):
+            cache = env["PYTHONPYCACHEPREFIX"]
+            started.append((command, env, cache, os.listdir(cache)))
+            self.stdin = io.StringIO()
+            self.stdout = io.StringIO((answer + "\n") * 3)
+
+        def wait(self):
+            return 0
+
+    monkeypatch.setattr(ab.subprocess, "Popen", StandIn)
+    assert ab.main(["parent", "change", "--workload", "corpus", "--passes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["correct"] is True
+    assert [command[3] for command, *_ in started] == ["parent", "change"]
+    for _, env, cache, listed in started:
+        assert env == dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        assert listed == [] and not os.path.exists(cache)

@@ -94,7 +94,7 @@ def test_every_low_index_subgroup(case):
     base, group_name, values, max_index, subgroup_count, kernel_count = CASES[case]
     group = catalog_group(group_name)
     voltage = Voltage(base, group, dict(enumerate(values)))
-    probe = Instance(base, group, voltage)
+    probe = Instance(voltage)
     m, presentation = probe.kernel_aut.state_count, probe.presentation
     assert m == len(probe.image) > 1
     for n in range(1, max_index + 1):
@@ -103,7 +103,7 @@ def test_every_low_index_subgroup(case):
         trivialising = 0
         for k, a in enumerate(subgroups):
             spec = SubgroupSpec("words", tuple(reidemeister_schreier(a, presentation)))
-            inst = Instance(base, group, voltage, spec)
+            inst = Instance(voltage, spec)
             assert automata_equal(inst.subgroup_aut, a), (case, n, k)
             reports = standard_reports(inst, seed=k)
             assert not [r.claim for r in reports if r.verdict == FAILS], (case, n, k)

@@ -199,7 +199,7 @@ def test_a_kernel_spec_with_other_images_or_another_group_walks_its_own():
             (SubgroupSpec(kind="quotient", group=g, images=swapped), False),
             (SubgroupSpec(kind="quotient", group=twin, images=images), False),
         ):
-            kin = Instance(c, g, v, spec)
+            kin = Instance(v, spec)
             assert (kin.subgroup_aut is kin.kernel_aut) == shared
             want = subgroups.automaton_from_quotient(spec.images, spec.group, subgroup_closure(spec.group, ()))
             assert [getattr(kin.subgroup_aut, f) for f in FIELDS] == [getattr(want, f) for f in FIELDS]

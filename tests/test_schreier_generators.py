@@ -9,7 +9,7 @@ word in it is already reduced.
 
 import pytest
 
-from flatconn.complexes import pi1_presentation, spanning_tree
+from flatconn.complexes import pi1_presentation
 from flatconn.corpus import base_catalog, generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
 from flatconn.subgroups import todd_coxeter
@@ -45,7 +45,7 @@ def test_corpus_cover_and_kernel_automata(seed):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_low_index_sweep_automata(case):
     base, _, _, max_index, subgroup_count, _ = CASES[case]
-    presentation = pi1_presentation(base, spanning_tree(base))
+    presentation = pi1_presentation(base)
     for n in range(1, max_index + 1):
         subgroups = based_subgroups(presentation.rank, n, abelian=bool(base.relators))
         assert len(subgroups) == subgroup_count(n), (case, n)
@@ -56,7 +56,7 @@ def test_low_index_sweep_automata(case):
 @pytest.mark.parametrize("name", ["torus", "klein"])
 def test_todd_coxeter_outputs(name):
     base = base_catalog()[name]
-    presentation = pi1_presentation(base, spanning_tree(base))
+    presentation = pi1_presentation(base)
     for p in range(1, 5):
         for q in range(1, 5):
             for words in ([(A,) * p, (B,) * q], [(A,) * p + (B,), (B,) * q]):

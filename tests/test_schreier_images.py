@@ -79,7 +79,7 @@ def _compare(inst, label):
 
 def _over(probe, a):
     """The probe's base instance with subgroup automaton a."""
-    inst = Instance(probe.complex, probe.group, probe.voltage)
+    inst = Instance(probe.voltage)
     inst.__dict__.update(subgroup_aut=a, morphism=probe.morphism, kernel_aut=probe.kernel_aut)
     return inst
 
@@ -91,7 +91,7 @@ def _over(probe, a):
 @pytest.fixture()
 def wedge_s3():
     inst = parse_instance(os.path.join(INSTANCES, "wedge_s3_a3.json"))
-    return inst.complex, inst.group, inst.voltage
+    return inst.voltage
 
 
 @pytest.mark.parametrize(
@@ -105,7 +105,7 @@ def wedge_s3():
 def test_gate_detail_names_the_first_escaping_kernel_generator(wedge_s3, words, detail):
     # a -> (01), b -> (012): the b-parity subgroup (complete) and the partial
     # Stallings core of <a> (infinite index)
-    inst = Instance(*wedge_s3, SubgroupSpec(kind="words", words=words))
+    inst = Instance(wedge_s3, SubgroupSpec(kind="words", words=words))
     assert inst.subgroup_aut.complete == (len(words) == 3)
     gate = {h.name: h for h in verify_cor_2_2(inst).hypotheses}["kernel-inside-subgroup"]
     assert not gate.passed
@@ -163,7 +163,7 @@ def test_documents():
 
 
 def _probes(base, voltages):
-    return [Instance(base, v.group, v) for v in voltages]
+    return [Instance(v) for v in voltages]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from flatconn.complexes import Presentation, pi1_presentation, spanning_tree
+from flatconn.complexes import Presentation, pi1_presentation
 from flatconn.corpus import generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError
 from flatconn.groups import catalog_group, subgroup_closure
@@ -157,20 +157,20 @@ def test_quotient_rejects_bad_relator_image(s3):
 
 
 def test_todd_coxeter_torus_index_two(torus):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     aut = todd_coxeter(pres, [(A,), (B, B)])
     assert aut.complete
     assert aut.state_count == 2
 
 
 def test_todd_coxeter_index_one(torus):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     aut = todd_coxeter(pres, [(A,), (B,)])
     assert aut.state_count == 1
 
 
 def test_todd_coxeter_cap_exceeded(torus):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     with pytest.raises(EnumerationCapError, match="did not complete within cap"):
         todd_coxeter(pres, [(A,)], cap=1000)
 
@@ -190,7 +190,7 @@ def corpus_quotient_automata():
 
 
 def test_todd_coxeter_agrees_with_quotient(torus, z2):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     tc = todd_coxeter(pres, [(B,), (A, A)])
     quot = automaton_from_quotient([1, 0], z2, subgroup_closure(z2, ()), relators=pres.relators)
     assert automata_equal(tc, quot)
@@ -242,7 +242,7 @@ def test_normality_matches_schreier_oracle_on_corpus():
 
 
 def test_normality_matches_schreier_oracle_on_torus_kernels(torus):
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     for m in range(1, 6):
         for n in range(1, 6):
             aut = todd_coxeter(pres, [(A,) * m, (B,) * n])
@@ -323,7 +323,7 @@ def test_spec_routing(torus, s3):
     spec = SubgroupSpec(kind="words", words=tuple(INDEX2))
     aut = automaton_from_spec(spec, pres_free)
     assert aut.state_count == 2
-    pres_torus = pi1_presentation(torus, spanning_tree(torus))
+    pres_torus = pi1_presentation(torus)
     spec2 = SubgroupSpec(kind="words", words=((A,), (B, B)))
     aut2 = automaton_from_spec(spec2, pres_torus)
     assert aut2.state_count == 2
@@ -375,13 +375,13 @@ def test_todd_coxeter_recovers_finite_group_orders():
     ]
     for relators, order in cases:
         c = BaseComplex(1, [Edge(0, 0, 0), Edge(1, 0, 0)], relators=relators)
-        pres = pi1_presentation(c, spanning_tree(c))
+        pres = pi1_presentation(c)
         assert todd_coxeter(pres, []).state_count == order
 
 
 def test_todd_coxeter_lattice_indices(torus):
     # sublattices of Z^2: the index is |det| of the generator matrix
-    pres = pi1_presentation(torus, spanning_tree(torus))
+    pres = pi1_presentation(torus)
     assert todd_coxeter(pres, [(A, B), (A_, B)]).state_count == 2
     assert todd_coxeter(pres, [(A, A, B), (B, B, B)]).state_count == 6
 

@@ -13,7 +13,6 @@ from flatconn.theorems import (
     Instance,
     VerificationReport,
     is_induced_trivial,
-    oracle_holonomy,
     pullback_voltage,
     standard_reports,
     verify_cor_2_2,
@@ -28,6 +27,7 @@ from helpers import (
     induced_bundle_map,
     is_covering_map,
     lift_path,
+    oracle_holonomy,
     projection,
     reidemeister_schreier,
     word_holonomy,
@@ -44,23 +44,23 @@ A3_SPEC = SubgroupSpec(kind="quotient", subgroup=(2,))
 
 @pytest.fixture()
 def inst_a3(wedge, s3, wedge_s3_voltage):
-    return Instance(wedge, s3, wedge_s3_voltage, A3_SPEC, name="wedge-s3-a3")
+    return Instance(wedge_s3_voltage, A3_SPEC, name="wedge-s3-a3")
 
 
 @pytest.fixture()
 def inst_kernel(wedge, s3, wedge_s3_voltage):
-    return Instance(wedge, s3, wedge_s3_voltage, KERNEL_SPEC, name="wedge-s3-kernel")
+    return Instance(wedge_s3_voltage, KERNEL_SPEC, name="wedge-s3-kernel")
 
 
 def test_instance_rejects_nonflat(torus, s3):
     v = Voltage(torus, s3, {0: 1, 1: 3})  # constructs fine, but is not flat
     with pytest.raises(FlatnessError):
-        Instance(torus, s3, v, KERNEL_SPEC)
+        Instance(v, KERNEL_SPEC)
 
 
 def test_pullback_index_one(wedge, s3, wedge_s3_voltage):
     aut_spec = SubgroupSpec(kind="words", words=((A,), (B,)))
-    inst = Instance(wedge, s3, wedge_s3_voltage, aut_spec)
+    inst = Instance(wedge_s3_voltage, aut_spec)
     assert inst.cover.degree == 1
     assert inst.pullback.as_tuple() == wedge_s3_voltage.as_tuple()
 
@@ -86,7 +86,7 @@ def test_pullback_of_nonflat_voltage_keeps_its_violations(torus, s3, z4):
 
 def test_pullback_identity_voltage(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
-    inst = Instance(wedge, s3, v, A3_SPEC)
+    inst = Instance(v, A3_SPEC)
     assert set(inst.pullback.assignment.values()) == {0}
 
 
@@ -99,14 +99,14 @@ def test_induced_image_a3(inst_a3):
 
 
 def test_induced_image_index_one(wedge, s3, wedge_s3_voltage):
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
     assert len(inst.induced_image) == 6
 
 
 def test_theorem_1_1_examples(inst_a3, inst_kernel, wedge, s3, wedge_s3_voltage):
     assert verify_theorem_1_1(inst_a3).verdict == HOLDS
     assert verify_theorem_1_1(inst_kernel).verdict == HOLDS
-    index1 = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
+    index1 = Instance(wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
     assert verify_theorem_1_1(index1).verdict == HOLDS
 
 
@@ -114,12 +114,12 @@ def test_functoriality_hand_checked_words(inst_a3, s3):
     cov = inst_a3.cover
     proj = projection(cov)
     # lift of a^2 from the base lift: closed, holonomy e on both sides
-    lifted = lift_path(proj, (A, A), cov.base_lift)
-    assert word_holonomy(inst_a3.pullback, lifted, start=cov.base_lift) == 0
+    lifted = lift_path(proj, (A, A), cov.total.basepoint)
+    assert word_holonomy(inst_a3.pullback, lifted, start=cov.total.basepoint) == 0
     assert word_holonomy(inst_a3.voltage, (A, A)) == 0
     # b-loop on the base sheet maps to (012) on both sides
-    lifted_b = lift_path(proj, (B,), cov.base_lift)
-    up = word_holonomy(inst_a3.pullback, lifted_b, start=cov.base_lift)
+    lifted_b = lift_path(proj, (B,), cov.total.basepoint)
+    up = word_holonomy(inst_a3.pullback, lifted_b, start=cov.total.basepoint)
     down = word_holonomy(inst_a3.voltage, (B,))
     assert s3.label(up) == s3.label(down) == "(012)"
 
@@ -192,7 +192,7 @@ def test_trivial_a3_cover_is_not(inst_a3):
 def test_trivial_base_voltage_any_cover(wedge, s3):
     v = Voltage(wedge, s3, {0: 0, 1: 0})
     index2_words = ((A, A), (B,), (A, B, A_))
-    inst = Instance(wedge, s3, v, SubgroupSpec(kind="words", words=index2_words))
+    inst = Instance(v, SubgroupSpec(kind="words", words=index2_words))
     report = is_induced_trivial(inst)
     assert report.verdict == HOLDS
     assert "trivial: yes" in report.notes
@@ -206,7 +206,7 @@ def test_prop_2_1_kernel_holds(inst_kernel):
 
 def test_prop_2_1_gate_requires_full_holonomy(wedge, s3):
     v = Voltage(wedge, s3, {0: 1, 1: 0})  # Hol = <(01)> != S3
-    inst = Instance(wedge, s3, v, KERNEL_SPEC)
+    inst = Instance(v, KERNEL_SPEC)
     report = verify_prop_2_1(inst)
     assert report.verdict == GATE
     assert not all(h.passed for h in report.hypotheses)
@@ -216,7 +216,7 @@ def test_prop_2_1_degenerate_index_one():
     trivial_group = group_from_permutations(1, [])
     wedge = BaseComplex(1, [Edge(0, 0, 0), Edge(1, 0, 0)])
     v = Voltage(wedge, trivial_group, {0: 0, 1: 0})
-    inst = Instance(wedge, trivial_group, v, KERNEL_SPEC)
+    inst = Instance(v, KERNEL_SPEC)
     assert inst.subgroup_aut.state_count == 1
     report = verify_prop_2_1(inst)
     assert report.verdict == HOLDS
@@ -229,7 +229,7 @@ def test_cor_2_2_a3(inst_a3):
 
 
 def test_cor_2_2_non_normal_subgroup(wedge, s3, wedge_s3_voltage):
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(1,)))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=(1,)))
     report = verify_cor_2_2(inst)
     assert report.verdict == HOLDS
     assert "covering-regular: no" in report.notes
@@ -239,7 +239,7 @@ def test_cor_2_2_gate_fails_when_kernel_escapes(wedge, s3, wedge_s3_voltage):
     # H = <b^2, a, b a b^-1> is the kernel of the b-parity map; b^3 lies in
     # Ker h but has odd b-parity, so the kernel is not inside H.
     words = ((B, B), (A,), (B, A, B_))
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="words", words=words))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="words", words=words))
     assert inst.subgroup_aut.complete
     report = verify_cor_2_2(inst)
     assert report.verdict == GATE
@@ -254,14 +254,14 @@ def test_prop_2_3_kernel(inst_kernel, s3):
 
 
 def test_prop_2_3_gate_on_index_one(wedge, s3, wedge_s3_voltage):
-    inst = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
+    inst = Instance(wedge_s3_voltage, SubgroupSpec(kind="words", words=((A,), (B,))))
     report = verify_prop_2_3(inst)
     assert report.verdict == GATE  # Hol = G but Ker != pi1
 
 
 def test_prop_2_3_circle_z2(circle, z2):
     v = Voltage(circle, z2, {0: 1})
-    inst = Instance(circle, z2, v, KERNEL_SPEC)
+    inst = Instance(v, KERNEL_SPEC)
     report = verify_prop_2_3(inst)
     assert report.verdict == HOLDS
     # two disjoint two-cycles upstairs
@@ -278,7 +278,7 @@ def test_prop_2_4_wedge(inst_kernel):
 
 def test_prop_2_4_circle(circle, z2):
     v = Voltage(circle, z2, {0: 1})
-    inst = Instance(circle, z2, v, KERNEL_SPEC)
+    inst = Instance(v, KERNEL_SPEC)
     report = verify_prop_2_4(inst)
     assert report.verdict == HOLDS
     assert holonomy_projection(inst.base_bundle).source.free_rank == 1
@@ -288,7 +288,7 @@ def test_prop_2_4_trivial_group():
     trivial_group = group_from_permutations(1, [])
     wedge = BaseComplex(1, [Edge(0, 0, 0), Edge(1, 0, 0)])
     v = Voltage(wedge, trivial_group, {0: 0, 1: 0})
-    inst = Instance(wedge, trivial_group, v, KERNEL_SPEC)
+    inst = Instance(v, KERNEL_SPEC)
     report = verify_prop_2_4(inst)
     assert report.verdict == HOLDS
     assert inst.base_nx_subgroup.state_count == 1  # subgroup is everything
@@ -317,7 +317,7 @@ def test_oracle_circle_z4(circle, z4):
 def test_oracle_matches_holonomy_group(wedge, s3):
     for assignment in ({0: 1, 1: 2}, {0: 1, 1: 0}, {0: 2, 1: 5}, {0: 0, 1: 0}):
         v = Voltage(wedge, s3, assignment)
-        inst = Instance(wedge, s3, v, KERNEL_SPEC)
+        inst = Instance(v, KERNEL_SPEC)
         result = oracle_holonomy(wedge, v, 8)
         assert result.stabilized
         assert result.subgroup.members == inst.image.members
@@ -326,8 +326,8 @@ def test_oracle_matches_holonomy_group(wedge, s3):
 def test_induced_image_monotone_in_subgroup(wedge, s3, wedge_s3_voltage):
     chains = [((0,), (2,)), ((0,), (1,)), ((2,), (1, 2))]
     for small_seed, large_seed in chains:
-        small = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=small_seed))
-        large = Instance(wedge, s3, wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=large_seed))
+        small = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=small_seed))
+        large = Instance(wedge_s3_voltage, SubgroupSpec(kind="quotient", subgroup=large_seed))
         # verify the inclusion H1 <= H2 through Schreier membership
         gens = reidemeister_schreier(small.subgroup_aut, small.presentation)
         assert all(large.subgroup_aut.trace(w) == 0 for w in gens)
@@ -351,7 +351,7 @@ def test_report_invariants():
 def test_simply_connected_base_degenerates_cleanly():
     point = BaseComplex(1, [])
     z2 = group_from_permutations(2, [(1, 0)], labels=["0", "1"])
-    inst = Instance(point, z2, Voltage(point, z2, {}), KERNEL_SPEC)
+    inst = Instance(Voltage(point, z2, {}), KERNEL_SPEC)
     assert inst.subgroup_aut.state_count == 1
     assert verify_theorem_1_1(inst).verdict == HOLDS
     report = is_induced_trivial(inst)
@@ -447,7 +447,7 @@ def test_gate_misses_compute_no_gated_artifact(inst_a3, wedge, s3):
     assert verify_prop_2_1(inst_a3).verdict == GATE
     assert verify_prop_2_3(inst_a3).verdict == GATE
     # holonomy {e, (01)} does not span S3: prop_2_4 and cor_2_2 stop at their gates
-    partial = Instance(wedge, s3, Voltage(wedge, s3, {0: 1, 1: 0}), A3_SPEC)
+    partial = Instance(Voltage(wedge, s3, {0: 1, 1: 0}), A3_SPEC)
     assert verify_prop_2_4(partial).verdict == GATE
     assert verify_cor_2_2(partial).verdict == GATE
     for inst in (inst_a3, partial):

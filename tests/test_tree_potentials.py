@@ -138,8 +138,8 @@ def test_subgroup_of_cover_matches_lifted_loops(instances):
         nx = cover_nx(inst)
         want = lifted_loop_automaton(composite_map(inst, nx), nx.source.basepoint, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
-        got = subgroup_of_cover(projection(inst.cover), inst.cover.base_lift)
-        want = lifted_loop_automaton(projection(inst.cover), inst.cover.base_lift, inst.tree)
+        got = subgroup_of_cover(projection(inst.cover), inst.cover.total.basepoint)
+        want = lifted_loop_automaton(projection(inst.cover), inst.cover.total.basepoint, inst.tree)
         assert automaton_key(got) == automaton_key(want), inst.name
 
 
@@ -149,7 +149,7 @@ def test_presentation_matches_conjugated_relators(instances):
         assert inst.presentation.relators == conjugated_relators(inst.complex, inst.tree), inst.name
     for inst in covered:
         total = inst.cover.total
-        pres = pi1_presentation(total, inst.cover_tree)
+        pres = pi1_presentation(total)
         assert pres.generators == inst.cover_tree.generators
         assert pres.relators == conjugated_relators(total, inst.cover_tree), inst.name
 

@@ -25,7 +25,11 @@ into S3.  There ``parse`` reads every letter and ``subgroup_aut`` folds them.
 The ``wedge_rank`` rows put S5 over a wedge of r = 2^k loops (k = 1 ... 7,
 so r = 2 ... 128), with the voltage r seeded random elements that generate
 S5, covered by the holonomy kernel (index 120 on every row): the first
-family whose rank grows, so its slopes are taken against r.
+family whose rank grows, so its slopes are taken against r.  The
+``coxeter`` rows present S_k by its Coxeter presentation on k - 1
+involutions s_i (s_i^2, (s_i s_{i+1})^3 and (s_i s_j)^2 for j > i + 1),
+with the sign voltage s_i -> 1 into Z2 and H = <s0, s1> (k = 4 ... 8, so
+the index is k!/6, 4 ... 6720): Todd-Coxeter on involutions.
 
 Stages are timed from outside the library, by reading the ``Instance``
 artifacts and calling the claim checks in pipeline order; each stage's time
@@ -83,6 +87,7 @@ FAMILIES = {
     "sym_quotient": range(4, 8),
     "stallings": range(4, 9),  # a random word of 10^(k/2) letters
     "wedge_rank": range(1, 8),  # 2^k loops
+    "coxeter": range(4, 9),  # S_k, index k!/6
 }
 # what a family's slope is taken against, if not the index
 AXIS = {"stallings": "letters", "wedge_rank": "rank"}
@@ -115,6 +120,8 @@ def document(family: str, k: int) -> dict:
         return stallings_document(k)
     if family == "wedge_rank":
         return wedge_rank_document(k)
+    if family == "coxeter":
+        return coxeter_document(k)
     if family not in SURFACES:
         return symmetric_document(k, kernel=family == "sym_kernel")
     relator, group, (va, vb) = SURFACES[family]
@@ -167,6 +174,28 @@ def symmetric_document(degree: int, kernel: bool) -> dict:
     group = {"degree": degree, "generators": [[1, 0, *range(2, degree)], [*range(1, degree), 0]]}
     subgroup = ["e"] if kernel else [cycle_label(t)]
     return wedge_document(group, [], tuple(map(cycle_label, pair)), {"kind": "quotient", "subgroup": subgroup})
+
+
+def coxeter_document(degree: int) -> dict:
+    """S_degree by its Coxeter presentation over a wedge of degree - 1
+    loops s0, s1, ..., every loop of sign 1 in Z2, covered by H = <s0, s1>."""
+    names = [f"s{i}" for i in range(degree - 1)]
+    relators = []
+    for i, si in enumerate(names):
+        relators.append(f"{si} {si}")
+        for j in range(i + 1, len(names)):
+            relators.append(" ".join([si, names[j]] * (3 if j == i + 1 else 2)))
+    return {
+        "group": "Z2",
+        "complex": {
+            "vertices": 1,
+            "edges": [{"id": k, "tail": 0, "head": 0} for k in range(len(names))],
+            "aliases": {name: k for k, name in enumerate(names)},
+            "relators": relators,
+        },
+        "voltage": [{"edge": k, "element": "1"} for k in range(len(names))],
+        "covering": {"kind": "words", "words": ["s0", "s1"]},
+    }
 
 
 def wedge_rank_document(k: int) -> dict:

@@ -40,7 +40,7 @@ class LiftedEdges(Sequence):
 
     def __len__(self) -> int:
         v = self._graph._voltage
-        return len(v.complex.edges) * v.group.order
+        return len(v.complex.ids) * v.group.order
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -49,8 +49,8 @@ class LiftedEdges(Sequence):
         v, values = self._graph._voltage, self._graph._values
         n = v.group.order
         p, x = divmod(eid, n)
-        e = v.complex.edges[p]
-        return Edge(eid, e.tail * n + x, e.head * n + v.group.column(values[p])[x])
+        c = v.complex
+        return Edge(eid, c.tails[p] * n + x, c.heads[p] * n + v.group.column(values[p])[x])
 
 
 class LiftedGraph:
@@ -124,14 +124,19 @@ class DerivedBundle:
     (u, x) is x * ``_shift[u]``, and sheet s lies in ``_sheet_component[s]``.
     """
 
-    base: BaseComplex
-    group: GroupTable
     voltage: Voltage
     graph: LiftedGraph
     _shift: tuple
     _sheet_component: tuple
     sheets: int
-    base_lift: int
+
+    @property
+    def base(self) -> BaseComplex:
+        return self.voltage.complex
+
+    @property
+    def group(self) -> GroupTable:
+        return self.voltage.group
 
     @property
     def components(self) -> BundleComponents:
@@ -171,8 +176,8 @@ def derived_bundle(v: Voltage) -> DerivedBundle:
         w = values[c.edge_pos(eid)]
         unshift[u] = column(w if sign > 0 else inverse[w])[unshift[tree.up[u]]]
     gammas = set()
-    for e, w in zip(c.edges, values):
-        x, y = column(w)[unshift[e.tail]], unshift[e.head]
+    for t, h, w in zip(c.tails, c.heads, values):
+        x, y = column(w)[unshift[t]], unshift[h]
         if x != y:  # gamma = x * y^-1 is the identity on tree edges
             gammas.add(g.mul_inv(x, y))
     shift = [inverse[x] for x in unshift]
@@ -195,14 +200,11 @@ def derived_bundle(v: Voltage) -> DerivedBundle:
                         orbit.append(b)
             count += 1
     return DerivedBundle(
-        base=c,
-        group=g,
         voltage=v,
         graph=graph,
         _shift=tuple(shift),
         _sheet_component=tuple(sheet_component),
         sheets=g.order // count,
-        base_lift=c.basepoint * g.order,  # the lift (basepoint, identity)
     )
 
 
@@ -224,13 +226,13 @@ def _lifted_loops(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> 
     """
     fiber_maps, inverse = d.graph._fiber_maps, d.group.inverse
     base, k = (d.base, 1) if cover is None else (cover.base, cover.degree)
-    V, E = base.vertex_count, len(base.edges)
+    V, E = base.vertex_count, len(base.ids)
 
     def moves(p: int, sign: int) -> tuple[list, list]:
         """The state each state s reaches along base edge p, and the fiber
         map of that step, as two lists indexed by s."""
         lifts = range(p, k * E, E)  # the cover's edge s * E + p over p, for each state s
-        heads = [0] if cover is None else [cover.total.edges[q].head // V for q in lifts]
+        heads = [0] if cover is None else list(map(V.__rfloordiv__, compose_perms(lifts, cover.total.heads)))
         if sign > 0:
             return heads, fiber_maps(lifts)
         tails, maps = [0] * k, [None] * k  # a -1 step runs the lift that ends at state t backwards
@@ -255,9 +257,9 @@ def _lifted_loops(d: DerivedBundle, cover: Optional[CoveringComplex] = None) -> 
         for s, t, y in zip(range(k), reach[u], out[u]):
             home[u][t], back[u][t] = s, column(inverse[y])
     targets, elements = [], []
-    for e in map(base.edge, tree.generators):
-        p = base.edge_pos(e.id)
-        for tail, sign, head in ((e.tail, 1, e.head), (e.head, -1, e.tail)):
+    for p in map(base.edge_pos, tree.generators):
+        t, h = base.tails[p], base.heads[p]
+        for tail, sign, head in ((t, 1, h), (h, -1, t)):
             to, maps = moves(p, sign)
             ts, gs = [], []
             for s, a in zip(reach[tail], out[tail]):

@@ -3,12 +3,16 @@
 A complex is a directed multigraph plus a list of relator paths (the 2-cells).
 Edges are oriented once; traversing an edge against its orientation is a
 sign, not a second edge.  An edge path is a word of (edge id, sign) steps.
+A complex stores its edges as three columns, ids, tails and heads, in
+ascending-id order; one stored from its columns alone, such as a cover's
+total space, makes :class:`Edge` objects only when ``edges`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable, Optional, Sequence
 
 from .errors import ComplexError
@@ -28,16 +32,22 @@ class Edge:
 class BaseComplex:
     """A finite directed multigraph with basepoint and relator paths.
 
-    Construction checks referential integrity only; connectivity and relator
-    closure are enforced by :func:`validate_complex` so that malformed inputs
-    can be built and then rejected with a precise error.  The per-vertex
-    incidence behind :meth:`star` is built once here, each edge-end as
-    (edge id, sign, far vertex); the spanning tree is built once, by the
-    validation's connectivity check, and kept with the validation flag.
+    The edges are stored as three columns in ascending-id order: ``ids``,
+    ``tails`` and ``heads``, indexed by edge position.  ``edges``, the same
+    edges as frozen :class:`Edge` objects, keeps the constructor's edges; a
+    complex stored from its columns makes them when ``edges`` is first read
+    and then keeps them.  Construction checks referential integrity only; connectivity and relator closure are enforced by
+    :func:`validate_complex` so that malformed inputs can be built and then
+    rejected with a precise error.  The per-vertex incidence is built once
+    here from the columns, each edge-end as (edge id, sign, far vertex) in
+    ascending edge id, the outgoing end of a loop first; the spanning tree
+    is built once, by the validation's connectivity check, and kept with the
+    validation flag.
     """
 
     __slots__ = (
-        "vertex_count", "edges", "basepoint", "relators", "_pos", "_incidence", "_validated", "_tree",
+        "vertex_count", "ids", "tails", "heads", "basepoint", "relators",
+        "_edges", "_pos", "_incidence", "_validated", "_tree",
     )
 
     def __init__(
@@ -67,29 +77,47 @@ class BaseComplex:
                 if sign not in (1, -1):
                     raise ComplexError(f"relator {k} has invalid sign {sign}")
             rel.append(tuple(w))
-        self.vertex_count = vertex_count
-        self.edges = tuple(edge_list)
-        self.basepoint = basepoint
+        ids = tuple(e.id for e in edge_list)
+        tails, heads = tuple(e.tail for e in edge_list), tuple(e.head for e in edge_list)
+        self._store(vertex_count, ids, tails, heads, basepoint, pos)
+        self._edges = tuple(edge_list)
         self.relators = tuple(rel)
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, ids: tuple, tails: tuple, heads: tuple, basepoint: int) -> BaseComplex:
+        """A complex valid by construction, stored from its columns (ids
+        ascending) without the checks and with no relators."""
+        c = cls.__new__(cls)
+        c._store(vertex_count, ids, tails, heads, basepoint, dict(zip(ids, range(len(ids)))))
+        c.relators = ()
+        return c
+
+    def _store(self, vertex_count: int, ids: tuple, tails: tuple, heads: tuple, basepoint: int, pos: dict) -> None:
+        self.vertex_count = vertex_count
+        self.ids, self.tails, self.heads = ids, tails, heads
+        self._edges = None
+        self.basepoint = basepoint
         self._pos = pos
         incidence: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
-        for e in self.edges:
-            incidence[e.tail].append((e.id, 1, e.head))
-            incidence[e.head].append((e.id, -1, e.tail))
+        add = [ends.append for ends in incidence]
+        for eid, t, h in zip(ids, tails, heads):
+            add[t]((eid, 1, h))
+            add[h]((eid, -1, t))
         self._incidence = incidence
         self._validated = False
         self._tree = None
 
     @property
+    def edges(self) -> tuple:
+        """The edges as :class:`Edge` objects, ascending by id."""
+        if self._edges is None:
+            self._edges = tuple(map(Edge, self.ids, self.tails, self.heads))
+        return self._edges
+
+    @property
     def free_rank(self) -> int:
         """E - V + 1: the rank of the fundamental group before relators."""
-        return len(self.edges) - self.vertex_count + 1
-
-    def edge(self, eid: int) -> Edge:
-        try:
-            return self.edges[self._pos[eid]]
-        except KeyError:
-            raise ComplexError(f"unknown edge id {eid}") from None
+        return len(self.ids) - self.vertex_count + 1
 
     def edge_pos(self, eid: int) -> int:
         """Position of an edge in the ascending-id ordering."""
@@ -101,14 +129,8 @@ class BaseComplex:
     def step_endpoints(self, step: tuple[int, int]) -> tuple[int, int]:
         """(from, to) vertices of a signed step."""
         eid, sign = step
-        e = self.edge(eid)
-        return (e.tail, e.head) if sign > 0 else (e.head, e.tail)
-
-    def star(self, v: int) -> list[tuple[int, int]]:
-        """Edge-ends at a vertex: (edge id, +1) for outgoing, (edge id, -1)
-        for incoming; a loop contributes both ends.  Ordered by ascending
-        edge id, the outgoing end of a loop first."""
-        return [(eid, sign) for eid, sign, _ in self._incidence[v]]
+        p = self.edge_pos(eid)
+        return (self.tails[p], self.heads[p]) if sign > 0 else (self.heads[p], self.tails[p])
 
     def path_vertices(self, w: EdgeWord, start: Optional[int] = None) -> list[int]:
         """Vertex itinerary of an edge word; raises if steps do not chain."""
@@ -131,7 +153,7 @@ class BaseComplex:
 
     def __repr__(self) -> str:
         return (
-            f"BaseComplex(V={self.vertex_count}, E={len(self.edges)}, "
+            f"BaseComplex(V={self.vertex_count}, E={len(self.ids)}, "
             f"relators={len(self.relators)})"
         )
 
@@ -214,7 +236,7 @@ def _breadth_first_tree(c: BaseComplex) -> SpanningTreeData:
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ComplexError(f"graph is disconnected; unreachable vertices {missing[:10]}{more}")
     tree = {step[0] for step in parent if step is not None}
-    generators = tuple(e.id for e in c.edges if e.id not in tree)
+    generators = tuple(filterfalse(tree.__contains__, c.ids))
     return SpanningTreeData(parent=tuple(parent), up=tuple(up), order=tuple(order), generators=generators)
 
 

@@ -31,14 +31,14 @@ class Voltage:
     def __post_init__(self):
         validate_complex(self.complex)
         seen = dict(self.assignment)
-        for e in self.complex.edges:
-            if e.id not in seen:
-                raise ValueError(f"voltage missing for edge {e.id}")
-            val = seen.pop(e.id)
+        for eid in self.complex.ids:
+            if eid not in seen:
+                raise ValueError(f"voltage missing for edge {eid}")
+            val = seen.pop(eid)
             if not _is_int(val):
-                raise ValueError(f"voltage on edge {e.id} is not an integer: {val!r}")
+                raise ValueError(f"voltage on edge {eid} is not an integer: {val!r}")
             if not 0 <= val < self.group.order:
-                raise ValueError(f"voltage on edge {e.id} out of range: {val}")
+                raise ValueError(f"voltage on edge {eid} out of range: {val}")
         if seen:
             raise ValueError(f"voltage assigned to unknown edges {sorted(seen)}")
         object.__setattr__(self, "assignment", dict(self.assignment))
@@ -76,7 +76,7 @@ class Voltage:
 
     def as_tuple(self) -> tuple:
         """Assignment in ascending edge order; handy as a cache key."""
-        return tuple(self.assignment[e.id] for e in self.complex.edges)
+        return tuple(map(self.assignment.__getitem__, self.complex.ids))
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,11 @@ def holonomy_morphism(v: Voltage, t: SpanningTreeData) -> HolonomyMorphism:
     _require_flat(v)
     g, c, w = v.group, v.complex, v.assignment
     pot = _tree_potentials(t, g, v.on_step)
-    images = tuple([g.mul_inv(g.column(w[e.id])[pot[e.tail]], pot[e.head]) for e in map(c.edge, t.generators)])
+    tails, heads, column, mul_inv = c.tails, c.heads, g.column, g.mul_inv
+    gens = t.generators
+    images = tuple(
+        [mul_inv(column(w[eid])[pot[tails[p]]], pot[heads[p]]) for eid, p in zip(gens, map(c.edge_pos, gens))]
+    )
     return HolonomyMorphism(group=v.group, images=images)
 
 

@@ -58,7 +58,7 @@ def random_flat_voltage(
     among the flat assignments inside a random cyclic subgroup (the identity
     assignment is always flat, so the fallback cannot come up empty).
     """
-    edge_ids = [e.id for e in c.edges]
+    edge_ids = list(c.ids)
     for _ in range(max(1, tries)):
         assignment = {eid: rng.randrange(g.order) for eid in edge_ids}
         v = Voltage(c, g, assignment)

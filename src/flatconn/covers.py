@@ -3,20 +3,24 @@
 A covering built from a coset automaton is the derived graph of a
 permutation voltage: it has vertex set (state, base vertex), a tree edge
 stays within a sheet, and a non-tree edge's lifts move sheets by its
-automaton column, which is read once per lift.  Lifted relators are traced
-through the same columns to check that they close, and are listed only
-when read.  A cover's subgroup is based at its total space's basepoint,
-the vertex (state 0, basepoint).
+automaton column.  The total space is built as edge columns: the lifts of
+one base edge are a tail column, an arithmetic range, and a head column,
+the automaton column read at a range, and the columns of all base edges
+are interleaved by state; no :class:`~flatconn.complexes.Edge` is made.
+Lifted relators are traced through the same columns to check that they
+close, and are listed only when read.  A cover's subgroup is based at its
+total space's basepoint, the vertex (state 0, basepoint).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
-from .complexes import BaseComplex, Edge, spanning_tree
+from .complexes import BaseComplex, spanning_tree
 from .errors import ComplexError, IncidenceError, IncompleteAutomatonError
-from .groups import compose_perms
+from .groups import _reader, compose_perms
 from .subgroups import CosetAutomaton
 
 
@@ -40,16 +44,20 @@ class CoveringComplex:
 
 def check_incidence(cov: CoveringComplex) -> None:
     """Raise IncidenceError unless every lift s * E + p runs from a vertex
-    over tail(p) to a vertex over head(p)."""
-    base = cov.base
-    V, E = base.vertex_count, len(base.edges)
-    for e in cov.total.edges:
-        img = base.edges[e.id % E]
-        if e.tail % V != img.tail or e.head % V != img.head:
-            raise IncidenceError(
-                f"edge {e.id} -> {img.id} does not respect incidences: "
-                f"({e.tail % V}, {e.head % V}) vs ({img.tail}, {img.head})"
-            )
+    over tail(p) to a vertex over head(p): the total space's tail and head
+    columns, mod V, against the base's columns read at each id mod E."""
+    base, total = cov.base, cov.total
+    V, E = base.vertex_count, len(base.ids)
+    over = _reader(list(map(E.__rmod__, total.ids)))  # a base column read under each lift
+    for ends, base_ends in ((total.tails, base.tails), (total.heads, base.heads)):
+        if tuple(map(V.__rmod__, ends)) != over(base_ends):
+            for eid, t, h in zip(total.ids, total.tails, total.heads):
+                p = eid % E
+                if t % V != base.tails[p] or h % V != base.heads[p]:
+                    raise IncidenceError(
+                        f"edge {eid} -> {base.ids[p]} does not respect incidences: "
+                        f"({t % V}, {h % V}) vs ({base.tails[p]}, {base.heads[p]})"
+                    )
 
 
 class LiftedRelators(Sequence):
@@ -102,20 +110,22 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
     tree = spanning_tree(c)
     if len(tree.generators) != a.rank:
         raise ValueError("automaton alphabet does not match the non-tree generators")
-    gen_index = {eid: i for i, eid in enumerate(tree.generators)}
+    gen_index = dict(zip(tree.generators, range(a.rank)))
     n_states = a.state_count
-    V, E = c.vertex_count, len(c.edges)
+    V, E = c.vertex_count, len(c.ids)
     identity = range(n_states)
-    fwd = [identity if e.id not in gen_index else a.forward[gen_index[e.id]] for e in c.edges]
-    bwd = [identity if e.id not in gen_index else a.backward[gen_index[e.id]] for e in c.edges]
+    fwd = [identity if eid not in gen_index else a.forward[gen_index[eid]] for eid in c.ids]
+    bwd = [identity if eid not in gen_index else a.backward[gen_index[eid]] for eid in c.ids]
 
-    edges = [
-        Edge(s * E + pos, s * V + e.tail, fwd[pos][s] * V + e.head)
-        for s in range(n_states)
-        for pos, e in enumerate(c.edges)
-    ]
+    nV = n_states * V
+    # one column per base position p, indexed by state: the lift s * E + p
+    # runs from s * V + tail to fwd[p][s] * V + head; interleaving them by
+    # state gives the s * E + p order
+    tails = [range(t, nV, V) for t in c.tails]
+    heads = [compose_perms(f, range(h, nV, V)) for f, h in zip(fwd, c.heads)]
 
     relators = []
+    closed = tuple(identity)
     for k, rel in enumerate(c.relators):
         if not rel:
             continue
@@ -123,18 +133,20 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         ends = identity  # ends[s]: where the relator read from state s has got to
         for pos, sign in steps:
             ends = compose_perms(ends, (fwd if sign > 0 else bwd)[pos])
-        for s, t in enumerate(ends):
-            if t != s:
-                raise ComplexError(
-                    f"relator {k} does not close over state {s}; "
-                    "the automaton is not compatible with the relators"
-                )
+        if ends != closed:
+            s = next(s for s, t in enumerate(ends) if t != s)
+            raise ComplexError(
+                f"relator {k} does not close over state {s}; "
+                "the automaton is not compatible with the relators"
+            )
         relators.append(tuple(steps))
 
-    total = BaseComplex(
-        vertex_count=n_states * V,
-        edges=edges,
-        basepoint=c.basepoint,  # vertex (state 0, basepoint) has index basepoint
+    total = BaseComplex._trusted(
+        n_states * V,
+        tuple(range(n_states * E)),
+        tuple(chain.from_iterable(zip(*tails))),
+        tuple(chain.from_iterable(zip(*heads))),
+        c.basepoint,  # vertex (state 0, basepoint) has index basepoint
     )
     total.relators = LiftedRelators(relators, fwd, bwd, n_states, E)
     # valid as built: each lifted relator closed above, and each sheet is joined to

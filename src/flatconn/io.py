@@ -221,7 +221,7 @@ def parse_complex(data: Any) -> tuple[BaseComplex, _WordReader]:
 def parse_voltage(data: Any, c: BaseComplex, g: GroupTable, aliases: Mapping[str, int]) -> Voltage:
     if not isinstance(data, list):
         raise InputError("voltage must be a list of {edge, element} entries", "/voltage")
-    known = {e.id for e in c.edges}
+    known = set(c.ids)
     assignment = {}
     for k, rec in enumerate(data):
         loc = f"/voltage/{k}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .complexes import Presentation
 from .errors import EnumerationCapError, IncompleteAutomatonError
@@ -282,26 +282,42 @@ def is_normal_subgroup(a: CosetAutomaton) -> bool:
 class _CosetTable:
     """A coset table with the HLT scan-and-fill and coincidence routines.
 
-    Column 2g holds generator g and column 2g+1 its inverse, so ``c ^ 1`` is
-    the inverse column; entries are kept symmetric.  ``parent`` is the one
-    union-find over cosets: a coset is live while it is its own root, and
-    a coincidence keeps the lower-numbered coset.  Stallings folding is the
-    scan of the subgroup words at coset 0 in a table without relators (each
-    fold is a coincidence); Todd-Coxeter runs the relator/gap loop on top.
-    ``cap`` bounds the number of coset definitions (None: no bound).
+    Generator g has column ``letter[2g]`` and its inverse column
+    ``letter[2g + 1]``; ``inverse[c]`` is the column of the inverse letter,
+    and entries are kept symmetric.  A generator listed in ``involutions``
+    is its own inverse: both its letters read one self-inverse column.
+    ``parent`` is the one union-find over cosets: a coset is live while it
+    is its own root, and a coincidence keeps the lower-numbered coset.
+    Stallings folding is the scan of the subgroup words at coset 0 in a
+    table without relators (each fold is a coincidence); Todd-Coxeter runs
+    the relator/gap loop on top.  ``cap`` bounds the number of coset
+    definitions (None: no bound).
     """
 
-    __slots__ = ("rank", "table", "parent", "cap")
+    __slots__ = ("rank", "letter", "inverse", "table", "parent", "cap")
 
-    def __init__(self, rank: int, cap: Optional[int] = None):
+    def __init__(self, rank: int, cap: Optional[int] = None, involutions: Collection[int] = ()):
+        letter: list[int] = []
+        inverse: list[int] = []
+        for g in range(rank):
+            c = len(inverse)
+            if g in involutions:
+                letter += (c, c)
+                inverse.append(c)
+            else:
+                letter += (c, c + 1)
+                inverse += (c + 1, c)
         self.rank = rank
-        self.table: list[list[Optional[int]]] = [[None] * (2 * rank)]
+        self.letter = tuple(letter)
+        self.inverse = tuple(inverse)
+        self.table: list[list[Optional[int]]] = [[None] * len(inverse)]
         self.parent = [0]
         self.cap = cap
 
-    @staticmethod
-    def columns(w: Word) -> list[int]:
-        return [2 * sym + (sign < 0) for sym, sign in w]
+    def columns(self, w: Word) -> tuple[tuple, tuple]:
+        """A word as the columns its letters read, and the inverse of each."""
+        cols = tuple(self.letter[2 * sym + (sign < 0)] for sym, sign in w)
+        return cols, tuple(map(self.inverse.__getitem__, cols))
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -315,8 +331,8 @@ class _CosetTable:
         if self.cap is not None and len(table) >= self.cap:
             raise EnumerationCapError(_CAP_MESSAGE.format(self.cap))
         beta = len(table)
-        row = [None] * (2 * self.rank)
-        row[c ^ 1] = alpha
+        row = [None] * len(self.inverse)
+        row[self.inverse[c]] = alpha
         table.append(row)
         self.parent.append(beta)
         table[alpha][c] = beta
@@ -329,7 +345,7 @@ class _CosetTable:
             queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int) -> None:
-        table, find = self.table, self.find
+        table, find, inverse = self.table, self.find, self.inverse
         queue: deque = deque()
         self._merge(alpha, beta, queue)
         while queue:
@@ -337,38 +353,41 @@ class _CosetTable:
             for c, delta in enumerate(table[gamma]):
                 if delta is None:
                     continue
-                table[delta][c ^ 1] = None
+                d = inverse[c]
+                table[delta][d] = None
                 mu, nu = find(gamma), find(delta)
                 if table[mu][c] is not None:
                     self._merge(nu, table[mu][c], queue)
-                elif table[nu][c ^ 1] is not None:
-                    self._merge(mu, table[nu][c ^ 1], queue)
+                elif table[nu][d] is not None:
+                    self._merge(mu, table[nu][d], queue)
                 else:
                     table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    table[nu][d] = mu
 
-    def scan_and_fill(self, alpha: int, cols: Sequence[int]) -> None:
-        """Trace a word (as columns) both ways from alpha and close it up."""
+    def scan_and_fill(self, alpha: int, word: tuple[Sequence[int], Sequence[int]]) -> None:
+        """Trace a word, as :meth:`columns` gives it, both ways from alpha
+        and close it up."""
         table = self.table
+        cols, back = word
         f, b = alpha, alpha
         i, j = 0, len(cols) - 1
         while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
+            while i <= j and (x := table[f][cols[i]]) is not None:
+                f = x
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][cols[j] ^ 1] is not None:
-                b = table[b][cols[j] ^ 1]
+            while j >= i and (x := table[b][back[j]]) is not None:
+                b = x
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
                 table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
+                table[b][back[i]] = f
                 return
             self.define(f, cols[i])
 
@@ -380,16 +399,16 @@ class _CosetTable:
 
     def automaton(self) -> CosetAutomaton:
         """The automaton of the finished table: each live coset's entries
-        read once through ``find``, as one column per letter; rows folded
-        away are not read."""
+        read once through ``find``, as one list per column, which both
+        letters of an involution read; rows folded away are not read."""
         table, parent, find = self.table, self.parent, self.find
-        moves = [[None] * len(table) for _ in range(2 * self.rank)]
+        moves = [[None] * len(table) for _ in self.inverse]
         for x, px in enumerate(parent):
             if px == x:
                 for move, y in zip(moves, table[x]):
                     if y is not None:
                         move[x] = y if parent[y] == y else find(y)
-        return CosetAutomaton.from_action(self.rank, 0, moves)
+        return CosetAutomaton.from_action(self.rank, 0, [moves[c] for c in self.letter])
 
 
 def _check_letters(words: Iterable[Word], rank: int) -> None:
@@ -486,6 +505,12 @@ def _proves_infinite_index(presentation: Presentation, words: Sequence[Word]) ->
     return False
 
 
+def _square_root(w: Word) -> Optional[int]:
+    """The generator g if w freely reduces to g^2 or g^-2, else None."""
+    w = reduce_word(tuple(w))
+    return w[0][0] if len(w) == 2 and w[0] == w[1] else None
+
+
 def todd_coxeter(
     presentation: Presentation,
     subgroup_words: Sequence[Word],
@@ -496,11 +521,16 @@ def todd_coxeter(
     HLT strategy: subgroup words are scanned and filled at coset 0, then
     every relator is scanned and filled at each live coset in input order,
     and remaining gaps are filled by definitions in scan order.  Coincidences
-    collapse onto the smallest state.  ``cap`` bounds the total number of
-    coset definitions; running past it raises :class:`EnumerationCapError`,
-    at once if :func:`_proves_infinite_index` shows that H has infinite index
-    (the enumeration would then pass any cap); otherwise a finite index
-    cannot be told from an insufficient cap.
+    collapse onto the smallest state.  A generator g with a relator g^2 or
+    g^-2 (freely reduced) is an involution: it gets one self-inverse column,
+    which that relator holds on by construction, so it is not scanned.
+    ``cap`` bounds the total number of coset definitions; running past it
+    raises :class:`EnumerationCapError`, at once if
+    :func:`_proves_infinite_index` shows that H has infinite index (the
+    enumeration would then pass any cap); otherwise a finite index cannot
+    be told from an insufficient cap.  A shared column defines fewer cosets,
+    so where g^2 relators exist a cap is reached later than with two
+    columns per generator.
     """
     rank = presentation.rank
     _check_letters(subgroup_words, rank)
@@ -510,10 +540,11 @@ def todd_coxeter(
         raise ValueError("cap must be at least 1")
     if _proves_infinite_index(presentation, subgroup_words):
         raise EnumerationCapError(_CAP_MESSAGE.format(cap))
-    ct = _CosetTable(rank, cap)
+    roots = [_square_root(rel) for rel in presentation.relators]
+    ct = _CosetTable(rank, cap, set(roots) - {None})
     ct.scan_words(subgroup_words)
-    relators = [ct.columns(rel) for rel in presentation.relators if rel]
-    table, parent = ct.table, ct.parent
+    relators = [ct.columns(rel) for rel, g in zip(presentation.relators, roots) if rel and g is None]
+    table, parent, width = ct.table, ct.parent, len(ct.inverse)
     alpha = 0
     while alpha < len(table):
         if parent[alpha] == alpha:
@@ -523,7 +554,7 @@ def todd_coxeter(
                     break
             else:
                 row = table[alpha]
-                for c in range(2 * rank):
+                for c in range(width):
                     if row[c] is None:
                         ct.define(alpha, c)
         alpha += 1

@@ -307,7 +307,7 @@ def verify_functoriality(
     total, g = cov.total, inst.group
     mul_inv, column, inverse = g.mul_inv, g.column, g.inverse
     up_value = inst.pullback.on_step
-    values, E = inst.voltage.as_tuple(), len(cov.base.edges)
+    values, E = inst.voltage.as_tuple(), len(cov.base.ids)
 
     def down_value(step: tuple[int, int]) -> int:
         """The base value of the projected step: cover edge s * E + p lies over position p."""
@@ -318,9 +318,10 @@ def verify_functoriality(
     pot_up = _tree_potentials(tree, inst.group, up_value)
     pot_down = _tree_potentials(tree, inst.group, down_value)
     hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
-    for e in map(total.edge, tree.generators):
-        u, d = up_value((e.id, 1)), down_value((e.id, 1))
-        t, h = e.tail, e.head
+    tails, heads = total.tails, total.heads
+    for eid, p in zip(tree.generators, map(total.edge_pos, tree.generators)):
+        u, d = up_value((eid, 1)), down_value((eid, 1))
+        t, h = tails[p], heads[p]
         if (u, pot_up[t], pot_up[h]) == (d, pot_down[t], pot_down[h]):
             continue  # the same three factors give the same T-reduced value
         loop_up = mul_inv(column(u)[pot_up[t]], pot_up[h])
@@ -350,7 +351,7 @@ def verify_functoriality(
             w = tuple(steps) + tree.path_to_base(cur)
             break
     else:
-        w = tree.path_from_base(e.tail) + ((e.id, 1),) + tree.path_to_base(e.head)
+        w = tree.path_from_base(t) + ((eid, 1),) + tree.path_to_base(h)
         up, down = loop_up, loop_down
     return VerificationReport(
         "functoriality",
@@ -374,7 +375,7 @@ def _product_form(inst: Instance) -> tuple[bool, str]:
     count = len(inst.cover_bundle.components)
     if count != n:
         return False, f"{count} components, expected {n}"
-    return True, f"{n} components, each {total.vertex_count} vertices / {len(total.edges)} edges"
+    return True, f"{n} components, each {total.vertex_count} vertices / {len(total.ids)} edges"
 
 
 def is_induced_trivial(inst: Instance) -> VerificationReport:
@@ -535,7 +536,7 @@ def verify_prop_2_4(inst: Instance) -> VerificationReport:
         index = inst.kernel_aut.state_count
         expected = index * (inst.presentation.rank - 1) + 1
         d, c = inst.base_bundle, inst.complex  # the bundle is k sheets of V vertices and E edges
-        actual = d.sheets * (len(c.edges) - c.vertex_count) + 1
+        actual = d.sheets * (len(c.ids) - c.vertex_count) + 1
         rank_ok = actual == expected
         notes.append(f"rank pi1(holonomy bundle) = {actual}, expected {expected}")
     witnesses = (("bundle-subgroup-equals-kernel", str(sub_ok)), ("rank-formula", str(rank_ok)))

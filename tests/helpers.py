@@ -35,10 +35,15 @@ compacted, then checked and renumbered by a second walk.  A spanning tree
 is searched the long way as well: each edge-end read through ``star`` and
 ``step_endpoints`` (``reference_spanning_tree``).  The brute-force holonomy
 oracle (``oracle_holonomy``) enumerates closed paths at the basepoint, with
-no tree and no morphism.
+no tree and no morphism.  Coset enumeration has its plain HLT form here, two
+columns per generator and every relator scanned
+(``two_column_todd_coxeter``), and a cover is built the long way, one
+``Edge`` per lift through the public constructor
+(``reference_build_cover``).
 """
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from flatconn.complexes import (
@@ -47,12 +52,14 @@ from flatconn.complexes import (
     Edge,
     SpanningTreeData,
     _closed_loop_word,
+    pi1_presentation,
     spanning_tree,
     validate_complex,
 )
 from flatconn.connections import Voltage
-from flatconn.errors import ComplexError, IncidenceError, InputError
-from flatconn.groups import SubgroupSet, cycle_label, subgroup_closure
+from flatconn.covers import CoveringComplex, LiftedRelators
+from flatconn.errors import ComplexError, EnumerationCapError, IncidenceError, InputError
+from flatconn.groups import SubgroupSet, compose_perms, cycle_label, subgroup_closure
 from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
 from flatconn.words import invert_word, reduce_word
 
@@ -89,8 +96,8 @@ class ComplexMap:
             if e.id not in self.edge_map:
                 raise ValueError(f"edge map missing source edge {e.id}")
         for eid, tid in self.edge_map.items():
-            self.source.edge(eid)
-            self.target.edge(tid)
+            self.source.edge_pos(eid)
+            self.target.edge_pos(tid)
         object.__setattr__(self, "edge_map", dict(self.edge_map))
 
     def map_step(self, step):
@@ -101,7 +108,7 @@ class ComplexMap:
 def check_map_incidence(m):
     """Raise IncidenceError unless the map respects tails and heads."""
     for e in m.source.edges:
-        img = m.target.edge(m.edge_map[e.id])
+        img = m.target.edges[m.target.edge_pos(m.edge_map[e.id])]
         if m.vertex_map[e.tail] != img.tail or m.vertex_map[e.head] != img.head:
             raise IncidenceError(
                 f"edge {e.id} -> {img.id} does not respect incidences: "
@@ -131,7 +138,8 @@ def induced_bundle_map(upper, lower, cov):
     edge_map = {i: (i // n % E) * n + i % n for i in range(len(upper.graph.edges))}
     # a bundle's graph is not a complex: each is stored as one, based at its basepoint lift
     source, target = (
-        BaseComplex(d.graph.vertex_count, list(d.graph.edges), basepoint=d.base_lift) for d in (upper, lower)
+        BaseComplex(d.graph.vertex_count, list(d.graph.edges), basepoint=d.base.basepoint * d.group.order)
+        for d in (upper, lower)
     )
     return ComplexMap(source, target, vertex_map, edge_map)
 
@@ -194,7 +202,7 @@ def lift_index(m):
         if idx[e.tail].setdefault(out, e.id) != e.id or idx[e.head].setdefault(out + 1, e.id) != e.id:
             return None
     for v, ends in enumerate(idx):
-        if len(ends) != len(m.target.star(m.vertex_map[v])):
+        if len(ends) != len(star(m.target, m.vertex_map[v])):
             return None
     return idx
 
@@ -306,7 +314,7 @@ def induced_projection(d, vertices, basepoint):
 def holonomy_projection(d):
     """The holonomy bundle of ``d``, the component of the basepoint lift,
     as the projection of its own complex, based at that lift."""
-    return induced_projection(d, d.components[d._sheet_component[0]], d.base_lift)[0]
+    return induced_projection(d, d.components[d._sheet_component[0]], d.base.basepoint * d.group.order)[0]
 
 
 def cover_nx(inst):
@@ -650,14 +658,24 @@ def discover_then_renumber(rank, start, act):
 def compact_then_renumber(table):
     """The automaton of a finished coset table the long way: the live
     cosets compacted in number order, every entry read through the
-    union-find and the compaction, then :func:`renumbered_fields`."""
+    union-find and the compaction, then :func:`renumbered_fields`.  Each
+    letter reads its column through the table's letter map, so both letters
+    of an involution read its one column."""
     live = [x for x, px in enumerate(table.parent) if px == x]
     remap = {x: i for i, x in enumerate(live)}
     columns = [
         [None if table.table[x][c] is None else remap[table.find(table.table[x][c])] for x in live]
-        for c in range(2 * table.rank)
+        for c in table.letter
     ]
     return renumbered_fields(table.rank, columns[0::2], columns[1::2])
+
+
+def star(c, v):
+    """Edge-ends at a vertex: (edge id, +1) for outgoing, (edge id, -1) for
+    incoming; a loop contributes both ends.  Ordered by ascending edge id,
+    the outgoing end of a loop first: the complex's incidence entries
+    without their far vertices."""
+    return [(eid, sign) for eid, sign, _ in c._incidence[v]]
 
 
 def reference_spanning_tree(c):
@@ -669,7 +687,7 @@ def reference_spanning_tree(c):
     up[base] = base
     order = [base]
     for v in order:
-        for step in c.star(v):
+        for step in star(c, v):
             _, u = c.step_endpoints(step)
             if up[u] is None:
                 up[u], parent[u] = v, step
@@ -731,3 +749,172 @@ def oracle_holonomy(c: BaseComplex, v: Voltage, max_length: int) -> OracleResult
     return OracleResult(
         closure_full, closure_short.members == closure_full.members, max_length
     )
+
+
+def presentation_of(relators, rank=2):
+    """The presentation of a one-vertex complex with ``rank`` loops and the
+    given relator paths."""
+    c = BaseComplex(1, [Edge(i, 0, 0) for i in range(rank)], relators=relators)
+    return pi1_presentation(c)
+
+
+def coxeter_presentation(degree):
+    """S_degree by its Coxeter presentation on degree - 1 involutions s_i:
+    s_i^2, (s_i s_{i+1})^3 and (s_i s_j)^2 for j > i + 1."""
+    n = degree - 1
+    relators = []
+    for i in range(n):
+        relators.append(((i, 1), (i, 1)))
+        for j in range(i + 1, n):
+            relators.append(((i, 1), (j, 1)) * (3 if j == i + 1 else 2))
+    return presentation_of(relators, rank=n)
+
+
+class TwoColumnTable:
+    """The HLT coset table with two columns per generator: column 2g holds
+    generator g and column 2g+1 its inverse, so ``c ^ 1`` is the inverse
+    column, even for a generator of order two.  ``defined`` counts the
+    cosets defined."""
+
+    def __init__(self, rank, cap=None):
+        self.rank = rank
+        self.table = [[None] * (2 * rank)]
+        self.parent = [0]
+        self.cap = cap
+        self.defined = 0
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def define(self, alpha, c):
+        if self.cap is not None and len(self.table) >= self.cap:
+            raise EnumerationCapError(f"enumeration did not complete within cap ({self.cap} cosets)")
+        beta = len(self.table)
+        row = [None] * (2 * self.rank)
+        row[c ^ 1] = alpha
+        self.table.append(row)
+        self.parent.append(beta)
+        self.table[alpha][c] = beta
+        self.defined += 1
+
+    def merge(self, x, y, queue):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            mu, nu = (rx, ry) if rx < ry else (ry, rx)
+            self.parent[nu] = mu
+            queue.append(nu)
+
+    def coincidence(self, alpha, beta):
+        table, find = self.table, self.find
+        queue = deque()
+        self.merge(alpha, beta, queue)
+        while queue:
+            gamma = queue.popleft()
+            for c, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][c ^ 1] = None
+                mu, nu = find(gamma), find(delta)
+                if table[mu][c] is not None:
+                    self.merge(nu, table[mu][c], queue)
+                elif table[nu][c ^ 1] is not None:
+                    self.merge(mu, table[nu][c ^ 1], queue)
+                else:
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+
+    def scan_and_fill(self, alpha, cols):
+        table = self.table
+        f, b = alpha, alpha
+        i, j = 0, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            self.define(f, cols[i])
+
+
+def two_column_todd_coxeter(presentation, words, cap=None):
+    """Plain HLT coset enumeration of H = <words>, two columns per
+    generator: the words scanned and filled at coset 0, then every relator
+    (a square g^2 included) scanned and filled at each live coset in input
+    order, and the remaining gaps defined in column order.  Returns the
+    automaton of the finished table and the number of cosets defined."""
+    rank = presentation.rank
+    ct = TwoColumnTable(rank, cap)
+
+    def columns(w):
+        return [2 * sym + (sign < 0) for sym, sign in w]
+
+    for w in words:
+        w = reduce_word(tuple(w))
+        if w:
+            ct.scan_and_fill(0, columns(w))
+    relators = [columns(rel) for rel in presentation.relators if rel]
+    alpha = 0
+    while alpha < len(ct.table):
+        if ct.parent[alpha] == alpha:
+            for rel in relators:
+                ct.scan_and_fill(alpha, rel)
+                if ct.parent[alpha] != alpha:
+                    break
+            else:
+                for c in range(2 * rank):
+                    if ct.table[alpha][c] is None:
+                        ct.define(alpha, c)
+        alpha += 1
+    moves = [[None] * len(ct.table) for _ in range(2 * rank)]
+    for x, px in enumerate(ct.parent):
+        if px == x:
+            for c, y in enumerate(ct.table[x]):
+                if y is not None:
+                    moves[c][x] = ct.find(y)
+    return CosetAutomaton.from_action(rank, 0, moves), ct.defined
+
+
+def reference_build_cover(c, a):
+    """The cover of c by a complete automaton the long way: one ``Edge``
+    per lift s E + p, from s V + tail(p) to a's state after p times V plus
+    head(p), built by the public constructor from the edge list; every
+    relator traced from every state, state by state."""
+    tree = spanning_tree(c)
+    gen_index = {eid: i for i, eid in enumerate(tree.generators)}
+    n, V, E = a.state_count, c.vertex_count, len(c.edges)
+    identity = range(n)
+    fwd = [identity if e.id not in gen_index else a.forward[gen_index[e.id]] for e in c.edges]
+    bwd = [identity if e.id not in gen_index else a.backward[gen_index[e.id]] for e in c.edges]
+    edges = [Edge(s * E + p, s * V + e.tail, fwd[p][s] * V + e.head) for s in range(n) for p, e in enumerate(c.edges)]
+    relators = []
+    for k, rel in enumerate(c.relators):
+        if not rel:
+            continue
+        steps = [(c.edge_pos(eid), sign) for eid, sign in rel]
+        ends = identity
+        for p, sign in steps:
+            ends = compose_perms(ends, (fwd if sign > 0 else bwd)[p])
+        for s, t in enumerate(ends):
+            if t != s:
+                raise ComplexError(f"relator {k} does not close over state {s}")
+        relators.append(tuple(steps))
+    total = BaseComplex(n * V, edges, basepoint=c.basepoint)
+    total.relators = LiftedRelators(relators, fwd, bwd, n, E)
+    total._validated = True
+    return CoveringComplex(base=c, automaton=a, total=total)

@@ -44,6 +44,11 @@ from helpers import (
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
 
+def base_lift(d):
+    """The bundle vertex (basepoint, identity)."""
+    return d.base.basepoint * d.group.order
+
+
 def a3_automaton(s3):
     return automaton_from_quotient([1, 2], s3, subgroup_closure(s3, [2]))
 
@@ -200,7 +205,7 @@ def test_derived_bundle_wedge_connected(wedge, s3, wedge_s3_voltage):
     assert d.graph.vertex_count == 6
     assert len(d.graph.edges) == 12
     assert len(d.components) == 1
-    assert is_covering_map(induced_projection(d, range(d.graph.vertex_count), d.base_lift)[0])
+    assert is_covering_map(induced_projection(d, range(d.graph.vertex_count), base_lift(d))[0])
 
 
 def test_derived_bundle_circle_z2(circle, z2):
@@ -249,7 +254,7 @@ def fiber_elements(d, comp):
 
 def holonomy_component(d):
     """The vertex ids of the component of the basepoint lift."""
-    return d.components[component_ids(d)[d.base_lift]]
+    return d.components[component_ids(d)[base_lift(d)]]
 
 
 def has_finite_cover(inst):
@@ -319,7 +324,7 @@ def test_extracted_components_match_bfs_over_edges(seed):
                 assert lifts == tuple(e.id for e in edges if component_of[e.tail] == i)
                 assert is_covering_map(part)
                 assert covering_degree(part) == d.sheets
-            assert holonomy_component(d) == components[component_of[d.base_lift]]
+            assert holonomy_component(d) == components[component_of[base_lift(d)]]
 
 
 def test_bundle_sequences_slice_like_lists():
@@ -441,7 +446,7 @@ def test_left_translation_permutes_components(wedge, s3):
     d = derived_bundle(v)
     hol = {0, 1}
     ids = component_ids(d)
-    base_comp = set(d.components[ids[d.base_lift]])
+    base_comp = set(d.components[ids[base_lift(d)]])
     for g in range(s3.order):
         perm = left_translation(d, g)
         image = {perm[idx] for idx in base_comp}
@@ -477,7 +482,7 @@ def test_holonomy_bundle_proper_subgroup(wedge, s3):
     # (vertex 0, e), (vertex 0, (01)) and the a- and b-lifts through them
     assert hb == (0, 1)
     assert [(e.id, e.tail, e.head) for e in d.graph.edges if e.tail in hb] == [(0, 0, 1), (1, 1, 0), (6, 0, 0), (7, 1, 1)]
-    assert d.base_lift == 0
+    assert base_lift(d) == 0
     # another component of the same bundle, with a gap in its vertex ids
     other = d.components[1]
     assert other == (2, 4)
@@ -501,7 +506,7 @@ def test_component_complex_off_the_basepoint_lift(s3):
     assert is_covering_map(proj)
     hb = holonomy_component(d)
     assert hb == (3, 5, 6, 10)
-    assert hb.index(d.base_lift) == 2
+    assert hb.index(base_lift(d)) == 2
     assert fiber_elements(d, hb) == (0, 4)
 
 
@@ -531,7 +536,7 @@ def test_bundle_subgroup_equals_kernel(wedge, torus, s3, z4):
 def test_full_bundle_subgroup_equals_kernel_when_connected(wedge, s3, wedge_s3_voltage):
     d = derived_bundle(wedge_s3_voltage)
     tree = spanning_tree(wedge)
-    sub = subgroup_of_cover(induced_projection(d, range(d.graph.vertex_count), d.base_lift)[0], d.base_lift)
+    sub = subgroup_of_cover(induced_projection(d, range(d.graph.vertex_count), base_lift(d))[0], base_lift(d))
     h = holonomy_morphism(wedge_s3_voltage, tree)
     assert automata_equal(sub, kernel_automaton(h))
 

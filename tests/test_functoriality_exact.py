@@ -34,8 +34,8 @@ def walk(inst, w):
 
 
 def generator_loop(inst, eid):
-    tree, e = inst.cover_tree, inst.cover.total.edge(eid)
-    return tree.path_from_base(e.tail) + ((eid, 1),) + tree.path_to_base(e.head)
+    tree, (tail, head) = inst.cover_tree, inst.cover.total.step_endpoints((eid, 1))
+    return tree.path_from_base(tail) + ((eid, 1),) + tree.path_to_base(head)
 
 
 def generator_witness_lines(inst, sample_count, seed):

@@ -19,7 +19,7 @@ from flatconn.corpus import generate_corpus
 from flatconn.errors import EnumerationCapError, IncompleteAutomatonError, InputError
 from flatconn.io import parse_instance
 from flatconn.theorems import FAILS, HOLDS, HypothesisCheck, VerificationReport, verify_functoriality
-from helpers import check_map_incidence, projection, tree_edges
+from helpers import check_map_incidence, projection, star, tree_edges
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 CORPUS_SEEDS = range(8)
@@ -32,7 +32,7 @@ def reference_functoriality(inst, sample_count=100, seed=0):
     cov = inst.cover
     proj = projection(cov)
     check_map_incidence(proj)
-    stars = [cov.total.star(v) for v in range(cov.total.vertex_count)]
+    stars = [star(cov.total, v) for v in range(cov.total.vertex_count)]
     mismatches = []
     for _ in range(sample_count):
         cur = cov.total.basepoint

@@ -3,8 +3,9 @@
 ``subgroups._proves_infinite_index`` must be exact where it answers: it
 never flags a finite-index subgroup, and on the torus and Klein-bottle
 groups it flags every subgroup whose enumeration runs past the cap.  The
-oracle is a copy of the plain HLT enumeration, kept here so that the
-certificate in front of ``todd_coxeter`` cannot decide its own reference.
+oracle is ``helpers.two_column_todd_coxeter``, the plain HLT enumeration
+with no certificate in front of it, so that the certificate in front of
+``todd_coxeter`` cannot decide its own reference.
 """
 
 import json
@@ -14,59 +15,24 @@ from fractions import Fraction
 
 import pytest
 
-from flatconn.complexes import BaseComplex, Edge, pi1_presentation
+from flatconn.complexes import pi1_presentation
 from flatconn.corpus import CORPUS_TC_CAP, generate_corpus
 from flatconn.errors import EnumerationCapError, InputError
 from flatconn.io import parse_complex, parse_instance, parse_instance_data
-from flatconn.subgroups import _CosetTable, _proves_infinite_index, todd_coxeter
-from helpers import reidemeister_schreier
+from flatconn.subgroups import _proves_infinite_index, todd_coxeter
+from helpers import coxeter_presentation, presentation_of, reidemeister_schreier, two_column_todd_coxeter
 
 A, A_, B, B_ = (0, 1), (0, -1), (1, 1), (1, -1)
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
-
-
-def presentation_of(relators, rank=2):
-    c = BaseComplex(1, [Edge(i, 0, 0) for i in range(rank)], relators=relators)
-    return pi1_presentation(c)
-
-
 TORUS = presentation_of([(A, B, A_, B_)])
 KLEIN = presentation_of([(A, B, A_, B)])
-
-
-def coxeter_presentation(degree):
-    """S_degree by its Coxeter presentation on degree - 1 involutions."""
-    n = degree - 1
-    relators = []
-    for i in range(n):
-        relators.append(((i, 1), (i, 1)))
-        for j in range(i + 1, n):
-            relators.append(((i, 1), (j, 1)) * (3 if j == i + 1 else 2))
-    return presentation_of(relators, rank=n)
 
 
 def hlt_hits_cap(presentation, words, cap=CORPUS_TC_CAP):
     """The HLT enumeration without the certificate: True iff it runs past
     ``cap`` coset definitions."""
-    rank = presentation.rank
-    ct = _CosetTable(rank, cap)
     try:
-        ct.scan_words(words)
-        relators = [ct.columns(rel) for rel in presentation.relators if rel]
-        table, parent = ct.table, ct.parent
-        alpha = 0
-        while alpha < len(table):
-            if parent[alpha] == alpha:
-                for rel in relators:
-                    ct.scan_and_fill(alpha, rel)
-                    if parent[alpha] != alpha:
-                        break
-                else:
-                    row = table[alpha]
-                    for c in range(2 * rank):
-                        if row[c] is None:
-                            ct.define(alpha, c)
-            alpha += 1
+        two_column_todd_coxeter(presentation, words, cap)
     except EnumerationCapError:
         return True
     return False
@@ -140,20 +106,12 @@ def test_certificate_raises_the_cap_error_of_the_enumeration():
         todd_coxeter(TORUS, [(A,)], cap=0)
 
 
-def test_short_circuit_defines_no_coset(monkeypatch):
-    calls = []
-    define = _CosetTable.define
-
-    def counting_define(self, alpha, c):
-        calls.append((alpha, c))
-        return define(self, alpha, c)
-
-    monkeypatch.setattr(_CosetTable, "define", counting_define)
+def test_short_circuit_defines_no_coset(defined):
     inst = parse_instance(os.path.join(INSTANCES, "torus_infinite_index.json"))
     with pytest.raises(EnumerationCapError) as exc:
         inst.subgroup_aut
     assert str(exc.value) == "enumeration did not complete within cap (1000 cosets)"
-    assert calls == []
+    assert defined == {}
 
 
 def test_oracle_sweep_over_presented_corpus_words():

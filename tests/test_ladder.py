@@ -2,8 +2,10 @@
 
 ``ladder/run.py`` times each row in its own subprocess; here ``time_row``
 runs directly on the smallest torus row, on S4 over the wedge, on the
-shortest Stallings word and on S5 over the wedge of two loops, and only its shape and verdicts are checked, not
-its timings.  The A/B runner is run once, on one checkout against itself,
+shortest Stallings word, on S5 over the wedge of two loops and on the
+Coxeter presentations of S4 and S5, and only its shape and verdicts are
+checked, not its timings; the S7 and S8 Coxeter rows are left to the
+ladder itself.  The A/B runner is run once, on one checkout against itself,
 and once with its workers replaced by stand-ins, to read the environment
 they would be started with.
 """
@@ -19,16 +21,7 @@ import pytest
 
 from flatconn.theorems import GATE, HOLDS
 
-LADDER = os.path.join(os.path.dirname(__file__), os.pardir, "ladder", "run.py")
 AB = os.path.join(os.path.dirname(__file__), os.pardir, "ladder", "ab.py")
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    spec = importlib.util.spec_from_file_location("ladder_run", LADDER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize(
@@ -40,6 +33,7 @@ def ladder():
         ("sym_quotient", 4, 12, [HOLDS, HOLDS, HOLDS, HOLDS, GATE, GATE, HOLDS]),
         ("stallings", 4, 120, [HOLDS, HOLDS, GATE, HOLDS, GATE, GATE, HOLDS]),
         ("wedge_rank", 1, 120, [HOLDS] * 7),
+        ("coxeter", 4, 4, [HOLDS, HOLDS, GATE, HOLDS, GATE, GATE, HOLDS]),
     ],
 )
 def test_time_row_reports_every_stage(ladder, family, k, index, verdicts):
@@ -71,6 +65,21 @@ def test_wedge_rank_rows_grow_by_their_loops(ladder):
         assert len(doc["complex"]["edges"]) == len(doc["voltage"]) == 2**k
         assert doc["covering"] == {"kind": "quotient", "subgroup": ["e"]}
     assert ladder.time_row("wedge_rank", 1)["rank"] == 2
+
+
+def test_coxeter_rows_cover_s_k_by_two_involutions(ladder):
+    """Each ``coxeter`` row presents S_k on k - 1 involutions, one square,
+    braid or commutation relator per generator or pair, and covers by
+    H = <s0, s1> = S3, so the index is k!/6; slopes are against the index."""
+    assert list(ladder.FAMILIES["coxeter"]) == list(range(4, 9))
+    assert "coxeter" not in ladder.AXIS
+    for k in (4, 8):
+        doc = ladder.document("coxeter", k)
+        assert len(doc["complex"]["edges"]) == k - 1
+        assert len(doc["complex"]["relators"]) == (k - 1) + (k - 1) * (k - 2) // 2
+        assert doc["complex"]["relators"][:2] == ["s0 s0", "s0 s1 s0 s1 s0 s1"]
+        assert doc["covering"] == {"kind": "words", "words": ["s0", "s1"]}
+    assert [ladder.time_row("coxeter", k)["index"] for k in (4, 5)] == [4, 20]
 
 
 def test_ab_runner_compares_a_checkout_with_itself():

@@ -56,6 +56,8 @@ MOVED = {
     "vertex_to_base",
     "oracle_holonomy",
     "OracleResult",
+    "star",
+    "base_lift",
 }
 
 
@@ -101,6 +103,16 @@ def test_no_member_exists_only_for_a_test():
     assert not hasattr(HolonomyMorphism, "evaluate")
 
 
+def test_a_complex_is_read_through_its_columns():
+    """The pipeline reads a complex's ``ids``, ``tails`` and ``heads`` and its
+    incidence entries; a single edge's record and a vertex's edge-ends
+    without their far vertices are test oracles, ``helpers.star`` among
+    them.  A derived bundle's base lift is the basepoint times |G|."""
+    for name in ("edge", "star"):
+        assert not hasattr(BaseComplex, name), name
+    assert not hasattr(DerivedBundle, "base_lift")
+
+
 def test_a_bundle_graph_is_not_a_complex():
     """A derived bundle's graph keeps its vertex count, its computed edges
     and its fiber maps; ``helpers.induced_bundle_map`` is the one place
@@ -112,7 +124,7 @@ def test_a_bundle_graph_is_not_a_complex():
     base = BaseComplex(2, [Edge(0, 0, 1), Edge(3, 1, 0)], basepoint=1)
     d = derived_bundle(Voltage(base, s3, {0: 1, 3: 2}))
     assert not isinstance(d.graph, BaseComplex)
-    assert (d.graph.vertex_count, len(d.graph.edges), d.base_lift) == (12, 12, 6)
+    assert (d.graph.vertex_count, len(d.graph.edges), d.base.basepoint * d.group.order) == (12, 12, 6)
 
 
 EMPTY = inspect.Parameter.empty

@@ -71,8 +71,8 @@ def instances():
 
 
 def generator_loop(c, t, eid):
-    e = c.edge(eid)
-    return t.path_from_base(e.tail) + ((eid, 1),) + t.path_to_base(e.head)
+    tail, head = c.step_endpoints((eid, 1))
+    return t.path_from_base(tail) + ((eid, 1),) + t.path_to_base(head)
 
 
 def walked_images(v, t):

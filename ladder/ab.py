@@ -20,8 +20,11 @@ pairs, the parent first in even pairs and the change first in odd ones, so
 a drift of the machine's speed falls on both sides alike.  It prints one
 JSON object with, for ``verify_s`` and ``setup_s`` each, the median
 change/parent ratio over the pairs, its quartiles, the number of pairs the
-change won and both sides' medians, whether every pass gave both sides
-the same verdicts, and whether every verdict matched the reference.  It
+change won, each side's own median and quartiles, and ``gain``: whether
+the gain rule holds, that is whether the change won at least nine pairs in
+ten and its median is below the parent's by more than the parent's
+interquartile range.  It also says whether every pass gave both sides the
+same verdicts, and whether every verdict matched the reference.  It
 also prints each side's peak RSS in MB (``ru_maxrss`` of its worker, as
 perfbench reads it).  A worker keeps no pass once it has answered, so,
 unlike perfbench's ``peak_rss_mb``, the peak does not grow with the number
@@ -80,17 +83,32 @@ def ask_pass(proc: subprocess.Popen) -> dict:
     return json.loads(line)
 
 
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile); one value is all three."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else tuple(values * 3)
+
+
 def summary(parent: list, change: list) -> dict:
-    """Median change/parent ratio over pairs, its quartiles and the wins."""
+    """Median change/parent ratio over pairs, its quartiles, the wins, each
+    side's quartiles, and whether the gain rule holds: at least 9/10 wins
+    and a median difference larger than the parent's interquartile range."""
     ratios = [c / p for p, c in zip(parent, change)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    r1, _, r3 = quartiles(ratios)
+    (p1, _, p3), (c1, _, c3) = quartiles(parent), quartiles(change)
+    wins = sum(r < 1 for r in ratios)
+    median_parent, median_change = statistics.median(parent), statistics.median(change)
     return {
         "ratio_median": statistics.median(ratios),
-        "ratio_q1": q1,
-        "ratio_q3": q3,
-        "wins": sum(r < 1 for r in ratios),
-        "parent": statistics.median(parent),
-        "change": statistics.median(change),
+        "ratio_q1": r1,
+        "ratio_q3": r3,
+        "wins": wins,
+        "parent": median_parent,
+        "parent_q1": p1,
+        "parent_q3": p3,
+        "change": median_change,
+        "change_q1": c1,
+        "change_q3": c3,
+        "gain": 10 * wins >= 9 * len(ratios) and median_parent - median_change > p3 - p1,
     }
 
 

@@ -86,18 +86,24 @@ class BaseComplex:
     @classmethod
     def _trusted(cls, vertex_count: int, ids: tuple, tails: tuple, heads: tuple, basepoint: int) -> BaseComplex:
         """A complex valid by construction, stored from its columns (ids
-        ascending) without the checks and with no relators."""
+        ascending) without the checks and with no relators.  E ascending
+        ids that run from 0 to E - 1, a cover's, are each their own
+        position, looked up in that range instead of a dict."""
         c = cls.__new__(cls)
-        c._store(vertex_count, ids, tails, heads, basepoint, dict(zip(ids, range(len(ids)))))
+        positions = range(len(ids))
+        if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
+            positions = dict(zip(ids, positions))
+        c._store(vertex_count, ids, tails, heads, basepoint, positions)
         c.relators = ()
         return c
 
-    def _store(self, vertex_count: int, ids: tuple, tails: tuple, heads: tuple, basepoint: int, pos: dict) -> None:
+    def _store(self, vertex_count: int, ids: tuple, tails: tuple, heads: tuple, basepoint: int, positions) -> None:
         self.vertex_count = vertex_count
         self.ids, self.tails, self.heads = ids, tails, heads
         self._edges = None
         self.basepoint = basepoint
-        self._pos = pos
+        # edge id -> position: a dict's lookup, or the index in a range of ids
+        self._pos = positions.index if isinstance(positions, range) else positions.__getitem__
         incidence: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
         add = [ends.append for ends in incidence]
         for eid, t, h in zip(ids, tails, heads):
@@ -122,8 +128,8 @@ class BaseComplex:
     def edge_pos(self, eid: int) -> int:
         """Position of an edge in the ascending-id ordering."""
         try:
-            return self._pos[eid]
-        except KeyError:
+            return self._pos(eid)
+        except (KeyError, ValueError):
             raise ComplexError(f"unknown edge id {eid}") from None
 
     def step_endpoints(self, step: tuple[int, int]) -> tuple[int, int]:

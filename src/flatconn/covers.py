@@ -42,13 +42,26 @@ class CoveringComplex:
         return self.automaton.state_count
 
 
+def _under_lifts(cov: CoveringComplex):
+    """The function that reads a column of the base, indexed by edge
+    position, under every lift of the total space, at its id mod E.  Under
+    ids 0 ... nE - 1, a cover's, that is the base's column repeated n times."""
+    ids, N, E = cov.total.ids, len(cov.total.ids), len(cov.base.ids)
+    if ids and ids[0] == 0 and ids[-1] == N - 1 and N % E == 0:  # ascending, so the ids are 0 ... N - 1
+        return lambda column: column * (N // E)
+    return _reader(list(map(E.__rmod__, ids)))
+
+
 def check_incidence(cov: CoveringComplex) -> None:
     """Raise IncidenceError unless every lift s * E + p runs from a vertex
     over tail(p) to a vertex over head(p): the total space's tail and head
-    columns, mod V, against the base's columns read at each id mod E."""
+    columns, mod V, against the base's columns read under the lifts.  Over
+    a single vertex every lift passes."""
     base, total = cov.base, cov.total
     V, E = base.vertex_count, len(base.ids)
-    over = _reader(list(map(E.__rmod__, total.ids)))  # a base column read under each lift
+    if V == 1:
+        return
+    over = _under_lifts(cov)
     for ends, base_ends in ((total.tails, base.tails), (total.heads, base.heads)):
         if tuple(map(V.__rmod__, ends)) != over(base_ends):
             for eid, t, h in zip(total.ids, total.tails, total.heads):
@@ -130,9 +143,10 @@ def build_cover(c: BaseComplex, a: CosetAutomaton) -> CoveringComplex:
         if not rel:
             continue
         steps = [(c.edge_pos(eid), sign) for eid, sign in rel]
-        ends = identity  # ends[s]: where the relator read from state s has got to
-        for pos, sign in steps:
-            ends = compose_perms(ends, (fwd if sign > 0 else bwd)[pos])
+        columns = [(fwd if sign > 0 else bwd)[pos] for pos, sign in steps]
+        ends = tuple(columns[0])  # ends[s]: where the relator read from state s has got to
+        for column in columns[1:]:
+            ends = compose_perms(ends, column)
         if ends != closed:
             s = next(s for s, t in enumerate(ends) if t != s)
             raise ComplexError(

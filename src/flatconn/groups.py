@@ -318,9 +318,12 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     This is the orbit of the identity under right multiplication by the
     distinct seed elements, read from their columns: in a finite group
     every inverse is a power, so the orbit is closed under inverses too.
+    A seed element already taken is skipped before it is checked again.
     """
     gens = set()
     for s in seed:
+        if type(s) is int and s in gens:
+            continue
         if not _is_int(s):
             raise ValueError(f"seed element {s!r} is not an integer")
         if not 0 <= s < g.order:

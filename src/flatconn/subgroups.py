@@ -11,11 +11,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complexes import Presentation
 from .errors import EnumerationCapError, IncompleteAutomatonError
-from .groups import GroupTable, SubgroupSet, compose_perms, subgroup_closure
+from .groups import GroupTable, SubgroupSet, _reader, compose_perms, subgroup_closure
 from .words import Word, invert_word, reduce_word
 
 DEFAULT_TABLE_CELL_CAP = 1_000_000
@@ -167,57 +168,64 @@ def _rep_word(a: CosetAutomaton, t: int) -> Word:
     return tuple(reversed(letters))
 
 
-def _schreier_steps(a: CosetAutomaton):
-    """The steps s -> t = s g of the non-trivial Schreier generators
-    rep(s) * g * rep(t)^-1 of a complete automaton, in (state, generator)
-    order, as (s, g, t).
+def _schreier_columns(a: CosetAutomaton, forward, backward) -> list[tuple[tuple, tuple]]:
+    """Where the Schreier generators rep(s) * g * rep(s g)^-1 of a complete
+    automaton a take point 0 of another right action, as whole columns,
+    without spelling them out.
 
-    The generator is trivial exactly on a tree step, where rep(t) = rep(s) g
-    or rep(s) = rep(t) g^-1, and freely reduced as written otherwise; for a
-    free group of rank r and index d there are d(r-1)+1 of them.
+    The action is given by columns, ``forward[g][x]`` = x g and
+    ``backward[g][x]`` = x g^-1.  One walk down the transversal carries
+    pot(s), the point rep(s) reaches (Gross-Tucker's T-reduced values);
+    then each generator g reads two columns indexed by state s, x[s] =
+    pot(s) g and y[s] = pot(s g).  The generator of the step s -> s g fixes
+    0 exactly when x[s] == y[s], and in a group acting on itself x[s] *
+    y[s]^-1 is its value.  A tree step (rep(s g) = rep(s) g, or rep(s) =
+    rep(s g) g^-1) has a trivial generator, so x[s] == y[s] wherever the
+    action is defined; for a free group of rank r and index d the other
+    d(r-1)+1 steps are the non-trivial generators.  Returns one (x, y) per
+    generator.
     """
     if not a.complete:
         raise IncompleteAutomatonError("Schreier generators require a complete automaton")
-    column = a.column
-    for s in range(a.state_count):
-        up = column[s]
-        for g, col in enumerate(a.forward):
-            t = col[s]
-            if column[t] != 2 * g and up != 2 * g + 1:
-                yield s, g, t
-
-
-def _schreier_points(a: CosetAutomaton, forward, backward):
-    """Where the Schreier generators of a complete automaton a take point 0
-    of another right action, without spelling them out.
-
-    The action is given by columns, ``forward[g][x]`` = x g and
-    ``backward[g][x]`` = x g^-1, None where undefined.  One walk down the
-    transversal carries pot(s), the point rep(s) reaches (Gross-Tucker's
-    T-reduced values).  The generator rep(s) * g * rep(t)^-1 of the step
-    s -> t = s g fixes 0 exactly when x = pot(s) g is defined and equals
-    y = pot(t); in a group acting on itself x * y^-1 is its value.
-    Yields (s, g, x, y) for the steps of :func:`_schreier_steps`.
-    """
     moves = [col for g in range(a.rank) for col in (forward[g], backward[g])]
-    pot: list = [0] * a.state_count
+    parent, column = a.parent, a.column
+    pot = [0] * a.state_count
     for t in range(1, a.state_count):
-        x = pot[a.parent[t]]
-        pot[t] = None if x is None else moves[a.column[t]][x]
-    for s, g, t in _schreier_steps(a):
-        x = pot[s]
-        yield s, g, None if x is None else forward[g][x], pot[t]
+        pot[t] = moves[column[t]][pot[parent[t]]]
+    at_pot = _reader(pot)
+    return [(at_pot(fwd), compose_perms(col, pot)) for fwd, col in zip(forward, a.forward)]
 
 
 def _first_step_outside(a: CosetAutomaton, b: CosetAutomaton) -> Optional[tuple[int, int]]:
-    """The step (s, g) of the first Schreier generator of a's subgroup that
-    b's does not contain; None when a's subgroup lies inside b's.
+    """The step (s, g) of the first Schreier generator of a's subgroup, in
+    (state, generator) order, that b's does not contain; None when a's
+    subgroup lies inside b's.
 
     b may be partial: a generator whose path leaves b's table is outside, as
-    ``b.trace(w) == 0`` decides.
+    ``b.trace(w) == 0`` decides.  Its undefined moves then lead to a sink,
+    -1, that every column keeps.  A generator whose two columns are equal
+    and never reach the sink has every step inside; the others are read
+    step by step, tree steps skipped, only to name the first one outside.
     """
-    points = _schreier_points(a, b.forward, b.backward)
-    return next(((s, g) for s, g, x, y in points if x is None or x != y), None)
+    if not a.complete:
+        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    if a is b:
+        return None
+    forward, backward = b.forward, b.backward
+    if not b.complete:
+        forward, backward = (
+            [(*(-1 if x is None else x for x in col), -1) for col in cols] for cols in (forward, backward)
+        )
+    column, first = a.column, None
+    for g, (x, y) in enumerate(_schreier_columns(a, forward, backward)):
+        if x == y and (b.complete or -1 not in x):
+            continue
+        fwd, down, up = a.forward[g], 2 * g, 2 * g + 1
+        for s in range(a.state_count if first is None else first[0]):  # only steps before the first found
+            if (x[s] == -1 or x[s] != y[s]) and column[fwd[s]] != down and column[s] != up:
+                first = (s, g)
+                break
+    return first
 
 
 def _schreier_word(a: CosetAutomaton, s: int, g: int) -> Word:
@@ -398,16 +406,13 @@ class _CosetTable:
                 self.scan_and_fill(0, self.columns(w))
 
     def automaton(self) -> CosetAutomaton:
-        """The automaton of the finished table: each live coset's entries
-        read once through ``find``, as one list per column, which both
-        letters of an involution read; rows folded away are not read."""
-        table, parent, find = self.table, self.parent, self.find
-        moves = [[None] * len(table) for _ in self.inverse]
-        for x, px in enumerate(parent):
-            if px == x:
-                for move, y in zip(moves, table[x]):
-                    if y is not None:
-                        move[x] = y if parent[y] == y else find(y)
+        """The automaton of the finished table, each column read whole
+        across the rows, which both letters of an involution read.  A
+        coincidence re-points every entry that named a coset it kills, so
+        no live row names a dead coset, and the walk from coset 0 reads
+        live rows only."""
+        table = self.table
+        moves = [tuple(map(itemgetter(c), table)) for c in range(len(self.inverse))]
         return CosetAutomaton.from_action(self.rank, 0, [moves[c] for c in self.letter])
 
 
@@ -549,9 +554,14 @@ def todd_coxeter(
     while alpha < len(table):
         if parent[alpha] == alpha:
             for rel in relators:
-                ct.scan_and_fill(alpha, rel)
-                if parent[alpha] != alpha:
-                    break
+                f = alpha
+                for c in rel[0]:  # a relator whose trace closes at alpha fills nothing: not scanned
+                    if (f := table[f][c]) is None:
+                        break
+                if f != alpha:
+                    ct.scan_and_fill(alpha, rel)
+                    if parent[alpha] != alpha:
+                        break
             else:
                 row = table[alpha]
                 for c in range(width):

@@ -48,13 +48,13 @@ from .connections import (
     holonomy_morphism,
     kernel_automaton,
 )
-from .covers import CoveringComplex, build_cover, check_incidence
+from .covers import CoveringComplex, _under_lifts, build_cover, check_incidence
 from .groups import SubgroupSet, subgroup_closure
 from .subgroups import (
     CosetAutomaton,
     SubgroupSpec,
     _first_step_outside,
-    _schreier_points,
+    _schreier_columns,
     _schreier_word,
     automaton_from_spec,
     automata_equal,
@@ -204,16 +204,19 @@ class Instance:
     def restricted_image(self) -> SubgroupSet:
         """h(H): the base holonomy image of the covering subgroup.
 
-        It is generated by the images hol(s) * h(g) * hol(t)^-1 of the
+        It is generated by the images hol(s) * h(g) * hol(s g)^-1 of the
         Schreier generators, where hol(s) is the holonomy of rep(s), read
         once down the coset transversal; no Schreier word is spelled out.
+        Each distinct pair (hol(s) * h(g), hol(s g)) is multiplied out once.
         Raises :class:`IncompleteAutomatonError` on an incomplete automaton.
         """
         g, images = self.group, self.morphism.images
         forward = [g.column(h) for h in images]
         backward = [g.column(g.inverse[h]) for h in images]
-        mapped = {g.mul_inv(x, y) for _, _, x, y in _schreier_points(self.subgroup_aut, forward, backward)}
-        return subgroup_closure(g, mapped)
+        pairs = set()
+        for x, y in _schreier_columns(self.subgroup_aut, forward, backward):
+            pairs.update(zip(x, y))
+        return subgroup_closure(g, {g.mul_inv(x, y) for x, y in pairs if x != y})
 
     @cached_property
     def base_bundle(self) -> DerivedBundle:
@@ -290,9 +293,12 @@ def verify_functoriality(
     value pot(tail) * w(e) * pot(head)^-1 (Gross-Tucker), so the claim holds
     exactly when both sides agree on every generator.  Downstairs values
     come from the base voltage through the projection only, never from the
-    pullback.
+    pullback.  Where the two sides' values are equal on every cover edge,
+    as two whole columns, so are both potentials and every generator's
+    value, and the claim holds without a walk.
 
-    Words are sampled only when a generator disagrees, to pick the witness:
+    Otherwise the generators are compared one by one, and words are
+    sampled only when a generator disagrees, to pick the witness:
     random walks of length <= 12 on the cover, closed by the tree path back
     to the base lift; sampling is seeded and reproducible.  Each
     vertex's row of moves (far vertex, pulled-back value, base value of the
@@ -304,10 +310,13 @@ def verify_functoriality(
         raise ValueError(f"sample count must be non-negative, got {sample_count}")
     cov, tree = inst.cover, inst.cover_tree
     check_incidence(cov)  # so the projection of every closed word is a closed word
-    total, g = cov.total, inst.group
+    hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
+    values = inst.voltage.as_tuple()
+    if inst.pullback.as_tuple() == _under_lifts(cov)(values):
+        return VerificationReport("functoriality", HOLDS, hypotheses=hyp)
+    total, g, E = cov.total, inst.group, len(cov.base.ids)
     mul_inv, column, inverse = g.mul_inv, g.column, g.inverse
     up_value = inst.pullback.on_step
-    values, E = inst.voltage.as_tuple(), len(cov.base.ids)
 
     def down_value(step: tuple[int, int]) -> int:
         """The base value of the projected step: cover edge s * E + p lies over position p."""
@@ -317,7 +326,6 @@ def verify_functoriality(
 
     pot_up = _tree_potentials(tree, inst.group, up_value)
     pot_down = _tree_potentials(tree, inst.group, down_value)
-    hyp = (HypothesisCheck("automaton-complete", True, f"samples {sample_count}, seed {seed}"),)
     tails, heads = total.tails, total.heads
     for eid, p in zip(tree.generators, map(total.edge_pos, tree.generators)):
         u, d = up_value((eid, 1)), down_value((eid, 1))

@@ -5,7 +5,9 @@ lookup structure with the library, so the tests that use them stay
 independent oracles.  The general route of Gross & Tucker's derived graphs
 lives here: a path's holonomy walked edge by edge (``word_holonomy``), gauge
 moves (``GaugeTransform``, ``apply_gauge``), the Schreier generators spelled
-out over the library's transversal (``reidemeister_schreier``), and, for any
+out over the library's transversal (``reidemeister_schreier``) or walked one
+step at a time (``schreier_steps``, ``schreier_points``, and through them
+h(H) and the first generator outside another subgroup), and, for any
 ``ComplexMap`` (a vertex/edge map between complexes, its incidence check
 ``check_map_incidence``), the star-bijection covering check (``lift_index``,
 ``is_covering_map``), the subgroup read off its sheets
@@ -58,9 +60,9 @@ from flatconn.complexes import (
 )
 from flatconn.connections import Voltage
 from flatconn.covers import CoveringComplex, LiftedRelators
-from flatconn.errors import ComplexError, EnumerationCapError, IncidenceError, InputError
+from flatconn.errors import ComplexError, EnumerationCapError, IncidenceError, IncompleteAutomatonError, InputError
 from flatconn.groups import SubgroupSet, compose_perms, cycle_label, subgroup_closure
-from flatconn.subgroups import CosetAutomaton, _rep_word, _schreier_steps
+from flatconn.subgroups import CosetAutomaton, _rep_word
 from flatconn.words import invert_word, reduce_word
 
 
@@ -178,10 +180,62 @@ def apply_gauge(v, t):
     return Voltage(v.complex, g, new)
 
 
+def schreier_steps(a):
+    """The steps s -> t = s g of the non-trivial Schreier generators
+    rep(s) * g * rep(t)^-1 of a complete automaton, in (state, generator)
+    order, as (s, g, t), one step at a time.
+
+    The generator is trivial exactly on a tree step, where rep(t) = rep(s) g
+    or rep(s) = rep(t) g^-1, and freely reduced as written otherwise; for a
+    free group of rank r and index d there are d(r-1)+1 of them.
+    """
+    if not a.complete:
+        raise IncompleteAutomatonError("Schreier generators require a complete automaton")
+    column = a.column
+    for s in range(a.state_count):
+        up = column[s]
+        for g, col in enumerate(a.forward):
+            t = col[s]
+            if column[t] != 2 * g and up != 2 * g + 1:
+                yield s, g, t
+
+
+def schreier_points(a, forward, backward):
+    """Where the Schreier generators of a complete automaton a take point 0
+    of another right action, one step at a time: pot(s), the point rep(s)
+    reaches, carried down the transversal, then (s, g, x, y) for each step of
+    :func:`schreier_steps`, with x = pot(s) g (None where undefined) and
+    y = pot(s g).  The action's columns may hold None."""
+    moves = [col for g in range(a.rank) for col in (forward[g], backward[g])]
+    pot = [0] * a.state_count
+    for t in range(1, a.state_count):
+        x = pot[a.parent[t]]
+        pot[t] = None if x is None else moves[a.column[t]][x]
+    for s, g, t in schreier_steps(a):
+        x = pot[s]
+        yield s, g, None if x is None else forward[g][x], pot[t]
+
+
+def stepwise_restricted_image(inst):
+    """h(H) from every Schreier step's pair (x, y) on its own."""
+    g, images = inst.group, inst.morphism.images
+    forward = [g.column(h) for h in images]
+    backward = [g.column(g.inverse[h]) for h in images]
+    points = schreier_points(inst.subgroup_aut, forward, backward)
+    return subgroup_closure(g, {g.mul_inv(x, y) for _, _, x, y in points})
+
+
+def stepwise_first_step_outside(a, b):
+    """The first Schreier step (s, g) of a whose generator b does not accept,
+    every step read on its own; b may be partial."""
+    points = schreier_points(a, b.forward, b.backward)
+    return next(((s, g) for s, g, x, y in points if x is None or x != y), None)
+
+
 def reidemeister_schreier(a, presentation):
     """Schreier generators rep(s) * g * rep(s g)^-1 with trivial ones dropped,
-    in the (state, generator) order of the library's Schreier steps."""
-    steps = list(_schreier_steps(a))  # an incomplete automaton raises before the rank check
+    in the (state, generator) order of :func:`schreier_steps`."""
+    steps = list(schreier_steps(a))  # an incomplete automaton raises before the rank check
     if presentation.rank != a.rank:
         raise ValueError("presentation rank does not match automaton alphabet")
     reps = [_rep_word(a, t) for t in range(a.state_count)]

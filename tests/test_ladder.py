@@ -97,34 +97,56 @@ def test_ab_runner_compares_a_checkout_with_itself():
     assert all(mb > 0 for mb in result["peak_rss_mb"].values())
     assert set(result["metrics"]) == {"verify_s", "setup_s"}
     for metric in result["metrics"].values():
-        assert set(metric) == {"ratio_median", "ratio_q1", "ratio_q3", "wins", "parent", "change"}
+        assert set(metric) == {
+            "ratio_median", "ratio_q1", "ratio_q3", "wins", "gain",
+            "parent", "parent_q1", "parent_q3", "change", "change_q1", "change_q3",
+        }
     assert result["same_verdicts"] is True and result["correct"] is True and result["passes"] == 2
+
+
+# verify_s of the warm-up and ten passes per side: the change wins every pair
+STAND_IN_VERIFY_S = {
+    "parent": [9.0, 10.0, 12.0, 10.0, 11.0, 10.0, 10.0, 13.0, 10.0, 9.0, 10.0],
+    "change": [8.0, 8.0, 8.0, 9.0, 8.0, 8.0, 7.0, 8.0, 8.0, 8.0, 8.0],
+}
 
 
 def test_ab_workers_compile_every_module_from_source(monkeypatch, capsys):
     """Each worker starts with bytecode writing off and its cache prefix on a
     fresh, empty directory, removed once the run ends, so neither side reads
     a checkout's ``__pycache__``.  The workers here are stand-ins that answer
-    every pass at once; no process is started."""
+    every pass at once; no process is started.  Their times give each side's
+    median and quartiles, and the gain rule: the change wins all ten verify
+    pairs, by 2 s at the median against a parent IQR of 1.25 s, and no setup
+    pair."""
     spec = importlib.util.spec_from_file_location("ladder_ab", AB)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
     started = []
-    answer = json.dumps({"setup_s": 1.0, "verify_s": 1.0, "codes": "HH", "failures": 0, "peak_rss_mb": 9.0})
 
     class StandIn:
         def __init__(self, command, env, **kwargs):
             cache = env["PYTHONPYCACHEPREFIX"]
             started.append((command, env, cache, os.listdir(cache)))
             self.stdin = io.StringIO()
-            self.stdout = io.StringIO((answer + "\n") * 3)
+            answers = [
+                {"setup_s": 1.0, "verify_s": t, "codes": "HH", "failures": 0, "peak_rss_mb": 9.0}
+                for t in STAND_IN_VERIFY_S[command[3]]
+            ]
+            self.stdout = io.StringIO("".join(json.dumps(a) + "\n" for a in answers))
 
         def wait(self):
             return 0
 
     monkeypatch.setattr(ab.subprocess, "Popen", StandIn)
-    assert ab.main(["parent", "change", "--workload", "corpus", "--passes", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["correct"] is True
+    assert ab.main(["parent", "change", "--workload", "corpus", "--passes", "10"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["correct"] is True
+    verify, setup = result["metrics"]["verify_s"], result["metrics"]["setup_s"]
+    assert (verify["parent"], verify["parent_q1"], verify["parent_q3"]) == (10.0, 10.0, 11.25)
+    assert (verify["change"], verify["change_q1"], verify["change_q3"]) == (8.0, 8.0, 8.0)
+    assert verify["wins"] == 10 and verify["gain"] is True
+    assert setup["wins"] == 0 and setup["gain"] is False
     assert [command[3] for command, *_ in started] == ["parent", "change"]
     for _, env, cache, listed in started:
         assert env == dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)

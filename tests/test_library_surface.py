@@ -3,9 +3,9 @@
 The general route over arbitrary maps of complexes (the map type itself, a
 cover's projection and the bundle map over it, star-bijection covering
 checks, subgroups read off any covering's sheets, composition), Schreier
-generators spelled out, path holonomy walked edge by edge, gauge moves,
-edge loops rewritten as generator words outside a document and the
-brute-force holonomy oracle are test oracles and live in
+generators spelled out or walked one step at a time, path holonomy walked
+edge by edge, gauge moves, edge loops rewritten as generator words outside
+a document and the brute-force holonomy oracle are test oracles and live in
 ``tests/helpers.py``; a cover lies over its base by its id layout alone,
 with no per-edge table, and a derived bundle's graph is not a complex.  No
 module of ``flatconn``, and no script of the growth ladder, defines,
@@ -58,6 +58,8 @@ MOVED = {
     "OracleResult",
     "star",
     "base_lift",
+    "_schreier_steps",
+    "_schreier_points",
 }
 
 
